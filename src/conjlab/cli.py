@@ -55,6 +55,16 @@ EXIT_COUNTEREXAMPLE = 3
 _CANON_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap",
@@ -64,7 +74,7 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--normal-budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_NODE_BUDGET,
         help="node budget for normal-subgroup search",
     )
@@ -92,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="lemma sampling seed")
     p.add_argument(
         "--lemma-samples",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_LEMMA_SAMPLES,
         help="per-lemma case budget before sampling",
     )
@@ -110,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-lemmas", action="store_true", help="skip lemma suites")
     p.add_argument(
         "--lemma-samples",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_LEMMA_SAMPLES,
         help="per-lemma case budget before sampling",
     )
@@ -318,6 +328,8 @@ def cmd_gamma(args) -> int:
         values = frozenset(int(v) for v in args.set.split(","))
     except ValueError:
         raise ConjlabError(f"--set expects comma-separated integers, got {args.set!r}")
+    if any(v < 1 for v in values):
+        raise ConjlabError(f"--set members must be positive integers, got {args.set!r}")
     dg = divisibility_digraph(values)
     comps = weak_components(dg)
     if args.dot is not None:

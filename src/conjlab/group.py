@@ -14,6 +14,19 @@ Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 ``mult(x, s)`` for every row x at once is the fancy index ``s_row[rows]``,
 which is what the cached per-generator index maps are built from; all
 closures run as integer BFS over those maps.
+
+Elements are found through a base (Sims): a few points B, chosen once per
+table, such that only the identity fixes all of them.  Two members that
+agree on B are then equal, so a member is named by its base images alone.
+Each row gets an exact int64 key built from its images of B; the keys are
+kept sorted and looked up with ``np.searchsorted``.  A product of members,
+such as ``s_row[rows[:, B]]`` for a right-multiplication map, is therefore
+found from |B| columns instead of ``degree``.  That shortcut is exact only
+because every table is closed under multiplication, so each such product is
+a member: group_from_generators, direct_product and quotient build closed
+tables, and Subgroup.as_group validates its element set first.  Rows that
+come from outside (index_of, membership tests, the constructor's
+generators) are found by base images and then compared in full.
 """
 
 from __future__ import annotations
@@ -41,8 +54,11 @@ CAP_ENV_VAR = "CONJLAB_CAP"
 # a coset-action table bigger than this many cells is refused (see quotient)
 _QUOTIENT_CELL_LIMIT = 50_000_000
 
-# cap on cached right-multiplication maps, in bytes
-_RMUL_CACHE_BYTES = 192_000_000
+# cap on each group's cache of right-multiplication maps, and separately on
+# its cache of conjugation maps, in bytes
+_MAP_CACHE_BYTES = 192_000_000
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def default_element_cap() -> int:
@@ -90,11 +106,60 @@ def _as_image_row(perm, degree: int, dtype) -> np.ndarray:
     return row.astype(dtype)
 
 
+def _choose_base(rows: np.ndarray) -> list[int]:
+    """Points that only the identity row fixes all of, picked greedily.
+
+    Each step takes the point fixed by the fewest rows that fix every point
+    taken so far (lowest point on ties), so the base stays short.
+    """
+    points = np.arange(rows.shape[1])
+    base: list[int] = []
+    stab = np.arange(len(rows))
+    while len(stab) > 1:
+        fixers = (rows[stab] == points).sum(axis=0)
+        b = int(np.argmin(fixers))
+        base.append(b)
+        stab = stab[rows[stab, b] == b]
+    return base
+
+
+def _key_plan(base_rows: np.ndarray, degree: int) -> tuple[list, np.ndarray]:
+    """Exact int64 keys of a table's base images, and how to rebuild them.
+
+    A key is the mixed-radix number of a row's base images, in base degree.
+    Where the next digit could overflow int64, the key built so far is first
+    replaced by its rank among the table's distinct prefixes; the returned
+    plan holds, column by column, those sorted prefixes or None.
+    """
+    plan: list[np.ndarray | None] = []
+    key = np.zeros(len(base_rows), dtype=np.int64)
+    bound = 1  # every key built so far is below bound
+    for col in base_rows.T:
+        prefixes = None
+        if bound * degree - 1 > _INT64_MAX:
+            prefixes = np.unique(key)
+            key = np.searchsorted(prefixes, key)
+            bound = len(prefixes)
+        plan.append(prefixes)
+        key = key * degree + col
+        bound *= degree
+    return plan, key
+
+
+def _cache_put(cache: dict, key: int, value: np.ndarray) -> None:
+    """Store a map, evicting the oldest entries to stay within _MAP_CACHE_BYTES."""
+    while cache and (len(cache) + 1) * value.nbytes > _MAP_CACHE_BYTES:
+        cache.pop(next(iter(cache)))
+    if value.nbytes <= _MAP_CACHE_BYTES:
+        cache[key] = value
+
+
 class Group:
     """A finite permutation group with its full element table.
 
     Do not call the constructor directly; use group_from_generators,
-    direct_product, corpus.build or Subgroup.as_group.
+    direct_product, corpus.build or Subgroup.as_group.  The rows must form
+    a group: lookups of products by base images rely on it.
     """
 
     def __init__(self, rows: np.ndarray, gen_rows: list[np.ndarray], name: str):
@@ -102,18 +167,19 @@ class Group:
         self._rows = np.ascontiguousarray(rows[order])
         self.degree = int(rows.shape[1])
         self.name = name
-        self._index: dict[bytes, int] = {
-            r.tobytes(): i for i, r in enumerate(self._rows)
-        }
-        if len(self._index) != len(self._rows):
-            raise InvalidPermutation("duplicate rows in element table")
         ident = np.arange(self.degree, dtype=self._rows.dtype)
         if not np.array_equal(self._rows[0], ident):
             raise InvalidPermutation("identity missing from element table")
-        self._gen_idx = [self._index[g.astype(self._rows.dtype).tobytes()] for g in gen_rows]
+        self._base = _choose_base(self._rows)
+        self._base_rows = self._rows[:, self._base].astype(np.int64)
+        self._key_plan, keys = _key_plan(self._base_rows, self.degree)
+        self._key_order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._key_order]
+        if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
+            raise InvalidPermutation("element table has duplicate rows or is not a group")
+        self._gen_idx = [self.index_of(g) for g in gen_rows]
         # lazy caches
         self._inv_idx: np.ndarray | None = None
-        self._inv_rows: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._class_id: np.ndarray | None = None
@@ -144,10 +210,11 @@ class Group:
                 f"degree {perm.degree} element cannot lie in {self.name} (degree {self.degree})"
             )
         row = _as_image_row(perm, self.degree, self._rows.dtype)
-        try:
-            return self._index[row.tobytes()]
-        except KeyError:
-            raise ElementNotInGroup(f"{perm!r} is not in {self.name}") from None
+        i = int(self._lookup(row[self._base][None, :])[0])
+        # a non-member can share its base images with a member
+        if i < 0 or not np.array_equal(self._rows[i], row):
+            raise ElementNotInGroup(f"{perm!r} is not in {self.name}")
+        return i
 
     def __contains__(self, perm) -> bool:
         try:
@@ -161,37 +228,37 @@ class Group:
 
     # ----- index-level arithmetic -------------------------------------------
 
-    def _indices_of_rows(self, mat: np.ndarray) -> np.ndarray:
-        idx = self._index
-        try:
-            return np.fromiter(
-                (idx[r.tobytes()] for r in np.ascontiguousarray(mat, dtype=self._rows.dtype)),
-                dtype=np.int64,
-                count=len(mat),
-            )
-        except KeyError:
-            raise ElementNotInGroup("product left the element table (set not closed)") from None
+    def _lookup(self, images: np.ndarray) -> np.ndarray:
+        """Index of the member with each row of base images, or -1 if none."""
+        key = np.zeros(len(images), dtype=np.int64)
+        for col, prefixes in zip(images.T, self._key_plan):
+            if prefixes is not None:
+                rank = np.minimum(np.searchsorted(prefixes, key), len(prefixes) - 1)
+                key = np.where(prefixes[rank] == key, rank, -1)
+            key = key * self.degree + col
+        pos = np.minimum(np.searchsorted(self._sorted_keys, key), self.order - 1)
+        return np.where(self._sorted_keys[pos] == key, self._key_order[pos], -1)
+
+    def _indices_of_images(self, images: np.ndarray) -> np.ndarray:
+        """Indices of products of members, given by their base images."""
+        idx = self._lookup(images)
+        if np.any(idx < 0):
+            raise ElementNotInGroup("product left the element table (set not closed)")
+        return idx
 
     def mult_idx(self, i: int, j: int) -> int:
         # x_i then x_j
-        row = self._rows[j][self._rows[i]]
-        return self._index[row.tobytes()]
+        images = self._rows[j][self._base_rows[i]]
+        return int(self._indices_of_images(images[None, :])[0])
 
     def inverse_indices(self) -> np.ndarray:
         if self._inv_idx is None:
-            rows = self._rows
-            inv = np.empty_like(rows)
-            vals = np.broadcast_to(
-                np.arange(self.degree, dtype=rows.dtype), rows.shape
-            )
-            np.put_along_axis(inv, rows.astype(np.int64), vals, axis=1)
-            self._inv_rows = inv
-            self._inv_idx = self._indices_of_rows(inv)
+            # x^-1 sends b to the point x sends to b
+            images = np.empty_like(self._base_rows)
+            for j, b in enumerate(self._base):
+                images[:, j] = np.argmax(self._rows == b, axis=1)
+            self._inv_idx = self._indices_of_images(images)
         return self._inv_idx
-
-    def _inverse_rows(self) -> np.ndarray:
-        self.inverse_indices()
-        return self._inv_rows
 
     def inv_idx(self, i: int) -> int:
         return int(self.inverse_indices()[i])
@@ -201,30 +268,24 @@ class Group:
         a = self.mult_idx(self.inv_idx(i), self.inv_idx(j))
         return self.mult_idx(self.mult_idx(a, i), j)
 
-    def conj_idx(self, x: int, g: int) -> int:
-        """Index of g^-1 * x_x * g."""
-        a = self.mult_idx(self.inv_idx(g), x)
-        return self.mult_idx(a, g)
-
     def element_orders(self) -> np.ndarray:
-        """Order of every element, as one vectorized power chain."""
+        """Order of every element: the lcm of its cycle lengths through the base.
+
+        x^m is the identity exactly when it fixes every base point, that is
+        when m is a multiple of the length of each base point's cycle.
+        """
         if self._orders is None:
-            rows = self._rows
-            ident = np.arange(self.degree, dtype=rows.dtype)
-            orders = np.zeros(self.order, dtype=np.int64)
-            power = rows.copy()
-            alive = np.arange(self.order)
-            k = 1
-            while alive.size:
-                done = np.all(power == ident, axis=1)
-                orders[alive[done]] = k
-                alive = alive[~done]
-                power = power[~done]
-                if alive.size:
-                    power = np.take_along_axis(
-                        rows[alive], power.astype(np.int64), axis=1
-                    )
-                    k += 1
+            orders = np.ones(self.order, dtype=np.int64)
+            for b, col in zip(self._base, self._base_rows.T):
+                alive = np.flatnonzero(col != b)
+                pts = col[alive]
+                length = 1
+                while alive.size:
+                    length += 1
+                    pts = self._rows[alive, pts]
+                    back = pts == b
+                    orders[alive[back]] = np.lcm(orders[alive[back]], length)
+                    alive, pts = alive[~back], pts[~back]
             self._orders = orders
         return self._orders
 
@@ -256,23 +317,17 @@ class Group:
         """Map i -> index of (x_i * s), for all i at once."""
         cached = self._rmul_cache.get(s)
         if cached is None:
-            srow = self._rows[s].astype(np.int64)
-            cached = self._indices_of_rows(srow[self._rows])
-            per_entry = 8 * self.order
-            if (len(self._rmul_cache) + 1) * per_entry > _RMUL_CACHE_BYTES:
-                self._rmul_cache.pop(next(iter(self._rmul_cache)))
-            self._rmul_cache[s] = cached
+            cached = self._indices_of_images(self._rows[s][self._base_rows])
+            _cache_put(self._rmul_cache, s, cached)
         return cached
 
     def _conj_map(self, g: int) -> np.ndarray:
         """Map i -> index of g^-1 * x_i * g, for all i at once."""
         cached = self._conj_cache.get(g)
         if cached is None:
-            grow = self._rows[g].astype(np.int64)
-            ginv = self._inverse_rows()[g].astype(np.int64)
-            conj = grow[self._rows[:, ginv]]
-            cached = self._indices_of_rows(conj)
-            self._conj_cache[g] = cached
+            ginv = self._rows[self.inv_idx(g)]
+            cached = self._indices_of_images(self._rows[g][self._rows[:, ginv[self._base]]])
+            _cache_put(self._conj_cache, g, cached)
         return cached
 
     # ----- closures ----------------------------------------------------------
@@ -436,11 +491,11 @@ class Group:
     def _normalizer_mask(self, sub_gens: Sequence[int], sub_mask: np.ndarray) -> np.ndarray:
         """Mask of y with y^-1 s y in the subgroup for each subgroup generator s."""
         out = np.ones(self.order, dtype=bool)
-        inv_rows = self._inverse_rows().astype(np.int64)
+        # y^-1 s y sends b to y(s(y^-1(b)))
+        inv_base = self._base_rows[self.inverse_indices()]
         for s in sub_gens:
-            srow = self._rows[s].astype(np.int64)
-            conj = np.take_along_axis(self._rows, srow[inv_rows], axis=1)
-            out &= sub_mask[self._indices_of_rows(conj)]
+            conj = np.take_along_axis(self._rows, self._rows[s][inv_base], axis=1)
+            out &= sub_mask[self._indices_of_images(conj)]
         return out
 
     def normalizer(self, h: "Subgroup") -> "Subgroup":
@@ -611,22 +666,26 @@ class Group:
             raise CapExceeded(
                 f"coset action table for index {q_order} would exceed the cell limit"
             )
-        coset_id = np.full(self.order, -1, dtype=np.int64)
-        reps: list[int] = []
-        krows = self._rows[k.indices].astype(np.int64)
-        for i in range(self.order):
-            if coset_id[i] >= 0:
-                continue
-            members = krows[:, self._rows[i].astype(np.int64)]
-            coset_id[self._indices_of_rows(members)] = len(reps)
-            reps.append(i)
-        rep_arr = np.array(reps, dtype=np.int64)
-        rep_rows = self._rows[rep_arr].astype(np.int64)
-        qgens = []
-        for g in self._gen_idx:
-            grow = self._rows[g].astype(np.int64)
-            prod = grow[rep_rows]
-            qgens.append(Perm(coset_id[self._indices_of_rows(prod)]))
+        # least member of each coset xK: per generator s of k, take the least
+        # label over x<s> by doubling the step x -> x*s^(2^t), and repeat
+        # over the generators until the labels stop changing
+        kmaps = [self._rmul_map(s) for s in k.ensure_gens()]
+        least = np.arange(self.order, dtype=np.int64)
+        while True:
+            prev = least
+            for step in kmaps:
+                for _ in range(k.order.bit_length()):
+                    least = np.minimum(least, least[step])
+                    step = step[step]
+            if np.array_equal(prev, least):
+                break
+        rep_arr = np.unique(least)
+        coset_id = np.searchsorted(rep_arr, least)
+        rep_base = self._base_rows[rep_arr]
+        qgens = [
+            Perm(coset_id[self._indices_of_images(self._rows[g][rep_base])])
+            for g in self._gen_idx
+        ]
         q = group_from_generators(
             q_order, qgens, cap=max(q_order, 1), name=f"{self.name}/{k.order}"
         )
@@ -745,6 +804,8 @@ class Subgroup:
             yield self.parent.element(int(i))
 
     def as_group(self, name: str | None = None) -> Group:
+        # the new table must be closed: its lookups rely on it
+        self.parent._validate_subgroup(self)
         rows = self.parent._rows[self.indices]
         gen_rows = [self.parent._rows[i] for i in self.ensure_gens()]
         label = name if name is not None else f"{self.parent.name}|sub{self.order}"
@@ -783,18 +844,17 @@ class QuotientMap:
         self._coset_elem: np.ndarray | None = None
 
     def _coset_to_element(self) -> np.ndarray:
-        # The projection factors through cosets; tabulate coset -> quotient index.
+        # The projection factors through cosets; tabulate coset -> quotient
+        # index.  The coset of rep x acts as c -> coset of (rep_c * x), and
+        # its images of the quotient's base cosets are enough to find it.
         if self._coset_elem is None:
             g = self.parent
             q = self.quotient
-            rep_rows = g._rows[self.coset_reps].astype(np.int64)
-            out = np.empty(len(self.coset_reps), dtype=np.int64)
-            for c, rep in enumerate(self.coset_reps):
-                xrow = g._rows[rep].astype(np.int64)
-                prod = xrow[rep_rows]
-                qrow = self.coset_id[g._indices_of_rows(prod)].astype(q._rows.dtype)
-                out[c] = q._index[qrow.tobytes()]
-            self._coset_elem = out
+            nq, nb = len(self.coset_reps), len(q._base)
+            cols = g._base_rows[self.coset_reps[q._base]].ravel()
+            prods = g._rows[self.coset_reps][:, cols].reshape(nq * nb, len(g._base))
+            qimages = self.coset_id[g._indices_of_images(prods)].reshape(nq, nb)
+            self._coset_elem = q._indices_of_images(qimages)
         return self._coset_elem
 
     def image_idx(self, i: int) -> int:
@@ -887,7 +947,8 @@ def is_internal_direct_product(g: Group, a: Subgroup, b: Subgroup) -> bool:
     """True iff a and b are normal, intersect trivially and cover g by order.
 
     Those three conditions force g = ab with a and b commuting elementwise;
-    the commuting consequence is asserted on generators.
+    the commuting consequence is checked on generators, and NotASubgroup is
+    raised if it fails.
     """
     for s in (a, b):
         if s.parent is not g:
@@ -900,5 +961,6 @@ def is_internal_direct_product(g: Group, a: Subgroup, b: Subgroup) -> bool:
         return False
     for i in a.ensure_gens():
         for j in b.ensure_gens():
-            assert g.mult_idx(i, j) == g.mult_idx(j, i), "direct factors fail to commute"
+            if g.mult_idx(i, j) != g.mult_idx(j, i):
+                raise NotASubgroup("direct factors fail to commute; engine invariant broken")
     return True

@@ -70,6 +70,14 @@ def element_order(p: tuple) -> int:
     return k
 
 
+def row_index(rows, target: tuple) -> int:
+    """Position of target in a sequence of image rows by linear scan, or -1."""
+    for i, row in enumerate(rows):
+        if tuple(row) == target:
+            return i
+    return -1
+
+
 def conjugacy_classes(elements: list[tuple]) -> list[set[tuple]]:
     elems = set(elements)
     remaining = set(elements)

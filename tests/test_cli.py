@@ -246,6 +246,24 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cyclic:4", "--lemma-samples", "0"],
+        ["scan", "--corpus", "builtin", "--lemma-samples", "0"],
+        ["gamma", "--set", "0,3"],
+        ["verify", "cyclic:4", "--normal-budget", "-5"],
+    ],
+    ids=["verify-samples", "scan-samples", "gamma-zero", "negative-budget"],
+)
+def test_bad_values_exit_two_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import oracle
+from conjlab import group as group_module
+from conjlab.corpus import build, parse_spec
 from conjlab.errors import (
     CapExceeded,
     ElementNotInGroup,
@@ -140,11 +142,19 @@ def test_mult_inverse_tables():
             assert rows[g.mult_idx(i, j)] == oracle.compose(rows[i], rows[j])
 
 
-def test_element_orders_match_oracle():
-    g, elements = build_oracle_pair(oracle.symmetric_gens(4))
+@pytest.mark.parametrize(
+    "spec", ["symmetric:4", "dihedral:500", "direct:symmetric:4+cyclic:6"]
+)
+def test_element_orders_match_oracle(spec):
+    g = build(parse_spec(spec))
     orders = g.element_orders()
-    for i in range(g.order):
-        assert orders[i] == oracle.element_order(g.element(i).images)
+    # the oracle's power chain is slow on large cyclic parts: sample those
+    if g.order <= 200:
+        sample = range(g.order)
+    else:
+        sample = np.random.default_rng(0).choice(g.order, size=40, replace=False)
+    for i in sample:
+        assert orders[i] == oracle.element_order(g.element(int(i)).images)
 
 
 def test_conjugacy_classes_match_oracle():
@@ -182,6 +192,79 @@ def test_center():
     assert z.order == 2  # d6 has a central rotation
     g2, _ = build_oracle_pair(oracle.symmetric_gens(4))
     assert g2.center().order == 1
+
+
+# ----- base-image index ---------------------------------------------------------------
+
+
+C2_POWER_16 = "direct:" + "+".join(["cyclic:2"] * 16)
+
+
+@pytest.mark.parametrize(
+    "spec", ["heisenberg:13", "dihedral:500", C2_POWER_16], ids=["h13", "d500", "c2^16"]
+)
+def test_base_lookups_match_row_search(spec):
+    g = build(parse_spec(spec))
+
+    def search(images: tuple) -> int:
+        return oracle.row_index(map(np.ndarray.tolist, g._rows), images)
+
+    rng = np.random.default_rng(1)
+    for i, j in rng.integers(0, g.order, size=(6, 2)):
+        i, j = int(i), int(j)
+        a, b = g.element(i).images, g.element(j).images
+        assert g.index_of(Perm(a)) == search(a) == i
+        prod = search(oracle.compose(a, b))
+        assert g.mult_idx(i, j) == g._rmul_map(j)[i] == g.index_of(Perm(oracle.compose(a, b))) == prod
+        conj = oracle.compose(oracle.compose(oracle.inverse(b), a), b)
+        assert g._conj_map(j)[i] == search(conj)
+        assert g.inv_idx(i) == search(oracle.inverse(a))
+
+
+def test_base_key_survives_int64_overflow():
+    # 16 base points of degree 32: 32**16 = 2**80 does not fit a mixed-radix int64 key
+    g = build(parse_spec(C2_POWER_16))
+    assert len(g._base) == 16
+    assert any(prefixes is not None for prefixes in g._key_plan)
+    assert len(np.unique(g._sorted_keys)) == g.order == 2**16
+
+
+def test_non_member_matching_a_member_on_the_base():
+    g = build(parse_spec("dihedral:7"))
+    members = {p.images for p in g.elements()}
+    x = list(g.element(3).images)
+    u, v = [p for p in range(g.degree) if p not in g._base][:2]
+    x[u], x[v] = x[v], x[u]
+    outsider = Perm(x)
+    assert all(x[b] == g.element(3).images[b] for b in g._base)
+    assert outsider.images not in members
+    assert outsider not in g
+    with pytest.raises(ElementNotInGroup):
+        g.index_of(outsider)
+
+
+def test_as_group_rejects_a_non_closed_set():
+    g, _ = build_oracle_pair(oracle.symmetric_gens(4))
+    swap = g.index_of(Perm.from_cycles([(0, 1)], 4))
+    three = g.index_of(Perm.from_cycles([(0, 1, 2)], 4))
+    with pytest.raises(NotASubgroup):
+        Subgroup(g, np.array([0, swap, three], dtype=np.int64)).as_group()
+
+
+def test_map_caches_stay_under_the_byte_cap(monkeypatch):
+    ref = build(parse_spec("symmetric:4"))
+    cap = 3 * 8 * ref.order  # room for three maps
+    monkeypatch.setattr(group_module, "_MAP_CACHE_BYTES", cap)
+    g = build(parse_spec("symmetric:4"))
+    for s in range(g.order):
+        assert np.array_equal(g._rmul_map(s), ref._rmul_map(s))
+        assert np.array_equal(g._conj_map(s), ref._conj_map(s))
+        for cache in (g._rmul_cache, g._conj_cache):
+            assert sum(m.nbytes for m in cache.values()) <= cap
+    assert len(g._rmul_cache) == len(g._conj_cache) == 3
+    assert [c.size for c in g.conjugacy_classes()] == [c.size for c in ref.conjugacy_classes()]
+    got = [s.indices.tolist() for s in g.normal_subgroups()]
+    assert got == [s.indices.tolist() for s in ref.normal_subgroups()]
 
 
 # ----- subgroups -------------------------------------------------------------------
@@ -278,6 +361,31 @@ def test_quotient_s4_by_klein():
             )
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [oracle.symmetric_gens(4), oracle.dihedral_gens(6), oracle.cyclic_gens(12)],
+    ids=["s4", "d6", "c12"],
+)
+def test_quotient_cosets_and_images_match_brute_force(gens):
+    g, _ = build_oracle_pair(gens)
+    rows = [g.element(i).images for i in range(g.order)]
+    for k in g.normal_subgroups():
+        q, qmap = g.quotient(k)
+        members = {rows[int(i)] for i in k.indices}
+        for x in range(g.order):
+            for y in range(g.order):
+                same = oracle.compose(oracle.inverse(rows[x]), rows[y]) in members
+                assert (qmap.coset_id[x] == qmap.coset_id[y]) == same
+        # cosets are numbered by least member, and x acts on them as c -> (rep_c * x)K
+        least = [min(i for i in range(g.order) if qmap.coset_id[i] == c) for c in range(q.order)]
+        assert qmap.coset_reps.tolist() == least == sorted(least)
+        for x in range(g.order):
+            image = q.element(qmap.image_idx(x)).images
+            for c, rep in enumerate(qmap.coset_reps):
+                prod = rows.index(oracle.compose(rows[int(rep)], rows[x]))
+                assert image[c] == qmap.coset_id[prod]
+
+
 def test_quotient_rejects_non_normal():
     g, _ = build_oracle_pair(oracle.symmetric_gens(4))
     rot = g.subgroup_generated([Perm.from_cycles([(0, 1, 2, 3)], 4)])
@@ -329,6 +437,18 @@ def test_internal_direct_product_recognition():
     assert any(is_internal_direct_product(g, a, b) for a in sixes)
     half = next(s for s in normals if s.order == 12)
     assert not any(is_internal_direct_product(g, a, half) for a in sixes)
+
+
+def test_internal_direct_product_raises_when_factors_fail_to_commute(monkeypatch):
+    s3 = group_from_generators(3, [Perm(t) for t in oracle.symmetric_gens(3)])
+    c4 = group_from_generators(4, [Perm(t) for t in oracle.cyclic_gens(4)])
+    g = direct_product(s3, c4)
+    normals = g.normal_subgroups()
+    b = next(s for s in normals if s.order == 4)
+    a = next(s for s in normals if s.order == 6 and is_internal_direct_product(g, s, b))
+    monkeypatch.setattr(g, "mult_idx", lambda i, j: i)
+    with pytest.raises(NotASubgroup, match="engine invariant broken"):
+        is_internal_direct_product(g, a, b)
 
 
 def test_orbit_stabilizer_small():
