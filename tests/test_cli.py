@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, file handling, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,29 @@ def test_scan_jobs_agree(tmp_path, capsys):
         )
         assert code == EXIT_OK
     assert one.read_bytes() == two.read_bytes()
+
+
+GOLDEN_SCAN = Path(__file__).parent / "data" / "builtin_scan_samples300.jsonl"
+
+
+def test_builtin_scan_matches_recorded_bytes(tmp_path, capsys):
+    # recorded with `conjlab scan --corpus builtin --lemma-samples 300 --jobs 1`;
+    # any change to an answer, a generator choice or a lemma draw moves these bytes
+    out_path = tmp_path / "scan.jsonl"
+    code, _, _ = run(
+        capsys,
+        "scan",
+        "--corpus",
+        "builtin",
+        "--out",
+        str(out_path),
+        "--lemma-samples",
+        "300",
+        "--jobs",
+        "1",
+    )
+    assert code == EXIT_OK
+    assert out_path.read_bytes() == GOLDEN_SCAN.read_bytes()
 
 
 def test_scan_records_per_group_errors(tmp_path, capsys):
