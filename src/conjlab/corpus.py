@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .arith import divisibility_digraph, is_disconnected, is_prime
-from .errors import InvalidSpec, RecordFormatError
+from .errors import CapExceeded, InvalidSpec, RecordFormatError
 from .group import Group, default_element_cap, direct_product, group_from_generators
 from .grpio import load_grp
 from .perm import Perm
@@ -195,11 +195,45 @@ def _frobenius_gens(p: int, q: int) -> tuple[int, list[Perm]]:
     return p, [shift, scale]
 
 
+def _order_up_to(spec: GroupSpec, cap: int) -> int | None:
+    """Order of the group a family spec names, or None for a .grp file.
+
+    A factorial stops growing once it passes the cap, so a huge symmetric
+    or alternating degree costs nothing; any returned value above the cap
+    is then only a lower bound.
+    """
+    if spec.kind == "file":
+        return None
+    if spec.kind == "direct":
+        orders = [_order_up_to(part, cap) for part in spec.parts]
+        return None if None in orders else prod(orders)
+    if spec.kind in ("cyclic", "frobenius"):
+        return prod(spec.params)
+    n = spec.params[0]
+    if spec.kind == "dihedral":
+        return 2 * n
+    if spec.kind == "heisenberg":
+        return n**3
+    # n! for symmetric, n!/2 = 3 * 4 * ... * n for alternating (1 below n = 2)
+    order, k = 1, 2 if spec.kind == "symmetric" else 3
+    while k <= n and order <= cap:
+        order *= k
+        k += 1
+    return order
+
+
 def build(spec: GroupSpec, cap: int | None = None) -> Group:
-    """Construct the group a spec names; enumeration respects the cap."""
+    """Construct the group a spec names; enumeration respects the cap.
+
+    A family whose order is known from its parameters to pass the cap is
+    refused before any permutation is made.
+    """
     _validate(spec)
     if cap is None:
         cap = default_element_cap()
+    order = _order_up_to(spec, cap)
+    if order is not None and order > cap:
+        raise CapExceeded(f"{spec.name}: group order passes the element cap of {cap}")
     if spec.kind == "file":
         return load_grp(spec.path, cap=cap)
     if spec.kind == "direct":

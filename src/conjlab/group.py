@@ -12,8 +12,14 @@ order up to about 10^5.
 Composition convention (see perm.py): ``p * q`` applies p first, then q.
 Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 ``mult(x, s)`` for every row x at once is the fancy index ``s_row[rows]``,
-which is what the cached per-generator index maps are built from; all
-closures run as integer BFS over those maps.
+which is what the cached per-generator index maps are built from.  One
+BFS over such maps, Group._spread, walks every element orbit: subgroup
+closures (right-multiplication maps) and conjugacy classes (conjugation
+maps).  Generating sets come from one loop, Group._accumulate, that adjoins
+each candidate not yet in the closure, and orbits of index sets under
+conjugation (subgroup conjugates, Sylow centers) from Group._conjugate_sets.
+Two members commute iff their two products agree on the base below, which
+is how centralizers are computed.
 
 Elements are found through a base (Sims): a few points B, chosen once per
 table, such that only the identity fixes all of them.  Two members that
@@ -332,39 +338,56 @@ class Group:
 
     # ----- closures ----------------------------------------------------------
 
+    @staticmethod
+    def _spread(maps: Sequence[np.ndarray], start, seen: np.ndarray) -> list[np.ndarray]:
+        """Mark start, and everything it reaches under the index maps, in seen.
+
+        The walk stops at indices seen already holds, so one seen mask can
+        be shared by several walks.  Returns the BFS levels: start, then the
+        indices each step newly marked.
+        """
+        frontier = np.asarray(start, dtype=np.int64)
+        seen[frontier] = True
+        levels = [frontier]
+        while frontier.size:
+            fresh_parts = []
+            for m in maps:
+                t = m[frontier]
+                t = t[~seen[t]]
+                if t.size:
+                    t = np.unique(t)
+                    seen[t] = True
+                    fresh_parts.append(t)
+            frontier = (
+                np.concatenate(fresh_parts) if fresh_parts else np.empty(0, dtype=np.int64)
+            )
+            levels.append(frontier)
+        return levels
+
     def _closed_mask(self, gen_indices: Sequence[int], seed_mask: np.ndarray | None = None) -> np.ndarray:
         """Member mask of <gens>, optionally seeded with a known subgroup of it."""
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
         if seed_mask is not None:
             mask |= seed_mask
-        frontier = np.flatnonzero(mask)
-        maps = [self._rmul_map(int(s)) for s in gen_indices]
-        while frontier.size:
-            fresh_parts = []
-            for m in maps:
-                t = m[frontier]
-                t = t[~mask[t]]
-                if t.size:
-                    t = np.unique(t)
-                    mask[t] = True
-                    fresh_parts.append(t)
-            frontier = (
-                np.concatenate(fresh_parts) if fresh_parts else np.empty(0, dtype=np.int64)
-            )
+        self._spread([self._rmul_map(int(s)) for s in gen_indices], np.flatnonzero(mask), mask)
         return mask
 
-    def _greedy_gen_indices(self, indices: np.ndarray) -> list[int]:
-        """Small generating set for a member-index set known to be a subgroup."""
+    def _accumulate(self, candidates: Iterable[int]) -> tuple[list[int], np.ndarray]:
+        """Generators and member mask of the subgroup the candidates generate.
+
+        Each candidate not yet in the closure of those taken so far is
+        adjoined, in the given order.
+        """
         gens: list[int] = []
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
-        for i in indices:
+        for i in candidates:
             i = int(i)
             if not mask[i]:
                 gens.append(i)
                 mask = self._closed_mask(gens, seed_mask=mask)
-        return gens
+        return gens, mask
 
     def _validate_subgroup(self, h: "Subgroup") -> None:
         if h.parent is not self:
@@ -379,32 +402,11 @@ class Group:
         """Classes ordered by (size, lexicographically least member)."""
         if self._classes is None:
             cmaps = [self._conj_map(g) for g in self._gen_idx]
-            class_of = np.full(self.order, -1, dtype=np.int64)
+            seen = np.zeros(self.order, dtype=bool)
             raw: list[np.ndarray] = []
             for i in range(self.order):
-                if class_of[i] >= 0:
-                    continue
-                cid = len(raw)
-                class_of[i] = cid
-                frontier = np.array([i], dtype=np.int64)
-                members = [frontier]
-                while frontier.size:
-                    fresh_parts = []
-                    for m in cmaps:
-                        t = m[frontier]
-                        t = t[class_of[t] < 0]
-                        if t.size:
-                            t = np.unique(t)
-                            class_of[t] = cid
-                            fresh_parts.append(t)
-                    frontier = (
-                        np.concatenate(fresh_parts)
-                        if fresh_parts
-                        else np.empty(0, dtype=np.int64)
-                    )
-                    if frontier.size:
-                        members.append(frontier)
-                raw.append(np.unique(np.concatenate(members)))
+                if not seen[i]:
+                    raw.append(np.unique(np.concatenate(self._spread(cmaps, [i], seen))))
             raw.sort(key=lambda idx: (len(idx), int(idx[0])))
             self._classes = [ConjugacyClass(self, idx) for idx in raw]
             class_id = np.empty(self.order, dtype=np.int64)
@@ -421,21 +423,11 @@ class Group:
         return self.conjugacy_classes()[self.class_id_of_idx(i)].size
 
     def centralizer_mask_idx(self, i: int) -> np.ndarray:
-        # narrow the candidate set one column at a time before the exact
-        # row comparison; generic non-commuting pairs disagree on an early
-        # point, so each pass shrinks the set geometrically
-        x = self._rows[i].astype(np.int64)
-        cand = np.arange(self.order, dtype=np.int64)
-        for col in range(min(self.degree, 12)):
-            if cand.size * self.degree <= 2 * self.order:
-                break
-            lhs = x[self._rows[cand, col]]       # mult(y, x) at col
-            rhs = self._rows[cand, int(x[col])]  # mult(x, y) at col
-            cand = cand[lhs == rhs]
-        sub = self._rows[cand]
-        ok = np.all(x[sub] == sub[:, x], axis=1)
-        mask = np.zeros(self.order, dtype=bool)
-        mask[cand[ok]] = True
+        # y commutes with x iff the members x*y and y*x agree on the base
+        x = self._rows[i]
+        mask = np.ones(self.order, dtype=bool)
+        for b, col in zip(self._base, self._base_rows.T):
+            mask &= x[col] == self._rows[:, x[b]]
         return mask
 
     def centralizer(self, x) -> "Subgroup":
@@ -455,13 +447,7 @@ class Group:
     def subgroup_generated(self, seed: Iterable) -> "Subgroup":
         """Smallest subgroup containing the seed elements (Perms or indices)."""
         seed_idx = [s if isinstance(s, int) else self.index_of(s) for s in seed]
-        gens: list[int] = []
-        mask = np.zeros(self.order, dtype=bool)
-        mask[0] = True
-        for i in seed_idx:
-            if not mask[i]:
-                gens.append(int(i))
-                mask = self._closed_mask(gens, seed_mask=mask)
+        gens, mask = self._accumulate(seed_idx)
         return Subgroup(self, np.flatnonzero(mask), gens)
 
     def sylow_subgroup(self, p: int) -> "Subgroup":
@@ -511,26 +497,31 @@ class Group:
             bool(mask[self._conj_map(g)[h.indices]].all()) for g in self._gen_idx
         )
 
-    def conjugate_indices(self, indices: np.ndarray, g: int) -> np.ndarray:
-        """Image of a member-index set under conjugation by generator index g."""
-        return np.sort(self._conj_map(g)[indices])
+    def _conjugate_sets(
+        self, start: np.ndarray, carry: np.ndarray | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Orbit of a sorted index set under conjugation, in BFS discovery order.
+
+        Each orbit member comes paired with the image of carry under the
+        conjugation that first reached it (None when carry is None).
+        """
+        orbit = [(start, carry)]
+        keys = {start.tobytes()}
+        for cur, extra in orbit:
+            for g in self._gen_idx:
+                cmap = self._conj_map(g)
+                img = np.sort(cmap[cur])
+                k = img.tobytes()
+                if k not in keys:
+                    keys.add(k)
+                    orbit.append((img, None if extra is None else np.sort(cmap[extra])))
+        return orbit
 
     def subgroup_conjugates(self, h: "Subgroup") -> list["Subgroup"]:
         """Orbit of a subgroup under conjugation, in BFS discovery order."""
         if h.parent is not self:
             raise NotASubgroup("subgroup belongs to a different group")
-        start = np.sort(h.indices)
-        seen = {start.tobytes(): start}
-        queue = [start]
-        while queue:
-            cur = queue.pop(0)
-            for g in self._gen_idx:
-                img = self.conjugate_indices(cur, g)
-                k = img.tobytes()
-                if k not in seen:
-                    seen[k] = img
-                    queue.append(img)
-        return [Subgroup(self, idx) for idx in seen.values()]
+        return [Subgroup(self, idx) for idx, _ in self._conjugate_sets(h.indices)]
 
     # ----- normal subgroups -----------------------------------------------------
 
@@ -638,16 +629,7 @@ class Group:
         pprime = self.element_orders() % p != 0
         if int(pprime.sum()) != target:
             return False
-        idxs = np.flatnonzero(pprime)
-        gens: list[int] = []
-        mask = np.zeros(self.order, dtype=bool)
-        mask[0] = True
-        for i in idxs:
-            if not mask[i]:
-                gens.append(int(i))
-                mask = self._closed_mask(gens, seed_mask=mask)
-                if np.any(mask & ~pprime):
-                    return False
+        _, mask = self._accumulate(np.flatnonzero(pprime))
         return int(mask.sum()) == target
 
     # ----- quotients ---------------------------------------------------------
@@ -696,31 +678,27 @@ class Group:
     # ----- composition factors --------------------------------------------------
 
     def composition_factors(self, budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, bool]]:
-        """(order, is_abelian) pairs along a composition series.
+        """(order, is_abelian) pairs along composition_series, bottom up.
 
-        Recurses through a maximal proper normal subgroup, chosen as the
-        largest order with ties broken by least element index list; the
-        factor multiset is choice-independent (Jordan-Hoelder).
+        A factor H/L is abelian iff L holds the commutators of H's generators
+        (L is normal in H, so it then holds all of [H, H]); the factor
+        multiset is choice-independent (Jordan-Hoelder).
         """
-        if self.order == 1:
-            return []
-        proper = [s for s in self.normal_subgroups(budget) if s.order < self.order]
-        m = min(proper, key=lambda s: (-s.order, tuple(int(i) for i in s.indices)))
-        mmask = m.mask()
-        q_abelian = all(
-            mmask[self.commutator_idx(a, b)]
-            for a in self._gen_idx
-            for b in self._gen_idx
-        )
-        below = m.as_group().composition_factors(budget) if m.order > 1 else []
-        return below + [(self.order // m.order, q_abelian)]
+        series = self.composition_series(budget)
+        factors = []
+        for low, high in zip(series, series[1:]):
+            lmask, gens = low.mask(), high.ensure_gens()
+            abelian = all(lmask[self.commutator_idx(a, b)] for a in gens for b in gens)
+            factors.append((high.order // low.order, abelian))
+        return factors
 
     def composition_series(self, budget: int = DEFAULT_NODE_BUDGET) -> list["Subgroup"]:
         """Subgroup chain from trivial to the whole group with simple steps.
 
-        Uses the same maximal-normal choice as composition_factors; members
-        of the recursive series are mapped back through the subgroup's
-        sorted-index correspondence.
+        Recurses through a maximal proper normal subgroup, chosen as the
+        largest order with ties broken by least element index list.  Members
+        of the recursive series, with their generators, are mapped back
+        through the subgroup's sorted-index correspondence.
         """
         full = Subgroup(self, np.arange(self.order, dtype=np.int64), list(self._gen_idx))
         if self.order == 1:
@@ -731,7 +709,7 @@ class Group:
             below = [Subgroup(self, np.array([0], dtype=np.int64), [])]
         else:
             below = [
-                Subgroup(self, m.indices[s.indices])
+                Subgroup(self, m.indices[s.indices], [int(m.indices[i]) for i in s.ensure_gens()])
                 for s in m.as_group().composition_series(budget)
             ]
         return below + [full]
@@ -793,7 +771,7 @@ class Subgroup:
 
     def ensure_gens(self) -> list[int]:
         if self._gens is None:
-            self._gens = self.parent._greedy_gen_indices(self.indices)
+            self._gens = self.parent._accumulate(self.indices)[0]
         return self._gens
 
     def generators(self) -> list[Perm]:

@@ -165,24 +165,8 @@ def sylow_center_orbit(g: Group, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     and conjugation carries centers to centers.
     """
     syl = g.sylow_subgroup(p)
-    sg = syl.as_group()
-    center_positions = sg.center().indices
-    start_sub = syl.indices
-    start_cen = np.sort(syl.indices[center_positions])
-    seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {
-        start_sub.tobytes(): (start_sub, start_cen)
-    }
-    queue = [(start_sub, start_cen)]
-    while queue:
-        sub, cen = queue.pop(0)
-        for gi in g._gen_idx:
-            isub = g.conjugate_indices(sub, gi)
-            key = isub.tobytes()
-            if key not in seen:
-                icen = g.conjugate_indices(cen, gi)
-                seen[key] = (isub, icen)
-                queue.append((isub, icen))
-    return list(seen.values())
+    center_positions = syl.as_group().center().indices
+    return g._conjugate_sets(syl.indices, np.sort(syl.indices[center_positions]))
 
 
 def sylow_center_union_mask(g: Group, p: int) -> np.ndarray:

@@ -9,10 +9,13 @@ never expected on real groups).  A budget failure raises instead of
 guessing.
 
 run_lemma_suite() independently spot-checks the supporting structural
-facts the argument leans on, each either exhaustively (when the case count
-fits the sample budget) or by seeded random sampling.  The coprime-action
-splitting check has its own witness type since it quantifies over group
-actions rather than a single group.
+facts the argument leans on.  The checks that quantify over elements or
+normal subgroups share one driver, _drive: it checks every case when the
+case count fits the sample budget and makes exactly that many seeded draws
+otherwise.  Each lemma supplies only its case count, its case iterator, its
+draw and its predicate; the public check_* functions reuse those
+predicates.  The coprime-action splitting check has its own witness type
+since it quantifies over group actions rather than a single group.
 """
 
 from __future__ import annotations
@@ -319,21 +322,25 @@ def check_normal_p_complement(g: Group, p: int) -> bool:
 def check_sylow_center_in_center(g: Group, p: int) -> bool:
     """Uniform-active pattern: every Sylow p-center sits inside the center."""
     _require_uniform_active(g, p)
-    zmask = g.center().mask()
-    return all(bool(zmask[cen].all()) for _, cen in sylow_center_orbit(g, p))
+    return all(_sylow_centers_central(g, p))
 
 
 def check_noncentral_misses_class(g: Group) -> bool:
     """Every non-central element fails to commute into some whole class."""
-    g.conjugacy_classes()
-    class_id = g._class_id
-    n_classes = int(class_id.max()) + 1
+    return all(_misses_a_class(g, int(i)) for i in np.flatnonzero(~g.center().mask()))
+
+
+def _sylow_centers_central(g: Group, p: int) -> list[bool]:
+    """Per Sylow p-subgroup: is its center inside the center of g?"""
     zmask = g.center().mask()
-    for i in np.flatnonzero(~zmask):
-        hits = np.bincount(class_id[g.centralizer_mask_idx(int(i))], minlength=n_classes)
-        if not (hits == 0).any():
-            return False
-    return True
+    return [bool(zmask[cen].all()) for _, cen in sylow_center_orbit(g, p)]
+
+
+def _misses_a_class(g: Group, i: int) -> bool:
+    """True iff the centralizer of x_i meets no member of some class."""
+    n_classes = len(g.conjugacy_classes())
+    hits = np.bincount(g._class_id[g.centralizer_mask_idx(i)], minlength=n_classes)
+    return bool((hits == 0).any())
 
 
 # ----- lemma suite -------------------------------------------------------------
@@ -344,6 +351,34 @@ def _result(fails: list, checked: int, mode: str, detail: str = "") -> LemmaResu
         shown = ", ".join(str(f) for f in fails[:5])
         return LemmaResult(STATUS_FAIL, checked, mode, f"violations: {shown}")
     return LemmaResult(STATUS_PASS, checked, mode, detail)
+
+
+def _drive(
+    total: int,
+    samples: int,
+    exhaustive: Iterable,
+    draw: Callable[[], tuple | None],
+    holds: Callable[..., bool],
+    label: str,
+) -> LemmaResult:
+    """Check every case when the total fits in samples, else samples draws.
+
+    exhaustive iterates the case tuples and draw() returns one seeded case;
+    a case of None yields nothing and is not counted.  holds(*case) decides
+    a case, and a failing one is reported as label.format(*case).
+    """
+    if total <= samples:
+        mode, cases = MODE_EXHAUSTIVE, exhaustive
+    else:
+        mode, cases = MODE_SAMPLED, (draw() for _ in range(samples))
+    fails, checked = [], 0
+    for case in cases:
+        if case is None:
+            continue
+        checked += 1
+        if not holds(*case):
+            fails.append(label.format(*case))
+    return _result(fails, checked, mode)
 
 
 def _lemma_normal_p_complement(g, rng, samples, nbudget) -> LemmaResult:
@@ -359,32 +394,14 @@ def _lemma_normal_p_complement(g, rng, samples, nbudget) -> LemmaResult:
 
 def _lemma_sylow_center_in_center(g, rng, samples, nbudget) -> LemmaResult:
     fails, checked = [], 0
-    zmask = g.center().mask()
     for p in prime_divisors(g.order):
         if classify_p_parts(g, p).kind != KIND_UNIFORM_ACTIVE:
             continue
-        for _, cen in sylow_center_orbit(g, p):
+        for central in _sylow_centers_central(g, p):
             checked += 1
-            if not zmask[cen].all():
+            if not central:
                 fails.append(f"p={p}")
     return _result(fails, checked, MODE_EXHAUSTIVE)
-
-
-def _orbit_size_under_maps(g: Group, maps: list, start: int) -> int:
-    mask = np.zeros(g.order, dtype=bool)
-    mask[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        parts = []
-        for m in maps:
-            t = m[frontier]
-            t = t[~mask[t]]
-            if t.size:
-                t = np.unique(t)
-                mask[t] = True
-                parts.append(t)
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return int(mask.sum())
 
 
 class _QuotientCache:
@@ -415,29 +432,23 @@ def _lemma_class_size_divisibility(g, rng, samples, nbudget) -> LemmaResult:
             return True  # degenerate: both divisors collapse to 1 or |x^G|
         if k not in kmaps:
             kmaps[k] = [g._conj_map(i) for i in sub.ensure_gens()]
-        sub_class = _orbit_size_under_maps(g, kmaps[k], x)
+        seen = np.zeros(g.order, dtype=bool)
+        sub_class = sum(map(len, g._spread(kmaps[k], [x], seen)))
         if sizes[x] % sub_class != 0:
             return False
         q, qmap = quotients.get(k)
         q_class = q.class_size_of_idx(qmap.image_idx(x))
         return sizes[x] % q_class == 0
 
-    total = len(normals) * g.order
-    fails, checked = [], 0
-    if total <= samples:
-        mode = MODE_EXHAUSTIVE
-        pairs = itertools.product(range(len(normals)), range(g.order))
-    else:
-        mode = MODE_SAMPLED
-        pairs = (
-            (rng.randrange(len(normals)), rng.randrange(g.order))
-            for _ in range(samples)
-        )
-    for k, x in pairs:
-        checked += 1
-        if not case(k, x):
-            fails.append(f"K#{k},x#{x}")
-    return _result(fails, checked, mode)
+    n = len(normals)
+    return _drive(
+        n * g.order,
+        samples,
+        itertools.product(range(n), range(g.order)),
+        lambda: (rng.randrange(n), rng.randrange(g.order)),
+        case,
+        "K#{},x#{}",
+    )
 
 
 def _lemma_series_class_divisibility(g, rng, samples, nbudget) -> LemmaResult:
@@ -452,39 +463,30 @@ def _lemma_series_class_divisibility(g, rng, samples, nbudget) -> LemmaResult:
         steps.append((high, factor, qmap))
     if not steps:
         return LemmaResult(STATUS_PASS, 0, MODE_EXHAUSTIVE, "trivial group")
-    total = sum(high.order for high, _, _ in steps)
-    fails, checked = [], 0
 
     def case(si: int, pos: int) -> bool:
         high, factor, qmap = steps[si]
         q_class = factor.class_size_of_idx(qmap.image_idx(pos))
         return sizes[high.indices[pos]] % q_class == 0
 
-    if total <= samples:
-        mode = MODE_EXHAUSTIVE
-        tuples = (
-            (si, pos)
-            for si, (high, _, _) in enumerate(steps)
-            for pos in range(high.order)
-        )
-    else:
-        mode = MODE_SAMPLED
+    def draw():
+        si = rng.randrange(len(steps))
+        return si, rng.randrange(steps[si][0].order)
 
-        def _draw():
-            si = rng.randrange(len(steps))
-            return si, rng.randrange(steps[si][0].order)
-
-        tuples = (_draw() for _ in range(samples))
-    for si, pos in tuples:
-        checked += 1
-        if not case(si, pos):
-            fails.append(f"step{si},pos{pos}")
-    return _result(fails, checked, mode)
+    return _drive(
+        sum(high.order for high, _, _ in steps),
+        samples,
+        ((si, pos) for si, (high, _, _) in enumerate(steps) for pos in range(high.order)),
+        draw,
+        case,
+        "step{},pos{}",
+    )
 
 
 def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
     # commuting elements of coprime order: C(xy) = C(x) & C(y)
     orders = g.element_orders()
+    classes = g.conjugacy_classes()
 
     def case(x: int, y: int) -> bool:
         if x == 0 or y == 0:
@@ -494,35 +496,25 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
         cxy = g.centralizer_mask_idx(g.mult_idx(x, y))
         return bool(np.array_equal(cxy, cx & cy))
 
-    classes = g.conjugacy_classes()
-    exhaustive_total = sum(g.order // cls.size for cls in classes)
-    fails, checked = [], 0
-    if exhaustive_total <= samples:
-        mode = MODE_EXHAUSTIVE
+    def pairs():
         for cls in classes:
             x = int(cls.indices[0])
             for y in np.flatnonzero(g.centralizer_mask_idx(x)):
-                y = int(y)
-                if gcd(int(orders[x]), int(orders[y])) != 1:
-                    continue
-                checked += 1
-                if not case(x, y):
-                    fails.append(f"x#{x},y#{y}")
-    else:
+                if gcd(int(orders[x]), int(orders[y])) == 1:
+                    yield x, int(y)
+
+    def draw():
         # draw y from C(x) so every draw yields a commuting pair
-        mode = MODE_SAMPLED
-        for _ in range(samples):
-            x = rng.randrange(g.order)
-            partners = np.flatnonzero(g.centralizer_mask_idx(x))
-            ox = int(orders[x])
-            coprime = partners[np.gcd(orders[partners], ox) == 1]
-            if coprime.size == 0:
-                continue
-            y = int(coprime[rng.randrange(coprime.size)])
-            checked += 1
-            if not case(x, y):
-                fails.append(f"x#{x},y#{y}")
-    return _result(fails, checked, mode)
+        x = rng.randrange(g.order)
+        partners = np.flatnonzero(g.centralizer_mask_idx(x))
+        coprime = partners[np.gcd(orders[partners], int(orders[x])) == 1]
+        if coprime.size == 0:
+            return None
+        return x, int(coprime[rng.randrange(coprime.size)])
+
+    return _drive(
+        sum(g.order // cls.size for cls in classes), samples, pairs(), draw, case, "x#{},y#{}"
+    )
 
 
 def _quotient_centralizer_case(g, quotients, k: int, x: int, subset_only: bool) -> bool:
@@ -542,75 +534,47 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
     normals = g.normal_subgroups(nbudget)
     orders = g.element_orders()
     quotients = _QuotientCache(g, normals)
-    classes = g.conjugacy_classes()
-    reps = [int(cls.indices[0]) for cls in classes]
-    total = len(normals) * len(reps)
-    fails, checked = [], 0
-    if total <= samples:
-        mode = MODE_EXHAUSTIVE
-        tuples = itertools.product(range(len(normals)), reps)
-    else:
-        mode = MODE_SAMPLED
-        tuples = (
-            (rng.randrange(len(normals)), rng.randrange(g.order))
-            for _ in range(samples)
-        )
-    for k, x in tuples:
-        if gcd(int(orders[x]), normals[k].order) != 1:
-            continue
-        checked += 1
-        if not _quotient_centralizer_case(g, quotients, k, x, subset_only=False):
-            fails.append(f"K#{k},x#{x}")
-    return _result(fails, checked, mode)
+    reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
+
+    def coprime(k: int, x: int):
+        return (k, x) if gcd(int(orders[x]), normals[k].order) == 1 else None
+
+    return _drive(
+        len(normals) * len(reps),
+        samples,
+        (coprime(k, x) for k, x in itertools.product(range(len(normals)), reps)),
+        lambda: coprime(rng.randrange(len(normals)), rng.randrange(g.order)),
+        lambda k, x: _quotient_centralizer_case(g, quotients, k, x, subset_only=False),
+        "K#{},x#{}",
+    )
 
 
 def _lemma_centralizer_image_in_quotient(g, rng, samples, nbudget) -> LemmaResult:
     # always: image of the centralizer lands inside the image's centralizer
     normals = g.normal_subgroups(nbudget)
     quotients = _QuotientCache(g, normals)
-    classes = g.conjugacy_classes()
-    reps = [int(cls.indices[0]) for cls in classes]
-    total = len(normals) * len(reps)
-    fails, checked = [], 0
-    if total <= samples:
-        mode = MODE_EXHAUSTIVE
-        tuples = itertools.product(range(len(normals)), reps)
-    else:
-        mode = MODE_SAMPLED
-        tuples = (
-            (rng.randrange(len(normals)), rng.randrange(g.order))
-            for _ in range(samples)
-        )
-    for k, x in tuples:
-        checked += 1
-        if not _quotient_centralizer_case(g, quotients, k, x, subset_only=True):
-            fails.append(f"K#{k},x#{x}")
-    return _result(fails, checked, mode)
+    reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
+    return _drive(
+        len(normals) * len(reps),
+        samples,
+        itertools.product(range(len(normals)), reps),
+        lambda: (rng.randrange(len(normals)), rng.randrange(g.order)),
+        lambda k, x: _quotient_centralizer_case(g, quotients, k, x, subset_only=True),
+        "K#{},x#{}",
+    )
 
 
 def _lemma_noncentral_misses_class(g, rng, samples, nbudget) -> LemmaResult:
     # non-central elements fail to commute into at least one whole class
-    g.conjugacy_classes()
-    class_id = g._class_id
-    n_classes = int(class_id.max()) + 1
     noncentral = np.flatnonzero(~g.center().mask())
-
-    def case(i: int) -> bool:
-        hits = np.bincount(class_id[g.centralizer_mask_idx(i)], minlength=n_classes)
-        return bool((hits == 0).any())
-
-    fails, checked = [], 0
-    if len(noncentral) <= samples:
-        mode = MODE_EXHAUSTIVE
-        picks = (int(i) for i in noncentral)
-    else:
-        mode = MODE_SAMPLED
-        picks = (int(noncentral[rng.randrange(len(noncentral))]) for _ in range(samples))
-    for i in picks:
-        checked += 1
-        if not case(i):
-            fails.append(f"x#{i}")
-    return _result(fails, checked, mode)
+    return _drive(
+        len(noncentral),
+        samples,
+        ((int(i),) for i in noncentral),
+        lambda: (int(noncentral[rng.randrange(len(noncentral))]),),
+        lambda i: _misses_a_class(g, i),
+        "x#{}",
+    )
 
 
 def _lemma_commuting_sylow_criterion(g, rng, samples, nbudget) -> LemmaResult:
@@ -687,32 +651,21 @@ def _lemma_split_sylow_centralizer(g, rng, samples, nbudget) -> LemmaResult:
         cab = g.centralizer_mask_idx(g.mult_idx(a_idx, b_idx))
         return bool(np.array_equal(cab, ca & cb))
 
-    total = sum(a.order * b.order for a, b in cases)
-    fails, checked = [], 0
-    if total <= samples:
-        mode = MODE_EXHAUSTIVE
-        tuples = (
-            (int(ai), int(bi))
-            for a, b in cases
-            for ai in a.indices
-            for bi in b.indices
+    def draw():
+        a, b = cases[rng.randrange(len(cases))]
+        return (
+            int(a.indices[rng.randrange(a.order)]),
+            int(b.indices[rng.randrange(b.order)]),
         )
-    else:
-        mode = MODE_SAMPLED
 
-        def _draw():
-            a, b = cases[rng.randrange(len(cases))]
-            return (
-                int(a.indices[rng.randrange(a.order)]),
-                int(b.indices[rng.randrange(b.order)]),
-            )
-
-        tuples = (_draw() for _ in range(samples))
-    for ai, bi in tuples:
-        checked += 1
-        if not case(ai, bi):
-            fails.append(f"a#{ai},b#{bi}")
-    return _result(fails, checked, mode)
+    return _drive(
+        sum(a.order * b.order for a, b in cases),
+        samples,
+        ((int(ai), int(bi)) for a, b in cases for ai in a.indices for bi in b.indices),
+        draw,
+        case,
+        "a#{},b#{}",
+    )
 
 
 _LEMMA_CHECKS: dict[str, Callable] = {

@@ -47,6 +47,15 @@ def centralizer_order(elements: list[tuple], x: tuple) -> int:
     return sum(1 for g in elements if compose(g, x) == compose(x, g))
 
 
+def centralizer(elements: list[tuple], x: tuple) -> list[int]:
+    """Positions of the elements that commute with x, compared on every point."""
+    return [
+        k
+        for k, g in enumerate(elements)
+        if all(x[g[i]] == g[x[i]] for i in range(len(x)))
+    ]
+
+
 def class_sizes(elements: list[tuple]) -> dict[int, int]:
     """Class size -> number of classes, via centralizer-order counting.
 

@@ -4,8 +4,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conjlab.cli import EXIT_ERROR, EXIT_OK, main
+from conjlab.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_OK, main
 
 
 def run(capsys, *argv):
@@ -277,8 +279,19 @@ def test_usage_errors(capsys):
         ["scan", "--corpus", "builtin", "--lemma-samples", "0"],
         ["gamma", "--set", "0,3"],
         ["verify", "cyclic:4", "--normal-budget", "-5"],
+        ["analyze", "cyclic:99999999999999999999999"],
+        ["analyze", "cyclic:200000"],
+        ["analyze", "dihedral:100000"],
     ],
-    ids=["verify-samples", "scan-samples", "gamma-zero", "negative-budget"],
+    ids=[
+        "verify-samples",
+        "scan-samples",
+        "gamma-zero",
+        "negative-budget",
+        "huge-cyclic",
+        "over-cap-cyclic",
+        "over-cap-dihedral",
+    ],
 )
 def test_bad_values_exit_two_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -291,3 +304,80 @@ def test_bad_values_exit_two_with_one_error_line(capsys, argv):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()
+
+
+# ----- any argv --------------------------------------------------------------------
+
+# family parameters reach far past any cap; heisenberg and frobenius stay
+# small because their primality checks are trial division
+_small = st.integers(1, 12)
+_family = st.one_of(
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["cyclic", "dihedral", "symmetric", "alternating"]),
+        st.one_of(_small, st.integers(-2, 10**25)),
+    ),
+    st.builds("heisenberg:{}".format, st.one_of(st.just(3), st.integers(-2, 10**4))),
+    st.builds(
+        "frobenius:{},{}".format,
+        st.one_of(_small, st.integers(-2, 10**4)),
+        st.one_of(_small, st.integers(-2, 10**4)),
+    ),
+    st.sampled_from(["martian:9", "cyclic:", "cyclic:x", "", "direct:", "file:", "no.grp"]),
+)
+_spec = st.one_of(
+    _family, st.lists(_family, min_size=2, max_size=3).map(lambda ps: "direct:" + "+".join(ps))
+)
+_number = st.one_of(st.integers(1, 40).map(str), st.sampled_from(["0", "-3", "x", "", "1e3"]))
+
+
+def _flag(name: str, value=None):
+    token = st.just([name]) if value is None else value.map(lambda v: [name, v])
+    return st.one_of(st.just([]), token)
+
+
+def _argv(command: str, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [t for p in ps for t in p])
+
+
+_common = (_flag("--cap", st.integers(-2, 16).map(str)), _flag("--normal-budget", _number))
+_lemma_flags = (_flag("--no-lemmas"), _flag("--seed", _number), _flag("--lemma-samples", _number))
+_any_argv = st.one_of(
+    _argv("analyze", _spec.map(lambda s: [s]), _flag("--json"), *_common),
+    _argv(
+        "verify",
+        _spec.map(lambda s: [s]),
+        _flag("--json"),
+        _flag("--all-pairs"),
+        *_lemma_flags,
+        *_common,
+    ),
+    _argv(
+        "scan",
+        _flag("--corpus", st.sampled_from(["builtin", "nowhere"])),
+        # at most one job, so no draw starts worker processes
+        _flag("--jobs", st.sampled_from(["-1", "0", "1", "x"])),
+        *_lemma_flags,
+        *_common,
+    ),
+    _argv("gamma", _flag("--set", st.lists(_number, max_size=4).map(",".join)), _flag("--json")),
+    st.lists(
+        st.sampled_from(["analyze", "verify", "scan", "gamma", "--json", "cyclic:3", "-h"]),
+        max_size=3,
+    ),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(argv=_any_argv)
+def test_any_argv_exits_with_a_contract_code(capsys, monkeypatch, argv):
+    # a small default cap keeps every group that does get built tiny
+    monkeypatch.setenv("CONJLAB_CAP", "12")
+    code, _, err = run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_COUNTEREXAMPLE)
+    assert "Traceback" not in err

@@ -17,7 +17,7 @@ from conjlab.corpus import (
     record_to_line,
     write_records,
 )
-from conjlab.errors import InvalidSpec, RecordFormatError
+from conjlab.errors import CapExceeded, InvalidSpec, RecordFormatError
 from conjlab.invariants import class_size_set
 from conjlab.theorem import verify_main_theorem
 
@@ -95,6 +95,29 @@ def test_build_direct_name_and_order():
     g = build(parse_spec("direct:symmetric:3+cyclic:4"))
     assert g.order == 24
     assert g.name == "direct:symmetric:3+cyclic:4"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cyclic:7",
+        "dihedral:9",
+        "symmetric:2",
+        "symmetric:5",
+        "alternating:4",
+        "alternating:6",
+        "heisenberg:5",
+        "frobenius:13,4",
+        "direct:symmetric:4+frobenius:7,3",
+    ],
+)
+def test_cap_refusal_is_exact(text):
+    # orders computed from the parameters must agree with enumeration
+    spec = parse_spec(text)
+    order = build(spec).order
+    assert build(spec, cap=order).order == order
+    with pytest.raises(CapExceeded):
+        build(spec, cap=order - 1)
 
 
 def test_build_file_spec(tmp_path):

@@ -221,6 +221,20 @@ def test_base_lookups_match_row_search(spec):
         assert g.inv_idx(i) == search(oracle.inverse(a))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["heisenberg:13", "dihedral:500", C2_POWER_16, "symmetric:5"],
+    ids=["h13", "d500", "c2^16", "s5"],
+)
+def test_centralizer_by_base_matches_brute_force(spec):
+    g = build(parse_spec(spec))
+    elements = [tuple(row) for row in g._rows.tolist()]
+    rng = np.random.default_rng(2)
+    for i in [0, *(int(v) for v in rng.integers(1, g.order, size=3))]:
+        got = np.flatnonzero(g.centralizer_mask_idx(i)).tolist()
+        assert got == oracle.centralizer(elements, elements[i])
+
+
 def test_base_key_survives_int64_overflow():
     # 16 base points of degree 32: 32**16 = 2**80 does not fit a mixed-radix int64 key
     g = build(parse_spec(C2_POWER_16))

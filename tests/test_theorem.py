@@ -1,10 +1,15 @@
 """Verdict pipeline, lemma suite, and coprime-action witnesses."""
 
+import hashlib
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
 import oracle
+from conjlab import theorem
+from conjlab.corpus import build, parse_spec
 from conjlab.errors import BudgetExceeded, Inapplicable, NotAbelian, NotCoprime
 from conjlab.group import direct_product, group_from_generators, is_internal_direct_product
 from conjlab.perm import Perm
@@ -168,6 +173,47 @@ def test_lemma_suite_subset_matches_full_run():
     assert all(part[n] == full[n] for n in picked)
     with pytest.raises(ValueError):
         run_lemma_suite(g, seed=7, names=("not_a_check",))
+
+
+# sha256 prefixes of each lemma's randrange calls, arguments and results in
+# order, on the order-540 product at sample_budget=20 and seed 0, where every
+# lemma that samples takes its sampled path; recorded from the per-lemma
+# sampling loops before they shared one driver
+RECORDED_DRAWS = {
+    "class_size_divisibility": "605c652d9808d377",
+    "series_class_divisibility": "226d061914cdb40f",
+    "coprime_centralizer_product": "896a760160546921",
+    "coprime_quotient_centralizer": "cdd42ee242f65614",
+    "centralizer_image_in_quotient": "747d046b86bd59bb",
+    "noncentral_misses_class": "77dada2eec7f2bc8",
+    "split_sylow_centralizer": "4cf89dba0a176f9c",
+}
+
+
+def test_lemma_draws_match_recorded(monkeypatch):
+    # a moved draw often leaves every LemmaResult unchanged, so compare the draws
+    logs: dict = {}
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.log = logs.setdefault(seed, [])
+
+        def randrange(self, *args):
+            value = super().randrange(*args)
+            self.log.append((args, value))
+            return value
+
+    monkeypatch.setattr(theorem, "random", SimpleNamespace(Random=Recording))
+    g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
+    results = run_lemma_suite(g, seed=0, sample_budget=20)
+    digests = {
+        name: hashlib.sha256(repr(logs[f"0:{name}"]).encode()).hexdigest()[:16]
+        for name in LEMMA_NAMES
+        if logs[f"0:{name}"]
+    }
+    assert digests == RECORDED_DRAWS
+    assert {n for n, r in results.items() if r.mode == "sampled"} == set(RECORDED_DRAWS)
 
 
 # ----- gated single-lemma checks ---------------------------------------------------
