@@ -1,5 +1,7 @@
 """Permutation primitives and the group engine, cross-checked by the oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,28 @@ def test_normal_subgroups_match_oracle():
         g, elements = build_oracle_pair(gens)
         got = sorted(s.order for s in g.normal_subgroups())
         assert got == oracle.normal_subgroup_orders(elements)
+
+
+# sha256 prefixes of repr([(s.indices.tolist(), s.ensure_gens()) for s in
+# g.normal_subgroups()]), recorded from the search that ran one normal closure
+# per class and one closure per attempted join; the oracle checks only orders
+# and the scan shows few generator lists, so these pin both
+RECORDED_LATTICES = {
+    "cyclic:60": "f0e36c0e8065ebda",
+    "dihedral:12": "6e99874412e3f1d8",
+    "heisenberg:5": "cdcff4947ec0fe16",
+    "symmetric:5": "4db644120bd03bd7",
+    "direct:alternating:5+cyclic:11": "6961ef0fc2705f99",
+    "direct:frobenius:5,4+heisenberg:3": "f3fe414ac0e58754",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RECORDED_LATTICES))
+def test_normal_subgroup_lattice_matches_recorded(spec):
+    g = build(parse_spec(spec))
+    lattice = [(s.indices.tolist(), s.ensure_gens()) for s in g.normal_subgroups()]
+    digest = hashlib.sha256(repr(lattice).encode()).hexdigest()[:16]
+    assert digest == RECORDED_LATTICES[spec]
 
 
 def test_normal_subgroup_members_are_normal():
