@@ -30,6 +30,10 @@ from .theorem import TheoremReport
 
 ENGINE_VERSION = "0.1.0"
 
+# a heisenberg or frobenius prime above this names a group of order at least
+# 2**33, far beyond any element table conjlab can hold
+_MAX_PRIME_PARAM = 2**32
+
 _SIMPLE_KINDS = {
     "cyclic": 1,
     "dihedral": 1,
@@ -81,6 +85,9 @@ def _validate(spec: GroupSpec) -> None:
         raise InvalidSpec(f"{spec.name}: parameters must be positive")
     if kind == "dihedral" and params[0] < 3:
         raise InvalidSpec("dihedral needs n >= 3")
+    if kind in ("heisenberg", "frobenius") and params[0] > _MAX_PRIME_PARAM:
+        # refused before the trial-division primality test, which would spin
+        raise InvalidSpec(f"{kind} needs p <= 2**32, got {params[0]}")
     if kind == "heisenberg":
         p = params[0]
         if p == 2 or not is_prime(p):

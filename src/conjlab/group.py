@@ -33,12 +33,21 @@ a member: group_from_generators, direct_product and quotient build closed
 tables, and Subgroup.as_group validates its element set first.  Rows that
 come from outside (index_of, membership tests, the constructor's
 generators) are found by base images and then compared in full.
+
+Normal subgroups are unions of conjugacy classes, so normal_subgroups keys
+each one by its set of class ids, held as an int bitset, and runs a closure
+only when its result cannot already be known.  One normal closure serves a
+whole rational class: x and x^k with k prime to |x| generate the same
+cyclic group.  A join NA of two known normal subgroups has order
+|N||A|/|N & A|, the intersection's order being the summed sizes of the
+shared classes, so a known subgroup of that order holding both is NA and
+no closure runs for it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,17 +91,23 @@ def default_element_cap() -> int:
 
 
 class _Budget:
-    """Counts search nodes and fails hard when the budget runs out."""
+    """Counts search nodes and fails hard when the budget runs out.
 
-    def __init__(self, limit: int, what: str):
+    progress() is appended to the error message, to say how far the search got.
+    """
+
+    def __init__(self, limit: int, what: str, progress: Callable[[], str] = lambda: ""):
         self.limit = int(limit)
         self.used = 0
         self.what = what
+        self.progress = progress
 
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
-            raise BudgetExceeded(f"{self.what}: budget of {self.limit} nodes exhausted")
+            raise BudgetExceeded(
+                f"{self.what}: budget of {self.limit} nodes exhausted{self.progress()}"
+            )
 
 
 def _images_dtype(degree: int):
@@ -551,61 +566,108 @@ class Group:
             gens.append(worst)
             mask = self._closed_mask(gens, seed_mask=mask)
 
+    def _rational_class_ids(self, i: int) -> np.ndarray:
+        """Ids of the classes of x^k for 1 <= k < |x| with gcd(k, |x|) = 1.
+
+        Those powers generate the same cyclic group as x = x_i, so they have
+        the same normal closure.  The base images of x^0 .. x^(n-1) are built
+        by doubling: x^(m + 2^j) sends b to x^(2^j)(x^m(b)).
+        """
+        n = self.order_of_idx(i)
+        powers = np.array(self._base, dtype=np.int64)[None, :]
+        step = self._rows[i].astype(np.int64)
+        while len(powers) < n:
+            powers = np.concatenate([powers, step[powers]])
+            step = step[step]
+        coprime = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+        return np.unique(self._class_id[self._indices_of_images(powers[coprime])])
+
     def normal_subgroups(self, budget: int = DEFAULT_NODE_BUDGET) -> list["Subgroup"]:
         """All normal subgroups, ordered by (order, element index list).
 
         Every normal subgroup is a union of conjugacy classes and equals the
         join of the normal closures of the classes it contains, so the search
-        computes one closure per class and then join-closes the collection
-        (the product of two normal subgroups is again one).  Each closure or
-        join spends budget; exhaustion raises BudgetExceeded, never truncates.
+        finds one closure per class and then join-closes the collection (the
+        product NA of two normal subgroups is again one).  Each subgroup is
+        keyed by its set of class ids, an int bitset.
+
+        Only closures whose result is not yet known run.  x and x^k with k
+        prime to |x| have the same closure, so one closure serves a whole
+        rational class.  NA has order |N||A|/|N & A|, and a known subgroup of
+        that order holding both N and A is NA.  Budget: one node per
+        non-identity class and per attempted join, whether or not a closure
+        runs, plus one per generator a running normal closure adjoins.
+        Exhaustion raises BudgetExceeded, never truncates.
         """
         if self._normals is not None:
             return list(self._normals)
-        counter = _Budget(budget, f"normal_subgroups({self.name})")
         classes = self.conjugacy_classes()
+        sizes = np.array([c.size for c in classes], dtype=np.int64)
+        closed = 0  # non-identity classes whose normal closure is known
+        # subgroup key (class-id bitset) -> (mask, generators, order)
+        entries: dict[int, tuple[np.ndarray, list[int], int]] = {}
+        counter = _Budget(
+            budget,
+            f"normal_subgroups({self.name})",
+            lambda: f"; {closed} of {len(classes) - 1} classes closed, "
+            f"{len(entries)} normal subgroups found",
+        )
+        by_order: dict[int, list[int]] = {}
 
-        entries: dict[bytes, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-
-        def add(mask: np.ndarray, gens: list[int]) -> tuple[bytes, bool]:
-            idx = np.flatnonzero(mask)
-            k = idx.tobytes()
+        def add(mask: np.ndarray, gens: list[int]) -> tuple[int, bool]:
+            present = np.zeros(len(classes), dtype=bool)
+            present[self._class_id[mask]] = True
+            k = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
             if k in entries:
                 return k, False
-            entries[k] = (mask, idx, gens)
+            order = int(sizes[present].sum())
+            entries[k] = (mask, gens, order)
+            by_order.setdefault(order, []).append(k)
             return k, True
+
+        def order_of(k: int) -> int:
+            raw = np.frombuffer(k.to_bytes(len(classes) // 8 + 1, "little"), dtype=np.uint8)
+            bits = np.unpackbits(raw, count=len(classes), bitorder="little")
+            return int(sizes[bits.astype(bool)].sum())
 
         triv = np.zeros(self.order, dtype=bool)
         triv[0] = True
         add(triv, [])
 
-        atom_keys: list[bytes] = []
-        for cls in classes:
+        atom_keys: list[int] = []
+        known: set[int] = set()  # ids of classes whose closure is an atom already
+        for cid, cls in enumerate(classes):
             rep = int(cls.indices[0])
             if rep == 0:
                 continue
             counter.spend()
-            mask, gens = self._normal_closure_data(rep, counter)
-            k, _ = add(mask, gens)
-            if k not in atom_keys:
-                atom_keys.append(k)
+            if cid not in known:
+                mask, gens = self._normal_closure_data(rep, counter)
+                k, _ = add(mask, gens)
+                if k not in atom_keys:
+                    atom_keys.append(k)
+                known.update(self._rational_class_ids(rep).tolist())
+            closed += 1
 
-        queue = list(entries.keys())
-        while queue:
-            nk = queue.pop(0)
-            nmask, _, ngens = entries[nk]
+        queue = list(entries)
+        for nk in queue:  # the loop also visits keys appended while it runs
+            nmask, ngens, norder = entries[nk]
             for ak in atom_keys:
-                amask, _, agens = entries[ak]
-                if not np.any(amask & ~nmask):
+                if not ak & ~nk:
                     continue  # atom already inside
                 counter.spend()
+                amask, agens, aorder = entries[ak]
+                both = nk | ak
+                target = norder * aorder // order_of(nk & ak)
+                if any(k & both == both for k in by_order.get(target, ())):
+                    continue  # NA is known already
                 gens = list(dict.fromkeys(ngens + agens))
                 jmask = self._closed_mask(gens, seed_mask=nmask | amask)
                 k, new = add(jmask, gens)
                 if new:
                     queue.append(k)
 
-        subs = [Subgroup(self, idx, gens) for (_, idx, gens) in entries.values()]
+        subs = [Subgroup(self, np.flatnonzero(mask), gens) for mask, gens, _ in entries.values()]
         subs.sort(key=lambda s: (s.order, tuple(int(i) for i in s.indices)))
         self._normals = subs
         return list(subs)

@@ -504,12 +504,11 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
                     yield x, int(y)
 
     def draw():
-        # draw y from C(x) so every draw yields a commuting pair
+        # draw y from C(x) so every draw yields a commuting pair; the
+        # identity, of order 1, is always a coprime partner
         x = rng.randrange(g.order)
         partners = np.flatnonzero(g.centralizer_mask_idx(x))
         coprime = partners[np.gcd(orders[partners], int(orders[x])) == 1]
-        if coprime.size == 0:
-            return None
         return x, int(coprime[rng.randrange(coprime.size)])
 
     return _drive(

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, file handling, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,7 @@ def test_verify_budget_exit(capsys):
         "--no-lemmas",
     )
     assert code == EXIT_ERROR and "budget" in err.lower()
+    assert "2 of 54 classes closed" in err
 
 
 def test_verify_cap_flag_and_env(capsys, monkeypatch):
@@ -282,6 +284,7 @@ def test_usage_errors(capsys):
         ["analyze", "cyclic:99999999999999999999999"],
         ["analyze", "cyclic:200000"],
         ["analyze", "dihedral:100000"],
+        ["analyze", "heisenberg:1000000000000000003"],
     ],
     ids=[
         "verify-samples",
@@ -291,10 +294,14 @@ def test_usage_errors(capsys):
         "huge-cyclic",
         "over-cap-cyclic",
         "over-cap-dihedral",
+        "huge-prime-heisenberg",
     ],
 )
 def test_bad_values_exit_two_with_one_error_line(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    # each value is refused before any group is built or primality tested
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_ERROR
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
@@ -308,8 +315,8 @@ def test_help_exits_zero(capsys):
 
 # ----- any argv --------------------------------------------------------------------
 
-# family parameters reach far past any cap; heisenberg and frobenius stay
-# small because their primality checks are trial division
+# family parameters reach far past any cap; a heisenberg or frobenius prime
+# above 2**32 is refused before its trial-division primality check
 _small = st.integers(1, 12)
 _family = st.one_of(
     st.builds(
@@ -317,11 +324,11 @@ _family = st.one_of(
         st.sampled_from(["cyclic", "dihedral", "symmetric", "alternating"]),
         st.one_of(_small, st.integers(-2, 10**25)),
     ),
-    st.builds("heisenberg:{}".format, st.one_of(st.just(3), st.integers(-2, 10**4))),
+    st.builds("heisenberg:{}".format, st.one_of(st.just(3), st.integers(-2, 10**25))),
     st.builds(
         "frobenius:{},{}".format,
-        st.one_of(_small, st.integers(-2, 10**4)),
-        st.one_of(_small, st.integers(-2, 10**4)),
+        st.one_of(_small, st.integers(-2, 10**25)),
+        st.one_of(_small, st.integers(-2, 10**25)),
     ),
     st.sampled_from(["martian:9", "cyclic:", "cyclic:x", "", "direct:", "file:", "no.grp"]),
 )

@@ -328,6 +328,8 @@ def test_normal_subgroups_match_oracle():
         oracle.dihedral_gens(6),
         oracle.frobenius_gens(5, 4),
         oracle.cyclic_gens(12),
+        oracle.heisenberg_gens(3),
+        oracle.frobenius_gens(7, 3),
     ]:
         g, elements = build_oracle_pair(gens)
         got = sorted(s.order for s in g.normal_subgroups())
@@ -354,6 +356,36 @@ def test_normal_subgroup_lattice_matches_recorded(spec):
     lattice = [(s.indices.tolist(), s.ensure_gens()) for s in g.normal_subgroups()]
     digest = hashlib.sha256(repr(lattice).encode()).hexdigest()[:16]
     assert digest == RECORDED_LATTICES[spec]
+
+
+def test_one_normal_closure_per_rational_class(monkeypatch):
+    # x and x^k with k prime to |x| share a closure: on a cyclic group one
+    # closure runs per nontrivial divisor of the order, not one per element
+    calls = []
+    real = group_module.Group._normal_closure_data
+
+    def spy(self, start, budget):
+        calls.append(start)
+        return real(self, start, budget)
+
+    monkeypatch.setattr(group_module.Group, "_normal_closure_data", spy)
+    g = build(parse_spec("cyclic:60"))
+    assert len(g.normal_subgroups()) == 12
+    assert len(calls) == 11
+    assert sorted(g.order_of_idx(i) for i in calls) == [2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+
+
+@pytest.mark.parametrize("spec", ["symmetric:5", "cyclic:60", "direct:frobenius:5,4+heisenberg:3"])
+def test_rational_class_ids_match_power_chain(spec):
+    g = build(parse_spec(spec))
+    for cls in g.conjugacy_classes()[1:]:
+        x = int(cls.indices[0])
+        n, power, want = g.order_of_idx(x), x, set()
+        for k in range(1, n):
+            if np.gcd(k, n) == 1:
+                want.add(g.class_id_of_idx(power))
+            power = g.mult_idx(power, x)
+        assert g._rational_class_ids(x).tolist() == sorted(want)
 
 
 def test_normal_subgroup_members_are_normal():
