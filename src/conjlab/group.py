@@ -604,8 +604,8 @@ class Group:
         classes = self.conjugacy_classes()
         sizes = np.array([c.size for c in classes], dtype=np.int64)
         closed = 0  # non-identity classes whose normal closure is known
-        # subgroup key (class-id bitset) -> (mask, generators, order)
-        entries: dict[int, tuple[np.ndarray, list[int], int]] = {}
+        # subgroup key (class-id bitset) -> (mask, generators, class mask)
+        entries: dict[int, tuple[np.ndarray, list[int], np.ndarray]] = {}
         counter = _Budget(
             budget,
             f"normal_subgroups({self.name})",
@@ -620,15 +620,9 @@ class Group:
             k = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
             if k in entries:
                 return k, False
-            order = int(sizes[present].sum())
-            entries[k] = (mask, gens, order)
-            by_order.setdefault(order, []).append(k)
+            entries[k] = (mask, gens, present)
+            by_order.setdefault(int(sizes[present].sum()), []).append(k)
             return k, True
-
-        def order_of(k: int) -> int:
-            raw = np.frombuffer(k.to_bytes(len(classes) // 8 + 1, "little"), dtype=np.uint8)
-            bits = np.unpackbits(raw, count=len(classes), bitorder="little")
-            return int(sizes[bits.astype(bool)].sum())
 
         triv = np.zeros(self.order, dtype=bool)
         triv[0] = True
@@ -651,14 +645,15 @@ class Group:
 
         queue = list(entries)
         for nk in queue:  # the loop also visits keys appended while it runs
-            nmask, ngens, norder = entries[nk]
+            nmask, ngens, nclasses = entries[nk]
             for ak in atom_keys:
                 if not ak & ~nk:
                     continue  # atom already inside
                 counter.spend()
-                amask, agens, aorder = entries[ak]
+                amask, agens, aclasses = entries[ak]
+                meet = sizes[nclasses & aclasses].sum()
+                target = int(sizes[nclasses].sum() * sizes[aclasses].sum() // meet)
                 both = nk | ak
-                target = norder * aorder // order_of(nk & ak)
                 if any(k & both == both for k in by_order.get(target, ())):
                     continue  # NA is known already
                 gens = list(dict.fromkeys(ngens + agens))

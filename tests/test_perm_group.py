@@ -330,6 +330,8 @@ def test_normal_subgroups_match_oracle():
         oracle.cyclic_gens(12),
         oracle.heisenberg_gens(3),
         oracle.frobenius_gens(7, 3),
+        # c2^3, where a join can have the order of a known subgroup holding only one side
+        [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)],
     ]:
         g, elements = build_oracle_pair(gens)
         got = sorted(s.order for s in g.normal_subgroups())
@@ -347,6 +349,7 @@ RECORDED_LATTICES = {
     "symmetric:5": "4db644120bd03bd7",
     "direct:alternating:5+cyclic:11": "6961ef0fc2705f99",
     "direct:frobenius:5,4+heisenberg:3": "f3fe414ac0e58754",
+    "direct:cyclic:3+cyclic:3+cyclic:3": "68e3db71b6d32852",
 }
 
 
@@ -358,21 +361,28 @@ def test_normal_subgroup_lattice_matches_recorded(spec):
     assert digest == RECORDED_LATTICES[spec]
 
 
-def test_one_normal_closure_per_rational_class(monkeypatch):
+def test_one_closure_per_rational_class_and_none_per_known_join(monkeypatch):
     # x and x^k with k prime to |x| share a closure: on a cyclic group one
-    # closure runs per nontrivial divisor of the order, not one per element
-    calls = []
-    real = group_module.Group._normal_closure_data
+    # normal closure runs per nontrivial divisor of the order, not one per
+    # element; every subgroup is then already known, so no join runs a closure
+    starts, closures = [], []
+    Group = group_module.Group
+    real_normal, real_closed = Group._normal_closure_data, Group._closed_mask
 
-    def spy(self, start, budget):
-        calls.append(start)
-        return real(self, start, budget)
+    def spy_normal(self, start, budget):
+        starts.append(start)
+        return real_normal(self, start, budget)
 
-    monkeypatch.setattr(group_module.Group, "_normal_closure_data", spy)
+    def spy_closed(self, gens, seed_mask=None):
+        closures.append(list(gens))
+        return real_closed(self, gens, seed_mask)
+
     g = build(parse_spec("cyclic:60"))
+    monkeypatch.setattr(Group, "_normal_closure_data", spy_normal)
+    monkeypatch.setattr(Group, "_closed_mask", spy_closed)
     assert len(g.normal_subgroups()) == 12
-    assert len(calls) == 11
-    assert sorted(g.order_of_idx(i) for i in calls) == [2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+    assert sorted(g.order_of_idx(i) for i in starts) == [2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+    assert closures == [[i] for i in starts]
 
 
 @pytest.mark.parametrize("spec", ["symmetric:5", "cyclic:60", "direct:frobenius:5,4+heisenberg:3"])
