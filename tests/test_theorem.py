@@ -90,7 +90,7 @@ def test_verify_negative_controls():
 
 def test_verify_budget_withholds_verdict():
     g = positive_example()
-    # one node per class closed; the message says how far the search got
+    # the message says how far the search got
     with pytest.raises(BudgetExceeded, match="; 6 of 54 classes closed, 5 normal subgroups found$"):
         verify_main_theorem(g, normal_budget=10)
 
