@@ -5,13 +5,20 @@ import json
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import oracle
 from conjlab import theorem
 from conjlab.corpus import build, parse_spec
 from conjlab.errors import BudgetExceeded, Inapplicable, NotAbelian, NotCoprime
-from conjlab.group import direct_product, group_from_generators, is_internal_direct_product
+from conjlab.group import (
+    Group,
+    Subgroup,
+    direct_product,
+    group_from_generators,
+    is_internal_direct_product,
+)
 from conjlab.perm import Perm
 from conjlab.theorem import (
     LEMMA_NAMES,
@@ -215,6 +222,117 @@ def test_lemma_draws_match_recorded(monkeypatch):
     }
     assert digests == RECORDED_DRAWS
     assert {n for n, r in results.items() if r.mode == "sampled"} == set(RECORDED_DRAWS)
+
+
+ORDER_540 = "direct:frobenius:5,4+heisenberg:3"
+
+# sha256 prefixes of the whole suite's results at seed 0, as sorted JSON;
+# 20 draws takes every sampled path on the order-540 product and 10000 the
+# exhaustive one on most; recorded before the lemma checks shared one checker
+RECORDED_SUITES = {
+    (ORDER_540, 20): "aaec00e7457132b1",
+    (ORDER_540, 10000): "09792f712b232ff8",
+    ("symmetric:5", 20): "37f0e597a398f840",
+    ("symmetric:5", 10000): "87f5ba85821a05c3",
+    ("direct:alternating:5+cyclic:11", 20): "71fb7b8676506d97",
+    ("direct:alternating:5+cyclic:11", 10000): "6a939e10e2f04ce1",
+    ("heisenberg:5", 20): "202aebed0ab78cf6",
+    ("heisenberg:5", 10000): "de9c1c0af93a63bc",
+}
+
+
+@pytest.mark.parametrize("spec,budget", sorted(RECORDED_SUITES))
+def test_lemma_suite_matches_recorded(spec, budget):
+    results = run_lemma_suite(build(parse_spec(spec)), seed=0, sample_budget=budget)
+    text = json.dumps({n: r.to_dict() for n, r in results.items()}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == RECORDED_SUITES[spec, budget]
+
+
+def _drop_own_bit(original):
+    # x no longer centralizes itself, so C(xy) != C(x) & C(y) for x, y != 1
+    def patched(self, i):
+        mask = original(self, i).copy()
+        mask[i] = False
+        return mask
+
+    return patched
+
+
+# each patch breaks one fact the lemmas rely on, so their failure paths run
+FAILURE_PATCHES = {
+    "has_normal_p_complement": (Group, lambda original: lambda self, p: False),
+    "composition_factors": (
+        Group,
+        lambda original: lambda self, budget=0: [(60, False), (60, False), (2, True)],
+    ),
+    "_misses_a_class": (theorem, lambda original: lambda g, i: i % 3 != 0),
+    "sylow_commute_criterion": (theorem, lambda original: lambda g, p, q: (True, p != 2)),
+    "_class_size_per_element": (theorem, lambda original: lambda g: original(g) + 1),
+    "sylow_center_orbit": (
+        theorem,
+        lambda original: lambda g, p: [(None, np.arange(g.order))] * 2,
+    ),
+    "sylow_subgroup": (
+        Group,
+        lambda original: lambda self, p: Subgroup(self, np.arange(self.order)),
+    ),
+    "centralizer_mask_idx": (Group, _drop_own_bit),
+}
+
+# full LemmaResults under each patch, recorded before the lemma checks
+# shared one checker
+RECORDED_FAILURES = [
+    ("has_normal_p_complement", ORDER_540, 20, "normal_p_complement", ("fail", 1, "exhaustive", "violations: p=3")),
+    ("has_normal_p_complement", ORDER_540, 10000, "normal_p_complement", ("fail", 1, "exhaustive", "violations: p=3")),
+    ("has_normal_p_complement", "heisenberg:5", 20, "normal_p_complement", ("fail", 1, "exhaustive", "violations: p=5")),
+    ("has_normal_p_complement", "heisenberg:5", 10000, "normal_p_complement", ("fail", 1, "exhaustive", "violations: p=5")),
+    ("composition_factors", ORDER_540, 20, "single_nonabelian_factor", ("fail", 2, "exhaustive", "violations: p=2:2, p=5:2")),
+    ("composition_factors", ORDER_540, 10000, "single_nonabelian_factor", ("fail", 2, "exhaustive", "violations: p=2:2, p=5:2")),
+    ("composition_factors", "symmetric:5", 20, "single_nonabelian_factor", ("fail", 2, "exhaustive", "violations: p=3:2, p=5:2")),
+    ("composition_factors", "symmetric:5", 10000, "single_nonabelian_factor", ("fail", 2, "exhaustive", "violations: p=3:2, p=5:2")),
+    ("_misses_a_class", ORDER_540, 20, "noncentral_misses_class", ("fail", 20, "sampled", "violations: x#24, x#408, x#282, x#51, x#321")),
+    ("_misses_a_class", ORDER_540, 10000, "noncentral_misses_class", ("fail", 537, "exhaustive", "violations: x#3, x#6, x#9, x#12, x#15")),
+    ("sylow_commute_criterion", ORDER_540, 20, "commuting_sylow_criterion", ("fail", 3, "exhaustive", "violations: (p,q)=(2,3), (p,q)=(2,5)")),
+    ("sylow_commute_criterion", ORDER_540, 10000, "commuting_sylow_criterion", ("fail", 3, "exhaustive", "violations: (p,q)=(2,3), (p,q)=(2,5)")),
+    ("_class_size_per_element", ORDER_540, 20, "class_size_divisibility", ("fail", 20, "sampled", "violations: K#1,x#420, K#9,x#152, K#19,x#431, K#4,x#119, K#11,x#177")),
+    ("_class_size_per_element", ORDER_540, 20, "series_class_divisibility", ("pass", 20, "sampled", "")),
+    ("_class_size_per_element", ORDER_540, 10000, "class_size_divisibility", ("fail", 10000, "sampled", "violations: K#1,x#420, K#9,x#152, K#19,x#431, K#4,x#119, K#11,x#177")),
+    ("_class_size_per_element", ORDER_540, 10000, "series_class_divisibility", ("pass", 1010, "exhaustive", "")),
+    ("_class_size_per_element", "symmetric:5", 20, "class_size_divisibility", ("fail", 20, "sampled", "violations: K#1,x#19, K#1,x#91, K#1,x#64, K#1,x#76, K#1,x#109")),
+    ("_class_size_per_element", "symmetric:5", 20, "series_class_divisibility", ("fail", 20, "sampled", "violations: step0,pos17, step0,pos1, step0,pos10, step0,pos7, step0,pos29")),
+    ("_class_size_per_element", "symmetric:5", 10000, "class_size_divisibility", ("fail", 360, "exhaustive", "violations: K#1,x#1, K#1,x#2, K#1,x#3, K#1,x#4, K#1,x#5")),
+    ("_class_size_per_element", "symmetric:5", 10000, "series_class_divisibility", ("fail", 180, "exhaustive", "violations: step0,pos1, step0,pos2, step0,pos3, step0,pos4, step0,pos5")),
+    ("sylow_center_orbit", ORDER_540, 20, "sylow_center_in_center", ("fail", 2, "exhaustive", "violations: p=3, p=3")),
+    ("sylow_center_orbit", ORDER_540, 10000, "sylow_center_in_center", ("fail", 2, "exhaustive", "violations: p=3, p=3")),
+    ("sylow_center_orbit", "heisenberg:5", 20, "sylow_center_in_center", ("fail", 2, "exhaustive", "violations: p=5, p=5")),
+    ("sylow_center_orbit", "heisenberg:5", 10000, "sylow_center_in_center", ("fail", 2, "exhaustive", "violations: p=5, p=5")),
+    ("sylow_subgroup", "symmetric:5", 20, "abelian_sylow_when_inert", ("fail", 2, "exhaustive", "violations: p=3, p=5")),
+    ("sylow_subgroup", "symmetric:5", 10000, "abelian_sylow_when_inert", ("fail", 2, "exhaustive", "violations: p=3, p=5")),
+    ("centralizer_mask_idx", ORDER_540, 20, "coprime_centralizer_product", ("fail", 20, "sampled", "violations: x#108,y#2, x#19,y#486, x#8,y#243, x#26,y#27")),
+    ("centralizer_mask_idx", ORDER_540, 20, "split_sylow_centralizer", ("pass", 20, "sampled", "")),
+    ("centralizer_mask_idx", ORDER_540, 20, "coprime_quotient_centralizer", ("pass", 0, "sampled", "")),
+    ("centralizer_mask_idx", ORDER_540, 20, "centralizer_image_in_quotient", ("fail", 20, "sampled", "violations: K#15,x#266, K#5,x#367, K#18,x#19, K#19,x#136, K#8,x#312")),
+    ("centralizer_mask_idx", ORDER_540, 10000, "coprime_centralizer_product", ("fail", 887, "exhaustive", "violations: x#1,y#27, x#1,y#54, x#1,y#81, x#1,y#108, x#1,y#135")),
+    ("centralizer_mask_idx", ORDER_540, 10000, "split_sylow_centralizer", ("pass", 32, "exhaustive", "")),
+    ("centralizer_mask_idx", ORDER_540, 10000, "coprime_quotient_centralizer", ("fail", 187, "exhaustive", "violations: K#1,x#135, K#1,x#27, K#1,x#54, K#1,x#81, K#2,x#1")),
+    ("centralizer_mask_idx", ORDER_540, 10000, "centralizer_image_in_quotient", ("fail", 1540, "exhaustive", "violations: K#1,x#1, K#1,x#2, K#1,x#3, K#1,x#6, K#1,x#9")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "coprime_centralizer_product", ("fail", 20, "sampled", "violations: x#2,y#15, x#1,y#6, x#6,y#1")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "split_sylow_centralizer", ("fail", 18, "exhaustive", "violations: a#1,b#9, a#1,b#12, a#2,b#9, a#2,b#12")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "coprime_quotient_centralizer", ("fail", 5, "sampled", "violations: K#4,x#6")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "centralizer_image_in_quotient", ("fail", 20, "sampled", "violations: K#3,x#8, K#1,x#17, K#4,x#4, K#2,x#9, K#2,x#11")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "coprime_centralizer_product", ("fail", 33, "exhaustive", "violations: x#1,y#3, x#1,y#6, x#1,y#15, x#2,y#3, x#2,y#6")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "split_sylow_centralizer", ("fail", 18, "exhaustive", "violations: a#1,b#9, a#1,b#12, a#2,b#9, a#2,b#12")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "coprime_quotient_centralizer", ("fail", 17, "exhaustive", "violations: K#1,x#3, K#4,x#3")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "centralizer_image_in_quotient", ("fail", 54, "exhaustive", "violations: K#1,x#1, K#1,x#2, K#1,x#9, K#1,x#10, K#1,x#11")),
+]
+
+
+@pytest.mark.parametrize("patch,spec,budget,name,expected", RECORDED_FAILURES)
+def test_lemma_failure_paths_match_recorded(monkeypatch, patch, spec, budget, name, expected):
+    owner, make = FAILURE_PATCHES[patch]
+    monkeypatch.setattr(owner, patch, make(getattr(owner, patch)))
+    result = run_lemma_suite(build(parse_spec(spec)), seed=0, sample_budget=budget, names=[name])
+    assert result[name] == LemmaResult(*expected)
 
 
 # ----- gated single-lemma checks ---------------------------------------------------
