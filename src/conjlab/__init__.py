@@ -8,196 +8,77 @@ checks accompanies the verdict.
 """
 
 from .arith import (
-    DivisibilityDigraph,
-    Factorization,
-    SetProduct,
     divisibility_digraph,
     find_hypothesis_factorizations,
-    is_prime,
-    is_separated,
-    max_elements,
-    min_elements,
-    p_part,
     prime_divisors,
     set_product,
-    to_dot,
     weak_components,
 )
 from .corpus import (
     ENGINE_VERSION,
-    GroupSpec,
     ScanRecord,
     build,
     builtin_corpus,
     parse_spec,
-    read_records,
     record_to_line,
-    write_records,
 )
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    ConjlabError,
-    ElementNotInGroup,
-    GrpFormatError,
-    Inapplicable,
-    InvalidPermutation,
-    InvalidSpec,
-    NotAbelian,
-    NotAPElement,
-    NotASubgroup,
-    NotCoprime,
-    NotNormal,
-    RecordFormatError,
-)
-from .group import (
-    CAP_ENV_VAR,
-    DEFAULT_ELEMENT_CAP,
-    DEFAULT_NODE_BUDGET,
-    ConjugacyClass,
-    Group,
-    QuotientMap,
-    Subgroup,
-    default_element_cap,
-    direct_product,
-    group_from_generators,
-    is_internal_direct_product,
-    trivial_group,
-)
-from .grpio import format_grp, load_grp, parse_grp, save_grp
+from .errors import BudgetExceeded, CapExceeded, ConjlabError
+from .group import Group, direct_product, group_from_generators, is_internal_direct_product
 from .invariants import (
-    KIND_MIXED,
     KIND_UNIFORM_ACTIVE,
-    KIND_UNIFORM_INERT,
-    ClassSizeSet,
-    PPartClassification,
-    all_p_elements_p_central,
-    centralizer_index,
     class_size_set,
     classify_p_parts,
-    is_p_central,
     max_class_p_part,
-    max_class_part,
-    max_class_pi_part,
     sylow_center_orbit,
     sylow_commute_criterion,
 )
 from .perm import Perm
 from .theorem import (
-    LEMMA_NAMES,
-    MODE_EXHAUSTIVE,
-    MODE_SAMPLED,
-    STATUS_FAIL,
-    STATUS_PASS,
-    STATUS_SKIPPED,
     VERDICT_COUNTEREXAMPLE,
     VERDICT_HYPOTHESIS_NOT_MET,
     VERDICT_VERIFIED,
-    CoprimeActionWitness,
-    Decomposition,
-    LemmaResult,
-    TheoremReport,
     builtin_witnesses,
     check_coprime_action_split,
-    check_normal_p_complement,
     check_noncentral_misses_class,
-    check_sylow_center_in_center,
-    coprime_action_witness,
     run_lemma_suite,
     verify_main_theorem,
 )
 
 __version__ = ENGINE_VERSION
 
+# what the README, the acceptance gate and the benchmark reach as
+# conjlab.<name>; everything else is imported from its module
 __all__ = [
     "BudgetExceeded",
-    "CAP_ENV_VAR",
     "CapExceeded",
-    "ClassSizeSet",
     "ConjlabError",
-    "ConjugacyClass",
-    "CoprimeActionWitness",
-    "DEFAULT_ELEMENT_CAP",
-    "DEFAULT_NODE_BUDGET",
-    "Decomposition",
-    "DivisibilityDigraph",
-    "ENGINE_VERSION",
-    "ElementNotInGroup",
-    "Factorization",
     "Group",
-    "GroupSpec",
-    "GrpFormatError",
-    "Inapplicable",
-    "InvalidPermutation",
-    "InvalidSpec",
-    "KIND_MIXED",
     "KIND_UNIFORM_ACTIVE",
-    "KIND_UNIFORM_INERT",
-    "LEMMA_NAMES",
-    "LemmaResult",
-    "MODE_EXHAUSTIVE",
-    "MODE_SAMPLED",
-    "NotAPElement",
-    "NotASubgroup",
-    "NotAbelian",
-    "NotCoprime",
-    "NotNormal",
-    "PPartClassification",
     "Perm",
-    "QuotientMap",
-    "RecordFormatError",
-    "STATUS_FAIL",
-    "STATUS_PASS",
-    "STATUS_SKIPPED",
     "ScanRecord",
-    "SetProduct",
-    "Subgroup",
-    "TheoremReport",
     "VERDICT_COUNTEREXAMPLE",
     "VERDICT_HYPOTHESIS_NOT_MET",
     "VERDICT_VERIFIED",
-    "all_p_elements_p_central",
     "build",
     "builtin_corpus",
     "builtin_witnesses",
-    "centralizer_index",
     "check_coprime_action_split",
-    "check_normal_p_complement",
     "check_noncentral_misses_class",
-    "check_sylow_center_in_center",
     "class_size_set",
     "classify_p_parts",
-    "coprime_action_witness",
-    "default_element_cap",
     "direct_product",
     "divisibility_digraph",
     "find_hypothesis_factorizations",
-    "format_grp",
     "group_from_generators",
     "is_internal_direct_product",
-    "is_p_central",
-    "is_prime",
-    "is_separated",
-    "load_grp",
     "max_class_p_part",
-    "max_class_part",
-    "max_class_pi_part",
-    "max_elements",
-    "min_elements",
-    "p_part",
-    "parse_grp",
     "parse_spec",
     "prime_divisors",
-    "read_records",
     "record_to_line",
     "run_lemma_suite",
-    "save_grp",
     "set_product",
     "sylow_center_orbit",
     "sylow_commute_criterion",
-    "to_dot",
-    "trivial_group",
     "verify_main_theorem",
     "weak_components",
-    "write_records",
 ]

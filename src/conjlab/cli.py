@@ -124,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_LEMMA_SAMPLES,
         help="per-lemma case budget before sampling",
     )
-    p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     _add_budget_flags(p)
 
     p = sub.add_parser("gamma", help="divisibility digraph of an integer set")

@@ -325,12 +325,12 @@ class Group:
             stripped[m] //= p
         return stripped == 1
 
+    def _commute(self, a: Sequence[int], b: Sequence[int]) -> bool:
+        """True iff every member indexed by a commutes with every one indexed by b."""
+        return all(self.mult_idx(i, j) == self.mult_idx(j, i) for i in a for j in b)
+
     def is_abelian(self) -> bool:
-        return all(
-            self.mult_idx(a, b) == self.mult_idx(b, a)
-            for a in self._gen_idx
-            for b in self._gen_idx
-        )
+        return self._commute(self._gen_idx, self._gen_idx)
 
     # ----- cached index maps -------------------------------------------------
 
@@ -994,8 +994,6 @@ def is_internal_direct_product(g: Group, a: Subgroup, b: Subgroup) -> bool:
         return False
     if not (g.is_normal(a) and g.is_normal(b)):
         return False
-    for i in a.ensure_gens():
-        for j in b.ensure_gens():
-            if g.mult_idx(i, j) != g.mult_idx(j, i):
-                raise NotASubgroup("direct factors fail to commute; engine invariant broken")
+    if not g._commute(a.ensure_gens(), b.ensure_gens()):
+        raise NotASubgroup("direct factors fail to commute; engine invariant broken")
     return True

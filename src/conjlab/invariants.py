@@ -84,7 +84,8 @@ def class_size_set(g: Group) -> ClassSizeSet:
 def centralizer_index(g: Group, within: Subgroup | None, x) -> int:
     """|N| / |C_N(x)| for a subgroup N; the whole group when within is None.
 
-    x must lie in g but not necessarily in N.
+    By orbit-stabilizer this is the size of x's orbit under conjugation by
+    N.  x must lie in g but not necessarily in N.
     """
     i = x if isinstance(x, int) else g.index_of(x)
     cmask = g.centralizer_mask_idx(i)
@@ -120,11 +121,8 @@ def max_class_part(g: Group) -> int:
 
 
 def _class_size_per_element(g: Group) -> np.ndarray:
-    classes = g.conjugacy_classes()
-    sizes = np.empty(g.order, dtype=np.int64)
-    for cls in classes:
-        sizes[cls.indices] = cls.size
-    return sizes
+    sizes = np.array([cls.size for cls in g.conjugacy_classes()], dtype=np.int64)
+    return sizes[g._class_id]
 
 
 def classify_p_parts(g: Group, p: int) -> PPartClassification:
@@ -194,15 +192,6 @@ def all_p_elements_p_central(g: Group, p: int) -> bool:
 # ----- commuting Sylow pairs --------------------------------------------------
 
 
-def _subgroups_commute(g: Group, a: Subgroup, b: Subgroup) -> bool:
-    # elementwise commuting follows from generator pairs commuting
-    return all(
-        g.mult_idx(i, j) == g.mult_idx(j, i)
-        for i in a.ensure_gens()
-        for j in b.ensure_gens()
-    )
-
-
 def sylow_commute_criterion(g: Group, p: int, q: int) -> tuple[bool, bool]:
     """Class-size side and subgroup side of the commuting-Sylow criterion.
 
@@ -223,7 +212,8 @@ def sylow_commute_criterion(g: Group, p: int, q: int) -> tuple[bool, bool]:
     )
     p_conjs = g.subgroup_conjugates(g.sylow_subgroup(p))
     q_conjs = g.subgroup_conjugates(g.sylow_subgroup(q))
+    # elementwise commuting follows from generator pairs commuting
     subgroup_side = any(
-        _subgroups_commute(g, a, b) for a in p_conjs for b in q_conjs
+        g._commute(a.ensure_gens(), b.ensure_gens()) for a in p_conjs for b in q_conjs
     )
     return class_side, subgroup_side

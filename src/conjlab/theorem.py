@@ -9,17 +9,19 @@ never expected on real groups).  A budget failure raises instead of
 guessing.
 
 run_lemma_suite() independently spot-checks the supporting structural
-facts the argument leans on.  The checks that quantify over elements or
-normal subgroups share one driver, _drive: it checks every case when the
-case count fits the sample budget and makes exactly that many seeded draws
-otherwise.  Each lemma supplies only its case count, its case iterator, its
-draw and its predicate; the public check_* functions reuse those
+facts the argument leans on.  Every lemma is one case iterator, one
+predicate and one failure label, and _check is the one place that turns
+them into a pass or fail LemmaResult.  The checks that quantify over
+elements or normal subgroups go through _drive, which picks the cases:
+every case when the case count fits the sample budget, and exactly that
+many seeded draws otherwise.  The public check_* functions reuse the lemma
 predicates.  The coprime-action splitting check has its own witness type
 since it quantifies over group actions rather than a single group.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -49,7 +51,9 @@ from .invariants import (
     KIND_UNIFORM_ACTIVE,
     KIND_UNIFORM_INERT,
     ClassSizeSet,
+    PPartClassification,
     _class_size_per_element,
+    centralizer_index,
     class_size_set,
     classify_p_parts,
     sylow_center_orbit,
@@ -346,11 +350,24 @@ def _misses_a_class(g: Group, i: int) -> bool:
 # ----- lemma suite -------------------------------------------------------------
 
 
-def _result(fails: list, checked: int, mode: str, detail: str = "") -> LemmaResult:
+def _check(
+    cases: Iterable, holds: Callable[..., bool], label: str, mode: str = MODE_EXHAUSTIVE
+) -> LemmaResult:
+    """Decide every case; the one place a pass or fail LemmaResult is made.
+
+    A case of None is skipped and not counted.  holds(*case) decides the
+    rest, and a failing case is reported as label.format(*case).
+    """
+    fails, checked = [], 0
+    for case in cases:
+        if case is None:
+            continue
+        checked += 1
+        if not holds(*case):
+            fails.append(label.format(*case))
     if fails:
-        shown = ", ".join(str(f) for f in fails[:5])
-        return LemmaResult(STATUS_FAIL, checked, mode, f"violations: {shown}")
-    return LemmaResult(STATUS_PASS, checked, mode, detail)
+        return LemmaResult(STATUS_FAIL, checked, mode, f"violations: {', '.join(fails[:5])}")
+    return LemmaResult(STATUS_PASS, checked, mode)
 
 
 def _drive(
@@ -361,61 +378,44 @@ def _drive(
     holds: Callable[..., bool],
     label: str,
 ) -> LemmaResult:
-    """Check every case when the total fits in samples, else samples draws.
+    """_check every case when the total fits in samples, else samples draws.
 
-    exhaustive iterates the case tuples and draw() returns one seeded case;
-    a case of None yields nothing and is not counted.  holds(*case) decides
-    a case, and a failing one is reported as label.format(*case).
+    exhaustive iterates the case tuples and draw() returns one seeded case.
     """
     if total <= samples:
-        mode, cases = MODE_EXHAUSTIVE, exhaustive
-    else:
-        mode, cases = MODE_SAMPLED, (draw() for _ in range(samples))
-    fails, checked = [], 0
-    for case in cases:
-        if case is None:
-            continue
-        checked += 1
-        if not holds(*case):
-            fails.append(label.format(*case))
-    return _result(fails, checked, mode)
+        return _check(exhaustive, holds, label)
+    return _check((draw() for _ in range(samples)), holds, label, MODE_SAMPLED)
+
+
+def _primes_of_kind(g: Group, kind: str) -> Iterable[PPartClassification]:
+    """p-part classifications of the given kind, in prime_divisors order."""
+    for p in prime_divisors(g.order):
+        cls = classify_p_parts(g, p)
+        if cls.kind == kind:
+            yield cls
+
+
+def _centralizer_of_product_splits(g: Group, x: int, y: int) -> bool:
+    """C(xy) = C(x) & C(y): the predicate of both centralizer-product lemmas."""
+    if x == 0 or y == 0:
+        return True  # identity factor: intersection degenerates
+    cx = g.centralizer_mask_idx(x)
+    cy = g.centralizer_mask_idx(y)
+    return bool(np.array_equal(g.centralizer_mask_idx(g.mult_idx(x, y)), cx & cy))
 
 
 def _lemma_normal_p_complement(g, rng, samples, nbudget) -> LemmaResult:
-    fails, checked = [], 0
-    for p in prime_divisors(g.order):
-        if classify_p_parts(g, p).kind != KIND_UNIFORM_ACTIVE:
-            continue
-        checked += 1
-        if not g.has_normal_p_complement(p):
-            fails.append(f"p={p}")
-    return _result(fails, checked, MODE_EXHAUSTIVE)
+    active = ((cls.p,) for cls in _primes_of_kind(g, KIND_UNIFORM_ACTIVE))
+    return _check(active, g.has_normal_p_complement, "p={}")
 
 
 def _lemma_sylow_center_in_center(g, rng, samples, nbudget) -> LemmaResult:
-    fails, checked = [], 0
-    for p in prime_divisors(g.order):
-        if classify_p_parts(g, p).kind != KIND_UNIFORM_ACTIVE:
-            continue
-        for central in _sylow_centers_central(g, p):
-            checked += 1
-            if not central:
-                fails.append(f"p={p}")
-    return _result(fails, checked, MODE_EXHAUSTIVE)
-
-
-class _QuotientCache:
-    """Lazy quotient per normal subgroup, keyed by position in the list."""
-
-    def __init__(self, g: Group, normals: list):
-        self.g = g
-        self.normals = normals
-        self._built: dict = {}
-
-    def get(self, k: int):
-        if k not in self._built:
-            self._built[k] = self.g.quotient(self.normals[k])
-        return self._built[k]
+    cases = (
+        (cls.p, central)
+        for cls in _primes_of_kind(g, KIND_UNIFORM_ACTIVE)
+        for central in _sylow_centers_central(g, cls.p)
+    )
+    return _check(cases, lambda p, central: central, "p={}")
 
 
 def _lemma_class_size_divisibility(g, rng, samples, nbudget) -> LemmaResult:
@@ -423,22 +423,16 @@ def _lemma_class_size_divisibility(g, rng, samples, nbudget) -> LemmaResult:
     # quotient, both divide the class of x
     normals = g.normal_subgroups(nbudget)
     sizes = _class_size_per_element(g)
-    quotients = _QuotientCache(g, normals)
-    kmaps: dict = {}
+    quotient = functools.cache(lambda k: g.quotient(normals[k]))
 
     def case(k: int, x: int) -> bool:
         sub = normals[k]
         if sub.order == 1 or sub.order == g.order or x == 0:
             return True  # degenerate: both divisors collapse to 1 or |x^G|
-        if k not in kmaps:
-            kmaps[k] = [g._conj_map(i) for i in sub.ensure_gens()]
-        seen = np.zeros(g.order, dtype=bool)
-        sub_class = sum(map(len, g._spread(kmaps[k], [x], seen)))
-        if sizes[x] % sub_class != 0:
+        if sizes[x] % centralizer_index(g, sub, x) != 0:
             return False
-        q, qmap = quotients.get(k)
-        q_class = q.class_size_of_idx(qmap.image_idx(x))
-        return sizes[x] % q_class == 0
+        q, qmap = quotient(k)
+        return sizes[x] % q.class_size_of_idx(qmap.image_idx(x)) == 0
 
     n = len(normals)
     return _drive(
@@ -488,14 +482,6 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
     orders = g.element_orders()
     classes = g.conjugacy_classes()
 
-    def case(x: int, y: int) -> bool:
-        if x == 0 or y == 0:
-            return True  # identity factor: intersection degenerates
-        cx = g.centralizer_mask_idx(x)
-        cy = g.centralizer_mask_idx(y)
-        cxy = g.centralizer_mask_idx(g.mult_idx(x, y))
-        return bool(np.array_equal(cxy, cx & cy))
-
     def pairs():
         for cls in classes:
             x = int(cls.indices[0])
@@ -512,15 +498,20 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
         return x, int(coprime[rng.randrange(coprime.size)])
 
     return _drive(
-        sum(g.order // cls.size for cls in classes), samples, pairs(), draw, case, "x#{},y#{}"
+        sum(g.order // cls.size for cls in classes),
+        samples,
+        pairs(),
+        draw,
+        lambda x, y: _centralizer_of_product_splits(g, x, y),
+        "x#{},y#{}",
     )
 
 
-def _quotient_centralizer_case(g, quotients, k: int, x: int, subset_only: bool) -> bool:
-    sub = quotients.normals[k]
+def _quotient_centralizer_case(g, normals, quotient, k: int, x: int, subset_only: bool) -> bool:
+    sub = normals[k]
     if sub.order == 1 or sub.order == g.order or x == 0:
         return True  # quotient is an isomorphism or a point
-    q, qmap = quotients.get(k)
+    q, qmap = quotient(k)
     image = qmap.image_indices(np.flatnonzero(g.centralizer_mask_idx(x)))
     target = np.flatnonzero(q.centralizer_mask_idx(qmap.image_idx(x)))
     if subset_only:
@@ -532,7 +523,7 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
     # element order coprime to |K|: centralizer image equals image centralizer
     normals = g.normal_subgroups(nbudget)
     orders = g.element_orders()
-    quotients = _QuotientCache(g, normals)
+    quotient = functools.cache(lambda k: g.quotient(normals[k]))
     reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
 
     def coprime(k: int, x: int):
@@ -543,7 +534,7 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
         samples,
         (coprime(k, x) for k, x in itertools.product(range(len(normals)), reps)),
         lambda: coprime(rng.randrange(len(normals)), rng.randrange(g.order)),
-        lambda k, x: _quotient_centralizer_case(g, quotients, k, x, subset_only=False),
+        lambda k, x: _quotient_centralizer_case(g, normals, quotient, k, x, subset_only=False),
         "K#{},x#{}",
     )
 
@@ -551,14 +542,14 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
 def _lemma_centralizer_image_in_quotient(g, rng, samples, nbudget) -> LemmaResult:
     # always: image of the centralizer lands inside the image's centralizer
     normals = g.normal_subgroups(nbudget)
-    quotients = _QuotientCache(g, normals)
+    quotient = functools.cache(lambda k: g.quotient(normals[k]))
     reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
     return _drive(
         len(normals) * len(reps),
         samples,
         itertools.product(range(len(normals)), reps),
         lambda: (rng.randrange(len(normals)), rng.randrange(g.order)),
-        lambda k, x: _quotient_centralizer_case(g, quotients, k, x, subset_only=True),
+        lambda k, x: _quotient_centralizer_case(g, normals, quotient, k, x, subset_only=True),
         "K#{},x#{}",
     )
 
@@ -577,45 +568,34 @@ def _lemma_noncentral_misses_class(g, rng, samples, nbudget) -> LemmaResult:
 
 
 def _lemma_commuting_sylow_criterion(g, rng, samples, nbudget) -> LemmaResult:
-    fails, checked = [], 0
-    for p, q in itertools.combinations(prime_divisors(g.order), 2):
-        class_side, subgroup_side = sylow_commute_criterion(g, p, q)
-        checked += 1
-        if class_side != subgroup_side:
-            fails.append(f"(p,q)=({p},{q})")
-    return _result(fails, checked, MODE_EXHAUSTIVE)
+    cases = (
+        (p, q, *sylow_commute_criterion(g, p, q))
+        for p, q in itertools.combinations(prime_divisors(g.order), 2)
+    )
+    return _check(
+        cases, lambda p, q, by_class, by_subgroup: by_class == by_subgroup, "(p,q)=({},{})"
+    )
 
 
 def _lemma_abelian_sylow_when_inert(g, rng, samples, nbudget) -> LemmaResult:
-    fails, checked = [], 0
-    for p in prime_divisors(g.order):
-        cls = classify_p_parts(g, p)
-        if cls.kind != KIND_UNIFORM_INERT or cls.exponent is None:
-            continue
-        checked += 1
-        syl = g.sylow_subgroup(p)
-        gens = syl.ensure_gens()
-        abelian = all(
-            g.mult_idx(i, j) == g.mult_idx(j, i) for i in gens for j in gens
-        )
-        if not abelian:
-            fails.append(f"p={p}")
-    return _result(fails, checked, MODE_EXHAUSTIVE)
+    def abelian(p: int) -> bool:
+        gens = g.sylow_subgroup(p).ensure_gens()
+        return g._commute(gens, gens)
+
+    inert = (
+        (cls.p,) for cls in _primes_of_kind(g, KIND_UNIFORM_INERT) if cls.exponent is not None
+    )
+    return _check(inert, abelian, "p={}")
 
 
 def _lemma_single_nonabelian_factor(g, rng, samples, nbudget) -> LemmaResult:
-    fails, checked = [], 0
-    factors = None
-    for p in prime_divisors(g.order):
-        if classify_p_parts(g, p).kind != KIND_UNIFORM_INERT:
-            continue
-        if factors is None:
-            factors = g.composition_factors(nbudget)
-        checked += 1
-        hits = sum(1 for order, abelian in factors if not abelian and order % p == 0)
-        if hits > 1:
-            fails.append(f"p={p}:{hits}")
-    return _result(fails, checked, MODE_EXHAUSTIVE)
+    inert = [cls.p for cls in _primes_of_kind(g, KIND_UNIFORM_INERT)]
+    factors = g.composition_factors(nbudget) if inert else []
+    hits = (
+        (p, sum(1 for order, abelian in factors if not abelian and order % p == 0))
+        for p in inert
+    )
+    return _check(hits, lambda p, n: n <= 1, "p={}:{}")
 
 
 def _lemma_split_sylow_centralizer(g, rng, samples, nbudget) -> LemmaResult:
@@ -642,14 +622,6 @@ def _lemma_split_sylow_centralizer(g, rng, samples, nbudget) -> LemmaResult:
     if not cases:
         return LemmaResult(STATUS_PASS, 0, MODE_EXHAUSTIVE, "no normal Sylow split")
 
-    def case(a_idx: int, b_idx: int) -> bool:
-        if a_idx == 0 or b_idx == 0:
-            return True  # identity factor: intersection degenerates
-        ca = g.centralizer_mask_idx(a_idx)
-        cb = g.centralizer_mask_idx(b_idx)
-        cab = g.centralizer_mask_idx(g.mult_idx(a_idx, b_idx))
-        return bool(np.array_equal(cab, ca & cb))
-
     def draw():
         a, b = cases[rng.randrange(len(cases))]
         return (
@@ -662,7 +634,7 @@ def _lemma_split_sylow_centralizer(g, rng, samples, nbudget) -> LemmaResult:
         samples,
         ((int(ai), int(bi)) for a, b in cases for ai in a.indices for bi in b.indices),
         draw,
-        case,
+        lambda a, b: _centralizer_of_product_splits(g, a, b),
         "a#{},b#{}",
     )
 

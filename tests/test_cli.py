@@ -274,6 +274,12 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_scan_has_no_json_flag(capsys):
+    # scan always writes JSONL; a --json flag would be accepted and ignored
+    code, _, err = run(capsys, "scan", "--json")
+    assert code == EXIT_ERROR and "unrecognized arguments: --json" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

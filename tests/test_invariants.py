@@ -103,6 +103,17 @@ def test_centralizer_index():
     assert centralizer_index(S3, a3, rotation) == 1
 
 
+@pytest.mark.parametrize("g", [S4, make(oracle.dihedral_gens(6), "d6")], ids=["s4", "d6"])
+def test_centralizer_index_is_orbit_under_each_normal_subgroup(g):
+    # the class of x inside K, counted by conjugating with every member of K
+    members = list(g.elements())
+    for sub in g.normal_subgroups():
+        conjugators = [members[k] for k in sub.indices]
+        for x, perm in enumerate(members):
+            orbit = {perm.conjugate(k) for k in conjugators}
+            assert centralizer_index(g, sub, x) == len(orbit)
+
+
 def test_sylow_center_orbit_s4():
     orbit = sylow_center_orbit(S4, 2)
     assert len(orbit) == 3
