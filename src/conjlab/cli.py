@@ -6,7 +6,7 @@ JSONL), and gamma (divisibility digraph of an integer set).
 
 Exit codes are a stable contract: 0 for success (including the
 HypothesisNotMet and VerifiedDecomposition verdicts), 2 for usage, parse,
-IO, cap, or budget errors, 3 for a COUNTEREXAMPLE verdict.
+IO, cap, or budget errors and engine faults, 3 for a COUNTEREXAMPLE verdict.
 
 Scan output is deterministic for a fixed seed regardless of --jobs: records
 are sorted by spec name and canonicalized (timings zeroed, timestamp pinned

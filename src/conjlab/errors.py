@@ -13,6 +13,10 @@ class BudgetExceeded(ConjlabError):
     """A bounded search spent its node budget before completing."""
 
 
+class EngineFault(ConjlabError):
+    """An engine invariant failed: a computed fact contradicts group theory."""
+
+
 class InvalidPermutation(ConjlabError):
     """Image array is not a bijection on 0..degree-1."""
 

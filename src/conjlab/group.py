@@ -69,8 +69,8 @@ CAP_ENV_VAR = "CONJLAB_CAP"
 # a coset-action table bigger than this many cells is refused (see quotient)
 _QUOTIENT_CELL_LIMIT = 50_000_000
 
-# cap on each group's cache of right-multiplication maps, and separately on
-# its cache of conjugation maps, in bytes
+# cap, in bytes, on each of a group's caches: right-multiplication maps,
+# conjugation maps, centralizer masks and quotients, each bounded separately
 _MAP_CACHE_BYTES = 192_000_000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -167,12 +167,19 @@ def _key_plan(base_rows: np.ndarray, degree: int) -> tuple[list, np.ndarray]:
     return plan, key
 
 
-def _cache_put(cache: dict, key: int, value: np.ndarray) -> None:
-    """Store a map, evicting the oldest entries to stay within _MAP_CACHE_BYTES."""
-    while cache and (len(cache) + 1) * value.nbytes > _MAP_CACHE_BYTES:
-        cache.pop(next(iter(cache)))
+class _Cache(dict):
+    """Cached values, oldest first, with the sum of their nbytes."""
+
+    nbytes = 0
+
+
+def _cache_put(cache: _Cache, key, value) -> None:
+    """Store a value, evicting the oldest entries to stay within _MAP_CACHE_BYTES."""
+    while cache and cache.nbytes + value.nbytes > _MAP_CACHE_BYTES:
+        cache.nbytes -= cache.pop(next(iter(cache))).nbytes
     if value.nbytes <= _MAP_CACHE_BYTES:
         cache[key] = value
+        cache.nbytes += value.nbytes
 
 
 class Group:
@@ -204,8 +211,10 @@ class Group:
         self._orders: np.ndarray | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._class_id: np.ndarray | None = None
-        self._rmul_cache: dict[int, np.ndarray] = {}
-        self._conj_cache: dict[int, np.ndarray] = {}
+        self._rmul_cache: _Cache = _Cache()
+        self._conj_cache: _Cache = _Cache()
+        self._centralizer_cache: _Cache = _Cache()
+        self._quotient_cache: _Cache = _Cache()  # kernel index bytes -> QuotientMap
         self._normals: list[Subgroup] | None = None
 
     # ----- basic accessors -------------------------------------------------
@@ -438,11 +447,16 @@ class Group:
         return self.conjugacy_classes()[self.class_id_of_idx(i)].size
 
     def centralizer_mask_idx(self, i: int) -> np.ndarray:
-        # y commutes with x iff the members x*y and y*x agree on the base
-        x = self._rows[i]
-        mask = np.ones(self.order, dtype=bool)
-        for b, col in zip(self._base, self._base_rows.T):
-            mask &= x[col] == self._rows[:, x[b]]
+        """Read-only mask of the members commuting with x_i, computed once per i."""
+        mask = self._centralizer_cache.get(i)
+        if mask is None:
+            # y commutes with x iff the members x*y and y*x agree on the base
+            x = self._rows[i]
+            mask = np.ones(self.order, dtype=bool)
+            for b, col in zip(self._base, self._base_rows.T):
+                mask &= x[col] == self._rows[:, x[b]]
+            mask.flags.writeable = False
+            _cache_put(self._centralizer_cache, i, mask)
         return mask
 
     def centralizer(self, x) -> "Subgroup":
@@ -695,8 +709,16 @@ class Group:
         """Coset-action quotient and the projection map.
 
         The quotient acts on the left cosets of k, numbered by least member;
-        generators project to the coset permutations they induce.
+        generators project to the coset permutations they induce.  Each
+        kernel's quotient is built, and k checked, once; later calls return
+        the same pair.
         """
+        if k.parent is not self:
+            raise NotASubgroup("subgroup belongs to a different group")
+        key = k.indices.tobytes()
+        cached = self._quotient_cache.get(key)
+        if cached is not None:
+            return cached.quotient, cached
         self._validate_subgroup(k)
         if not self.is_normal(k):
             raise NotNormal(f"subgroup of order {k.order} is not normal in {self.name}")
@@ -730,7 +752,9 @@ class Group:
         )
         if q.order != q_order:
             raise NotNormal("coset action has wrong order; subgroup not normal")
-        return q, QuotientMap(self, k, q, coset_id, rep_arr)
+        qmap = QuotientMap(self, k, q, coset_id, rep_arr)
+        _cache_put(self._quotient_cache, key, qmap)
+        return q, qmap
 
     # ----- composition factors --------------------------------------------------
 
@@ -877,6 +901,9 @@ class QuotientMap:
         self.coset_id = coset_id
         self.coset_reps = coset_reps
         self._coset_elem: np.ndarray | None = None
+        # what the parent's quotient cache charges: the quotient's element
+        # table and the coset arrays, _coset_elem included before it exists
+        self.nbytes = quotient._rows.nbytes + coset_id.nbytes + 2 * coset_reps.nbytes
 
     def _coset_to_element(self) -> np.ndarray:
         # The projection factors through cosets; tabulate coset -> quotient

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .arith import IntSet, is_prime, p_part, prime_divisors
-from .errors import NotAPElement
+from .errors import EngineFault, NotAPElement
 from .group import Group, Subgroup
 
 # How the p-parts of the class sizes behave:
@@ -72,9 +72,9 @@ def class_size_set(g: Group) -> ClassSizeSet:
         counts[cls.size] = counts.get(cls.size, 0) + 1
     for size in counts:
         if g.order % size != 0:
-            raise AssertionError(f"class size {size} does not divide |G| = {g.order}")
+            raise EngineFault(f"class size {size} does not divide |G| = {g.order}")
     if 1 not in counts:
-        raise AssertionError("identity class missing")
+        raise EngineFault("identity class missing")
     return ClassSizeSet(
         sizes=frozenset(counts),
         multiplicities=tuple(sorted(counts.items())),
@@ -93,8 +93,8 @@ def centralizer_index(g: Group, within: Subgroup | None, x) -> int:
         total, hits = g.order, int(cmask.sum())
     else:
         total, hits = within.order, int(cmask[within.indices].sum())
-    if total % hits != 0:
-        raise AssertionError("centralizer size does not divide the subgroup order")
+    if hits == 0 or total % hits != 0:
+        raise EngineFault("centralizer size does not divide the subgroup order")
     return total // hits
 
 
@@ -104,7 +104,7 @@ def max_class_p_part(g: Group, p: int) -> int:
         raise ValueError(f"p must be prime, got {p}")
     best = max(p_part(cls.size, p) for cls in g.conjugacy_classes())
     if p_part(g.order, p) % best != 0:
-        raise AssertionError("class-size p-part exceeds the group order p-part")
+        raise EngineFault("class-size p-part exceeds the group order p-part")
     return best
 
 

@@ -17,6 +17,20 @@ every case when the case count fits the sample budget, and exactly that
 many seeded draws otherwise.  The public check_* functions reuse the lemma
 predicates.  The coprime-action splitting check has its own witness type
 since it quantifies over group actions rather than a single group.
+
+Each centralizer mask and each quotient is computed once per group: Group
+memoises centralizer_mask_idx per element and quotient per kernel.  Both
+memos sit below the functions a test may patch to break a fact, and never
+in a lemma body.  The mask memo is inside Group.centralizer_mask_idx, so a
+patch that wraps that method sees every call.  _misses_a_class reads its
+mask at the class representative inside the function itself, so a patch of
+_misses_a_class replaces the whole predicate.  class_size_divisibility
+reads |x^K| and the image's class size from per-class tables
+(_class_divisors), which hold because both are class functions of x.  The
+two quotient-centralizer lemmas get no such table, though their predicates
+are class functions as well.  They read the mask of each element they
+draw, not of its class representative, so they also check
+centralizer_mask_idx at elements that no other lemma reads.
 """
 
 from __future__ import annotations
@@ -341,9 +355,14 @@ def _sylow_centers_central(g: Group, p: int) -> list[bool]:
 
 
 def _misses_a_class(g: Group, i: int) -> bool:
-    """True iff the centralizer of x_i meets no member of some class."""
-    n_classes = len(g.conjugacy_classes())
-    hits = np.bincount(g._class_id[g.centralizer_mask_idx(i)], minlength=n_classes)
+    """True iff the centralizer of x_i meets no member of some class.
+
+    Conjugating x_i conjugates its centralizer, which meets each class as
+    often as before, so the answer is read at x_i's class representative.
+    """
+    classes = g.conjugacy_classes()
+    rep = int(classes[g._class_id[i]].indices[0])
+    hits = np.bincount(g._class_id[g.centralizer_mask_idx(rep)], minlength=len(classes))
     return bool((hits == 0).any())
 
 
@@ -396,12 +415,16 @@ def _primes_of_kind(g: Group, kind: str) -> Iterable[PPartClassification]:
 
 
 def _centralizer_of_product_splits(g: Group, x: int, y: int) -> bool:
-    """C(xy) = C(x) & C(y): the predicate of both centralizer-product lemmas."""
+    """C(xy) = C(x) & C(y) for commuting x and y: the predicate of both
+    centralizer-product lemmas.
+
+    C(xy) always holds C(x) & C(y) then, so the two are equal iff their
+    orders are, and |C(xy)| is |G| over the class size of xy.
+    """
     if x == 0 or y == 0:
         return True  # identity factor: intersection degenerates
-    cx = g.centralizer_mask_idx(x)
-    cy = g.centralizer_mask_idx(y)
-    return bool(np.array_equal(g.centralizer_mask_idx(g.mult_idx(x, y)), cx & cy))
+    both = np.count_nonzero(g.centralizer_mask_idx(x) & g.centralizer_mask_idx(y))
+    return int(both) * g.class_size_of_idx(g.mult_idx(x, y)) == g.order
 
 
 def _lemma_normal_p_complement(g, rng, samples, nbudget) -> LemmaResult:
@@ -418,21 +441,46 @@ def _lemma_sylow_center_in_center(g, rng, samples, nbudget) -> LemmaResult:
     return _check(cases, lambda p, central: central, "p={}")
 
 
+def _class_divisors(
+    g: Group, normals: Sequence[Subgroup]
+) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
+    """|x^K| and the class size of x's image in G/K, as functions of (k, x).
+
+    For normal K = normals[k] both are class functions of x, so each is
+    computed once per (k, class), at the class representative, on its first
+    read.  G/K is built on the first read of the second function for k.
+    """
+    reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
+
+    @functools.cache
+    def in_kernel(k: int, c: int) -> int:
+        return centralizer_index(g, normals[k], reps[c])
+
+    @functools.cache
+    def in_quotient(k: int, c: int) -> int:
+        q, qmap = g.quotient(normals[k])
+        return q.class_size_of_idx(qmap.image_idx(reps[c]))
+
+    return (
+        lambda k, x: in_kernel(k, int(g._class_id[x])),
+        lambda k, x: in_quotient(k, int(g._class_id[x])),
+    )
+
+
 def _lemma_class_size_divisibility(g, rng, samples, nbudget) -> LemmaResult:
     # class of x inside a normal subgroup, and class of the image in the
     # quotient, both divide the class of x
     normals = g.normal_subgroups(nbudget)
     sizes = _class_size_per_element(g)
-    quotient = functools.cache(lambda k: g.quotient(normals[k]))
+    in_kernel, in_quotient = _class_divisors(g, normals)
 
     def case(k: int, x: int) -> bool:
         sub = normals[k]
         if sub.order == 1 or sub.order == g.order or x == 0:
             return True  # degenerate: both divisors collapse to 1 or |x^G|
-        if sizes[x] % centralizer_index(g, sub, x) != 0:
+        if sizes[x] % in_kernel(k, x) != 0:
             return False
-        q, qmap = quotient(k)
-        return sizes[x] % q.class_size_of_idx(qmap.image_idx(x)) == 0
+        return sizes[x] % in_quotient(k, x) == 0
 
     n = len(normals)
     return _drive(
@@ -507,11 +555,11 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
     )
 
 
-def _quotient_centralizer_case(g, normals, quotient, k: int, x: int, subset_only: bool) -> bool:
+def _quotient_centralizer_case(g, normals, k: int, x: int, subset_only: bool) -> bool:
     sub = normals[k]
     if sub.order == 1 or sub.order == g.order or x == 0:
         return True  # quotient is an isomorphism or a point
-    q, qmap = quotient(k)
+    q, qmap = g.quotient(sub)
     image = qmap.image_indices(np.flatnonzero(g.centralizer_mask_idx(x)))
     target = np.flatnonzero(q.centralizer_mask_idx(qmap.image_idx(x)))
     if subset_only:
@@ -523,7 +571,6 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
     # element order coprime to |K|: centralizer image equals image centralizer
     normals = g.normal_subgroups(nbudget)
     orders = g.element_orders()
-    quotient = functools.cache(lambda k: g.quotient(normals[k]))
     reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
 
     def coprime(k: int, x: int):
@@ -534,7 +581,7 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
         samples,
         (coprime(k, x) for k, x in itertools.product(range(len(normals)), reps)),
         lambda: coprime(rng.randrange(len(normals)), rng.randrange(g.order)),
-        lambda k, x: _quotient_centralizer_case(g, normals, quotient, k, x, subset_only=False),
+        lambda k, x: _quotient_centralizer_case(g, normals, k, x, subset_only=False),
         "K#{},x#{}",
     )
 
@@ -542,14 +589,13 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
 def _lemma_centralizer_image_in_quotient(g, rng, samples, nbudget) -> LemmaResult:
     # always: image of the centralizer lands inside the image's centralizer
     normals = g.normal_subgroups(nbudget)
-    quotient = functools.cache(lambda k: g.quotient(normals[k]))
     reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
     return _drive(
         len(normals) * len(reps),
         samples,
         itertools.product(range(len(normals)), reps),
         lambda: (rng.randrange(len(normals)), rng.randrange(g.order)),
-        lambda k, x: _quotient_centralizer_case(g, normals, quotient, k, x, subset_only=True),
+        lambda k, x: _quotient_centralizer_case(g, normals, k, x, subset_only=True),
         "K#{},x#{}",
     )
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conjlab.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_OK, main
+from conjlab.group import ConjugacyClass, Group
 
 
 def run(capsys, *argv):
@@ -237,6 +238,44 @@ def test_scan_records_per_group_errors(tmp_path, capsys):
     bad = next(r for r in records if r["spec"].endswith("c_big.grp"))
     assert bad["report"] is None and "CapExceeded" in bad["error"]
     assert "error=1" in out
+
+
+def _break_class_sizes(monkeypatch):
+    # order-24 groups get class sizes that do not divide the group order
+    size = ConjugacyClass.size.fget
+    monkeypatch.setattr(
+        ConjugacyClass, "size", property(lambda c: size(c) + (c.parent.order == 24))
+    )
+
+
+def _break_centralizers(monkeypatch):
+    # order-24 groups lose the identity from every centralizer
+    mask = Group.centralizer_mask_idx
+
+    def broken(self, i):
+        got = mask(self, i).copy()
+        got[0] = self.order != 24
+        return got
+
+    monkeypatch.setattr(Group, "centralizer_mask_idx", broken)
+
+
+@pytest.mark.parametrize("breaks", [_break_class_sizes, _break_centralizers])
+def test_engine_faults_keep_the_exit_contract(tmp_path, capsys, monkeypatch, breaks):
+    breaks(monkeypatch)
+    code, out, err = run(capsys, "verify", "symmetric:4", "--lemma-samples", "50")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    corpus = write_dir_corpus(tmp_path)
+    (corpus / "c_s4.grp").write_text("degree 4\nname s4\n(0 1)\n(0 1 2 3)\n")
+    out_path = tmp_path / "scan.jsonl"
+    code, out, _ = run(
+        capsys, "scan", "--corpus", str(corpus), "--out", str(out_path), "--lemma-samples", "50"
+    )
+    assert code == EXIT_OK  # the fault is recorded and the other groups still scan
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [r["report"] is None for r in records] == [False, False, True]
+    assert records[2]["error"].startswith("EngineFault: ")
 
 
 def test_scan_rejects_bad_corpus(tmp_path, capsys):

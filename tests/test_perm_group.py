@@ -267,17 +267,55 @@ def test_as_group_rejects_a_non_closed_set():
         Subgroup(g, np.array([0, swap, three], dtype=np.int64)).as_group()
 
 
-def test_map_caches_stay_under_the_byte_cap(monkeypatch):
-    ref = build(parse_spec("symmetric:4"))
-    cap = 3 * 8 * ref.order  # room for three maps
-    monkeypatch.setattr(group_module, "_MAP_CACHE_BYTES", cap)
-    g = build(parse_spec("symmetric:4"))
+def _fill_maps(g, ref):
     for s in range(g.order):
         assert np.array_equal(g._rmul_map(s), ref._rmul_map(s))
         assert np.array_equal(g._conj_map(s), ref._conj_map(s))
-        for cache in (g._rmul_cache, g._conj_cache):
-            assert sum(m.nbytes for m in cache.values()) <= cap
-    assert len(g._rmul_cache) == len(g._conj_cache) == 3
+        yield g._rmul_cache, g._conj_cache
+
+
+def _fill_masks(g, ref):
+    for i in range(g.order):
+        mask = g.centralizer_mask_idx(i)
+        assert np.array_equal(mask, ref.centralizer_mask_idx(i))
+        with pytest.raises(ValueError):
+            mask[i] = False  # a cached mask is shared, so it is read-only
+        yield (g._centralizer_cache,)
+
+
+def _fill_quotients(g, ref):
+    pairs = list(zip(g.normal_subgroups(), ref.normal_subgroups()))
+    for k, ref_k in pairs + pairs:  # the second pass rebuilds evicted quotients
+        q, qmap = g.quotient(k)
+        ref_q, ref_map = ref.quotient(ref_k)
+        assert np.array_equal(q._rows, ref_q._rows)
+        assert np.array_equal(qmap.coset_id, ref_map.coset_id)
+        yield (g._quotient_cache,)
+
+
+def _two_largest_quotients(ref):
+    sizes = sorted(ref.quotient(k)[1].nbytes for k in ref.normal_subgroups())
+    return sum(sizes[-2:])
+
+
+@pytest.mark.parametrize(
+    "fill,room,kept",
+    [
+        (_fill_maps, lambda ref: 3 * 8 * ref.order, 3),  # three int64 maps
+        (_fill_masks, lambda ref: 3 * ref.order, 3),  # three boolean masks
+        (_fill_quotients, _two_largest_quotients, 3),  # of the four quotients
+    ],
+    ids=["maps", "centralizer-masks", "quotients"],
+)
+def test_map_caches_stay_under_the_byte_cap(monkeypatch, fill, room, kept):
+    ref = build(parse_spec("symmetric:4"))
+    cap = room(ref)
+    monkeypatch.setattr(group_module, "_MAP_CACHE_BYTES", cap)
+    g = build(parse_spec("symmetric:4"))
+    for caches in fill(g, ref):
+        for cache in caches:
+            assert sum(m.nbytes for m in cache.values()) == cache.nbytes <= cap
+    assert all(len(cache) == kept for cache in caches)
     assert [c.size for c in g.conjugacy_classes()] == [c.size for c in ref.conjugacy_classes()]
     got = [s.indices.tolist() for s in g.normal_subgroups()]
     assert got == [s.indices.tolist() for s in ref.normal_subgroups()]

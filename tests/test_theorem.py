@@ -3,12 +3,14 @@
 import hashlib
 import json
 import random
+from math import gcd
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracle
+from conjlab import group as group_module
 from conjlab import theorem
 from conjlab.corpus import build, parse_spec
 from conjlab.errors import BudgetExceeded, Inapplicable, NotAbelian, NotCoprime
@@ -19,6 +21,7 @@ from conjlab.group import (
     group_from_generators,
     is_internal_direct_product,
 )
+from conjlab.invariants import centralizer_index
 from conjlab.perm import Perm
 from conjlab.theorem import (
     LEMMA_NAMES,
@@ -333,6 +336,75 @@ def test_lemma_failure_paths_match_recorded(monkeypatch, patch, spec, budget, na
     monkeypatch.setattr(owner, patch, make(getattr(owner, patch)))
     result = run_lemma_suite(build(parse_spec(spec)), seed=0, sample_budget=budget, names=[name])
     assert result[name] == LemmaResult(*expected)
+
+
+# ----- one computation per centralizer and quotient ------------------------------
+
+
+def test_lemma_suite_builds_each_quotient_and_mask_once(monkeypatch):
+    # at the default budget the suite asks for each quotient and mask many
+    # times; every ask after the first must return the object built first
+    builds, groups = [], []
+    first_quotient, first_mask = {}, {}
+    build_map = group_module.QuotientMap.__init__
+    quotient, mask = Group.quotient, Group.centralizer_mask_idx
+
+    def counting_init(self, parent, kernel, *rest):
+        builds.append((id(parent), kernel.indices.tobytes()))
+        build_map(self, parent, kernel, *rest)
+
+    def same_quotient(self, k):
+        groups.append(self)  # keeps ids from being reused
+        got = quotient(self, k)
+        assert first_quotient.setdefault((id(self), k.indices.tobytes()), got[1]) is got[1]
+        return got
+
+    def same_mask(self, i):
+        groups.append(self)
+        got = mask(self, i)
+        assert first_mask.setdefault((id(self), i), got) is got
+        return got
+
+    monkeypatch.setattr(group_module.QuotientMap, "__init__", counting_init)
+    monkeypatch.setattr(Group, "quotient", same_quotient)
+    monkeypatch.setattr(Group, "centralizer_mask_idx", same_mask)
+    run_lemma_suite(build(parse_spec(ORDER_540)), seed=0, sample_budget=10000)
+    # before quotients were cached per kernel, the suite built 73 for these 31
+    assert len(builds) == len(set(builds)) == len(first_quotient) == 31
+    assert len(groups) > len(first_quotient) + len(first_mask)  # asks were repeated
+
+
+def _split_by_masks(g, x, y):
+    # the three-mask form of the centralizer-product predicate
+    if x == 0 or y == 0:
+        return True
+    cxy = g.centralizer_mask_idx(g.mult_idx(x, y))
+    return bool(np.array_equal(cxy, g.centralizer_mask_idx(x) & g.centralizer_mask_idx(y)))
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6", ORDER_540])
+def test_class_keyed_divisors_match_per_element(spec):
+    g = build(parse_spec(spec))
+    normals = g.normal_subgroups()
+    in_kernel, in_quotient = theorem._class_divisors(g, normals)
+    for k, sub in enumerate(normals):
+        q, qmap = g.quotient(sub)
+        for x in range(g.order):
+            assert in_kernel(k, x) == centralizer_index(g, sub, x)
+            assert in_quotient(k, x) == q.class_size_of_idx(qmap.image_idx(x))
+
+
+def test_count_predicate_matches_three_masks():
+    g = build(parse_spec(ORDER_540))
+    orders = g.element_orders()
+    checked = 0
+    for x in range(g.order):
+        for y in np.flatnonzero(g.centralizer_mask_idx(x)):
+            if gcd(int(orders[x]), int(orders[y])) == 1:
+                split = theorem._centralizer_of_product_splits(g, x, int(y))
+                assert split == _split_by_masks(g, x, int(y))
+                checked += 1
+    assert checked > g.order
 
 
 # ----- gated single-lemma checks ---------------------------------------------------
