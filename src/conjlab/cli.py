@@ -7,6 +7,8 @@ JSONL), and gamma (divisibility digraph of an integer set).
 Exit codes are a stable contract: 0 for success (including the
 HypothesisNotMet and VerifiedDecomposition verdicts), 2 for usage, parse,
 IO, cap, or budget errors and engine faults, 3 for a COUNTEREXAMPLE verdict.
+A scan records a group's cap or budget error and exits 0, but exits 2 once
+it has written every record if any of them holds an engine fault.
 
 Scan output is deterministic for a fixed seed regardless of --jobs: records
 are sorted by spec name and canonicalized (timings zeroed, timestamp pinned
@@ -303,6 +305,7 @@ def cmd_scan(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             lines = list(pool.map(_scan_one, tasks))
     lines.sort(key=lambda line: json.loads(line)["spec"])
+    records = [json.loads(line) for line in lines]
     body = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(body)
@@ -310,12 +313,15 @@ def cmd_scan(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
         counts: dict[str, int] = {}
-        for line in lines:
-            rec = json.loads(line)
+        for rec in records:
             key = rec["report"]["verdict"] if rec["report"] else "error"
             counts[key] = counts.get(key, 0) + 1
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         sys.stdout.write(f"scanned {len(lines)} groups: {summary}\n")
+    faults = sum(rec["error"].startswith("EngineFault:") for rec in records)
+    if faults:
+        sys.stderr.write(f"error: engine fault recorded for {faults} group(s)\n")
+        return EXIT_ERROR
     return EXIT_OK
 
 

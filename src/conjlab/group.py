@@ -2,7 +2,9 @@
 
 A Group owns its complete element table: an (order x degree) integer matrix
 whose rows are image arrays, sorted lexicographically so that element
-identity is row identity and row 0 is always the group identity.  Every
+identity is row identity and row 0 is always the group identity.  The sort
+reads only the first k columns, k the fewest leading points that only the
+identity fixes all of: distinct members already differ there.  Every
 query — conjugacy classes, centralizers, Sylow subgroups, normalizers,
 normal subgroups, quotients, composition factors — is answered by direct,
 reproducible search over that table.  This trades memory for the ability
@@ -13,13 +15,14 @@ Composition convention (see perm.py): ``p * q`` applies p first, then q.
 Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 ``mult(x, s)`` for every row x at once is the fancy index ``s_row[rows]``,
 which is what the cached per-generator index maps are built from.  One
-BFS over such maps, Group._spread, walks every element orbit: subgroup
-closures (right-multiplication maps) and conjugacy classes (conjugation
-maps).  Generating sets come from one loop, Group._accumulate, that adjoins
-each candidate not yet in the closure, and orbits of index sets under
-conjugation (subgroup conjugates, Sylow centers) from Group._conjugate_sets.
-Two members commute iff their two products agree on the base below, which
-is how centralizers are computed.
+BFS over such maps, Group._spread, builds subgroup closures; conjugacy
+classes and quotient cosets come from _least_labels, which names each
+orbit by its least index through whole-array pointer doubling.  Generating
+sets come from one loop, Group._accumulate, that adjoins each candidate
+not yet in the closure, and orbits of index sets under conjugation
+(subgroup conjugates, Sylow centers) from Group._conjugate_sets.  Two
+members commute iff their two products agree on the base below, which is
+how centralizers are computed.
 
 Elements are found through a base (Sims): a few points B, chosen once per
 table, such that only the identity fixes all of them.  Two members that
@@ -136,7 +139,7 @@ def _choose_base(rows: np.ndarray) -> list[int]:
     points = np.arange(rows.shape[1])
     base: list[int] = []
     stab = np.arange(len(rows))
-    while len(stab) > 1:
+    while len(stab) > 1 and len(base) < rows.shape[1]:
         fixers = (rows[stab] == points).sum(axis=0)
         b = int(np.argmin(fixers))
         base.append(b)
@@ -167,6 +170,24 @@ def _key_plan(base_rows: np.ndarray, degree: int) -> tuple[list, np.ndarray]:
     return plan, key
 
 
+def _least_labels(n: int, maps: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Least index in the orbit of each of 0..n-1 under the index maps.
+
+    Each map comes with a bound on its order.  Per map, the least label
+    over i, m(i), m(m(i)), ... is taken by doubling the step m -> m(m);
+    the pass repeats over the maps until it changes nothing.
+    """
+    least = np.arange(n, dtype=np.int64)
+    while True:
+        prev = least
+        for step, bound in maps:
+            for _ in range(int(bound).bit_length()):
+                least = np.minimum(least, least[step])
+                step = step[step]
+        if np.array_equal(prev, least):
+            return least
+
+
 class _Cache(dict):
     """Cached values, oldest first, with the sum of their nbytes."""
 
@@ -191,7 +212,13 @@ class Group:
     """
 
     def __init__(self, rows: np.ndarray, gen_rows: list[np.ndarray], name: str):
-        order = np.lexsort(rows.T[::-1])
+        # distinct members differ within the first k points once only the
+        # identity fixes 0..k-1, so a sort on those columns sorts the table
+        stab, k = np.arange(len(rows)), 0
+        while len(stab) > 1 and k < rows.shape[1]:
+            stab = stab[rows[stab, k] == k]
+            k += 1
+        order = np.lexsort(rows[:, : max(k, 1)].T[::-1])
         self._rows = np.ascontiguousarray(rows[order])
         self.degree = int(rows.shape[1])
         self.name = name
@@ -425,18 +452,16 @@ class Group:
     def conjugacy_classes(self) -> list["ConjugacyClass"]:
         """Classes ordered by (size, lexicographically least member)."""
         if self._classes is None:
-            cmaps = [self._conj_map(g) for g in self._gen_idx]
-            seen = np.zeros(self.order, dtype=bool)
-            raw: list[np.ndarray] = []
-            for i in range(self.order):
-                if not seen[i]:
-                    raw.append(np.unique(np.concatenate(self._spread(cmaps, [i], seen))))
-            raw.sort(key=lambda idx: (len(idx), int(idx[0])))
-            self._classes = [ConjugacyClass(self, idx) for idx in raw]
-            class_id = np.empty(self.order, dtype=np.int64)
-            for cid, cls in enumerate(self._classes):
-                class_id[cls.indices] = cid
-            self._class_id = class_id
+            cmaps = [(self._conj_map(g), self.element(g).order()) for g in self._gen_idx]
+            least = _least_labels(self.order, cmaps)
+            members = np.argsort(least, kind="stable")  # by class, ascending within
+            reps, starts, sizes = np.unique(least[members], return_index=True, return_counts=True)
+            rank = np.lexsort((reps, sizes))
+            self._classes = [
+                ConjugacyClass(self, members[starts[c] : starts[c] + sizes[c]]) for c in rank
+            ]
+            self._class_id = np.empty(self.order, dtype=np.int64)
+            self._class_id[members] = np.repeat(np.argsort(rank), sizes)
         return self._classes
 
     def class_id_of_idx(self, i: int) -> int:
@@ -727,19 +752,8 @@ class Group:
             raise CapExceeded(
                 f"coset action table for index {q_order} would exceed the cell limit"
             )
-        # least member of each coset xK: per generator s of k, take the least
-        # label over x<s> by doubling the step x -> x*s^(2^t), and repeat
-        # over the generators until the labels stop changing
-        kmaps = [self._rmul_map(s) for s in k.ensure_gens()]
-        least = np.arange(self.order, dtype=np.int64)
-        while True:
-            prev = least
-            for step in kmaps:
-                for _ in range(k.order.bit_length()):
-                    least = np.minimum(least, least[step])
-                    step = step[step]
-            if np.array_equal(prev, least):
-                break
+        # least member of each coset xK, its orbit under right multiplication
+        least = _least_labels(self.order, [(self._rmul_map(s), k.order) for s in k.ensure_gens()])
         rep_arr = np.unique(least)
         coset_id = np.searchsorted(rep_arr, least)
         rep_base = self._base_rows[rep_arr]
@@ -951,27 +965,27 @@ def group_from_generators(
         raise InvalidPermutation("degree must be at least 1")
     dtype = _images_dtype(degree)
     gen_rows = [_as_image_row(g, degree, dtype) for g in generators]
-    ident = np.arange(degree, dtype=dtype)
-    rows: list[np.ndarray] = [ident]
-    index: dict[bytes, int] = {ident.tobytes(): 0}
-    frontier = [0]
+    # each member is kept as the bytes of its image row, in discovery order
+    width = degree * np.dtype(dtype).itemsize
+    frontier = [np.arange(degree, dtype=dtype).tobytes()]
+    seen = dict.fromkeys(frontier)
     while frontier:
-        fresh: list[int] = []
-        cur = np.stack([rows[i] for i in frontier])
+        fresh: list[bytes] = []
+        cur = np.frombuffer(b"".join(frontier), dtype=dtype).reshape(-1, degree)
         for g in gen_rows:
-            prod = g.astype(np.int64)[cur]
-            for row in prod.astype(dtype):
-                key = row.tobytes()
-                if key not in index:
-                    if len(rows) >= cap:
+            prod = g[cur].tobytes()
+            for pos in range(0, len(prod), width):
+                key = prod[pos : pos + width]
+                if key not in seen:
+                    if len(seen) >= cap:
                         raise CapExceeded(
                             f"{name}: enumeration passed the element cap of {cap}"
                         )
-                    index[key] = len(rows)
-                    rows.append(row)
-                    fresh.append(index[key])
+                    seen[key] = None
+                    fresh.append(key)
         frontier = fresh
-    return Group(np.stack(rows), gen_rows, name)
+    rows = np.frombuffer(b"".join(seen), dtype=dtype).reshape(-1, degree)
+    return Group(rows, gen_rows, name)
 
 
 def trivial_group(degree: int = 1, name: str = "trivial") -> Group:

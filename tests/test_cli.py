@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conjlab import theorem
 from conjlab.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_OK, main
 from conjlab.group import ConjugacyClass, Group
 
@@ -269,13 +270,23 @@ def test_engine_faults_keep_the_exit_contract(tmp_path, capsys, monkeypatch, bre
     corpus = write_dir_corpus(tmp_path)
     (corpus / "c_s4.grp").write_text("degree 4\nname s4\n(0 1)\n(0 1 2 3)\n")
     out_path = tmp_path / "scan.jsonl"
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "scan", "--corpus", str(corpus), "--out", str(out_path), "--lemma-samples", "50"
     )
-    assert code == EXIT_OK  # the fault is recorded and the other groups still scan
+    assert code == EXIT_ERROR  # every group is still scanned and recorded
+    assert err == "error: engine fault recorded for 1 group(s)\n"
     records = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert [r["report"] is None for r in records] == [False, False, True]
     assert records[2]["error"].startswith("EngineFault: ")
+
+
+def test_composite_n_in_a_decomposition_is_a_counterexample(capsys, monkeypatch):
+    # the paper proves that n is a prime power wherever G decomposes
+    monkeypatch.setattr(theorem, "prime_divisors", lambda n: [2, 3])
+    code, out, err = run(capsys, "verify", "direct:frobenius:5,4+heisenberg:3", "--no-lemmas")
+    assert code == EXIT_COUNTEREXAMPLE and err == ""
+    assert "decomposition |A|=20 N(A)=[1, 4, 5] |B|=27 N(B)=[1, 3]\n" in out
+    assert out.endswith("verdict COUNTEREXAMPLE\n")
 
 
 def test_scan_rejects_bad_corpus(tmp_path, capsys):
