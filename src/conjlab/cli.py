@@ -7,8 +7,9 @@ JSONL), and gamma (divisibility digraph of an integer set).
 Exit codes are a stable contract: 0 for success (including the
 HypothesisNotMet and VerifiedDecomposition verdicts), 2 for usage, parse,
 IO, cap, or budget errors and engine faults, 3 for a COUNTEREXAMPLE verdict.
-A scan records a group's cap or budget error and exits 0, but exits 2 once
-it has written every record if any of them holds an engine fault.
+A scan records a group's cap or budget error and goes on.  Once it has
+written every record it exits 2 if any of them holds an engine fault, else
+3 if any holds a COUNTEREXAMPLE verdict.
 
 Scan output is deterministic for a fixed seed regardless of --jobs: records
 are sorted by spec name and canonicalized (timings zeroed, timestamp pinned
@@ -322,6 +323,8 @@ def cmd_scan(args) -> int:
     if faults:
         sys.stderr.write(f"error: engine fault recorded for {faults} group(s)\n")
         return EXIT_ERROR
+    if VERDICT_COUNTEREXAMPLE in [rec["report"]["verdict"] for rec in records if rec["report"]]:
+        return EXIT_COUNTEREXAMPLE
     return EXIT_OK
 
 

@@ -351,14 +351,6 @@ def record_to_line(rec: ScanRecord) -> str:
     return json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def write_records(path: str | os.PathLike, records: list[ScanRecord]) -> None:
-    """Write records as JSONL, one complete line per record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(record_to_line(rec) + "\n")
-            fh.flush()
-
-
 def read_records(path: str | os.PathLike) -> list[ScanRecord]:
     """Read JSONL records; a malformed line fails with its line number."""
     out = []

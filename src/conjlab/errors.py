@@ -33,20 +33,12 @@ class NotNormal(ConjlabError):
     pass
 
 
-class NotAPElement(ConjlabError):
-    pass
-
-
 class NotCoprime(ConjlabError):
     pass
 
 
 class NotAbelian(ConjlabError):
     pass
-
-
-class Inapplicable(ConjlabError):
-    """The check's hypothesis does not hold for the given input."""
 
 
 class InvalidSpec(ConjlabError):

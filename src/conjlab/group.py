@@ -24,9 +24,10 @@ not yet in the closure, and orbits of index sets under conjugation
 members commute iff their two products agree on the base below, which is
 how centralizers are computed.
 
-Elements are found through a base (Sims): a few points B, chosen once per
-table, such that only the identity fixes all of them.  Two members that
-agree on B are then equal, so a member is named by its base images alone.
+Elements are found through a base (Sims): the points B at which the
+stabilizer chain of 0, 1, 2, ... shrinks, read off the same walk that finds
+the sort prefix, so that only the identity fixes all of them.  Two members
+that agree on B are then equal, so a member is named by its base images alone.
 Each row gets an exact int64 key built from its images of B; the keys are
 kept sorted and looked up with ``np.searchsorted``.  A product of members,
 such as ``s_row[rows[:, B]]`` for a right-multiplication map, is therefore
@@ -69,8 +70,9 @@ DEFAULT_ELEMENT_CAP = 100_000
 DEFAULT_NODE_BUDGET = 1_000_000
 CAP_ENV_VAR = "CONJLAB_CAP"
 
-# a coset-action table bigger than this many cells is refused (see quotient)
-_QUOTIENT_CELL_LIMIT = 50_000_000
+# an element table of more than this many cells (order x degree) is refused,
+# whatever the element cap: enumeration, direct_product and quotient check it
+_CELL_LIMIT = 50_000_000
 
 # cap, in bytes, on each of a group's caches: right-multiplication maps,
 # conjugation maps, centralizer masks and quotients, each bounded separately
@@ -128,23 +130,6 @@ def _as_image_row(perm, degree: int, dtype) -> np.ndarray:
     if not np.array_equal(np.sort(row), np.arange(degree)):
         raise InvalidPermutation("image array is not a bijection")
     return row.astype(dtype)
-
-
-def _choose_base(rows: np.ndarray) -> list[int]:
-    """Points that only the identity row fixes all of, picked greedily.
-
-    Each step takes the point fixed by the fewest rows that fix every point
-    taken so far (lowest point on ties), so the base stays short.
-    """
-    points = np.arange(rows.shape[1])
-    base: list[int] = []
-    stab = np.arange(len(rows))
-    while len(stab) > 1 and len(base) < rows.shape[1]:
-        fixers = (rows[stab] == points).sum(axis=0)
-        b = int(np.argmin(fixers))
-        base.append(b)
-        stab = stab[rows[stab, b] == b]
-    return base
 
 
 def _key_plan(base_rows: np.ndarray, degree: int) -> tuple[list, np.ndarray]:
@@ -212,12 +197,16 @@ class Group:
     """
 
     def __init__(self, rows: np.ndarray, gen_rows: list[np.ndarray], name: str):
-        # distinct members differ within the first k points once only the
-        # identity fixes 0..k-1, so a sort on those columns sorts the table
-        stab, k = np.arange(len(rows)), 0
+        # walk the stabilizer chain of 0, 1, 2, ...: distinct members differ
+        # within the first k points once only the identity fixes 0..k-1, so a
+        # sort on those columns sorts the table, and the points where the
+        # stabilizer shrinks are a base
+        stab, k, base = np.arange(len(rows)), 0, []
         while len(stab) > 1 and k < rows.shape[1]:
-            stab = stab[rows[stab, k] == k]
-            k += 1
+            fixers = stab[rows[stab, k] == k]
+            if len(fixers) < len(stab):
+                base.append(k)
+            stab, k = fixers, k + 1
         order = np.lexsort(rows[:, : max(k, 1)].T[::-1])
         self._rows = np.ascontiguousarray(rows[order])
         self.degree = int(rows.shape[1])
@@ -225,7 +214,7 @@ class Group:
         ident = np.arange(self.degree, dtype=self._rows.dtype)
         if not np.array_equal(self._rows[0], ident):
             raise InvalidPermutation("identity missing from element table")
-        self._base = _choose_base(self._rows)
+        self._base = base
         self._base_rows = self._rows[:, self._base].astype(np.int64)
         self._key_plan, keys = _key_plan(self._base_rows, self.degree)
         self._key_order = np.argsort(keys, kind="stable")
@@ -706,17 +695,6 @@ class Group:
         self._normals = subs
         return list(subs)
 
-    def p_prime_core(self, p: int, budget: int = DEFAULT_NODE_BUDGET) -> "Subgroup":
-        """Largest normal subgroup of order coprime to p."""
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        cands = [s for s in self.normal_subgroups(budget) if s.order % p != 0]
-        best = max(cands, key=lambda s: s.order)
-        for s in cands:
-            if not best.mask()[s.indices].all():
-                raise NotASubgroup("p'-core is not unique; engine invariant broken")
-        return best
-
     def has_normal_p_complement(self, p: int) -> bool:
         """True iff the p'-order elements form a (then normal) subgroup."""
         if not is_prime(p):
@@ -748,7 +726,7 @@ class Group:
         if not self.is_normal(k):
             raise NotNormal(f"subgroup of order {k.order} is not normal in {self.name}")
         q_order = self.order // k.order
-        if q_order * q_order > _QUOTIENT_CELL_LIMIT:
+        if q_order * q_order > _CELL_LIMIT:
             raise CapExceeded(
                 f"coset action table for index {q_order} would exceed the cell limit"
             )
@@ -855,15 +833,6 @@ class Subgroup:
             self._mask = m
         return self._mask
 
-    def contains_idx(self, i: int) -> bool:
-        return bool(self.mask()[i])
-
-    def __contains__(self, perm) -> bool:
-        try:
-            return self.contains_idx(self.parent.index_of(perm))
-        except ElementNotInGroup:
-            return False
-
     def ensure_gens(self) -> list[int]:
         if self._gens is None:
             self._gens = self.parent._accumulate(self.indices)[0]
@@ -941,9 +910,6 @@ class QuotientMap:
         cosets = np.unique(self.coset_id[indices])
         return np.unique(self._coset_to_element()[cosets])
 
-    def image(self, perm: Perm) -> Perm:
-        return self.quotient.element(self.image_idx(self.parent.index_of(perm)))
-
 
 # ----- module-level constructors -------------------------------------------------
 
@@ -957,7 +923,8 @@ def group_from_generators(
     """Enumerate the group generated by the given permutations.
 
     Breadth-first right-multiplication closure from the identity; raises
-    CapExceeded as soon as the element count would pass the cap.
+    CapExceeded as soon as the element count would pass the cap, or the
+    table would pass _CELL_LIMIT cells.
     """
     if cap is None:
         cap = default_element_cap()
@@ -965,6 +932,14 @@ def group_from_generators(
         raise InvalidPermutation("degree must be at least 1")
     dtype = _images_dtype(degree)
     gen_rows = [_as_image_row(g, degree, dtype) for g in generators]
+    limit = min(cap, _CELL_LIMIT // degree)
+    if limit == cap:
+        refusal = f"{name}: enumeration passed the element cap of {cap}"
+    else:
+        refusal = (
+            f"{name}: enumeration passed {limit} elements, the most a degree-{degree} "
+            f"table may hold under the cell limit of {_CELL_LIMIT}"
+        )
     # each member is kept as the bytes of its image row, in discovery order
     width = degree * np.dtype(dtype).itemsize
     frontier = [np.arange(degree, dtype=dtype).tobytes()]
@@ -977,19 +952,13 @@ def group_from_generators(
             for pos in range(0, len(prod), width):
                 key = prod[pos : pos + width]
                 if key not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(
-                            f"{name}: enumeration passed the element cap of {cap}"
-                        )
+                    if len(seen) >= limit:
+                        raise CapExceeded(refusal)
                     seen[key] = None
                     fresh.append(key)
         frontier = fresh
     rows = np.frombuffer(b"".join(seen), dtype=dtype).reshape(-1, degree)
     return Group(rows, gen_rows, name)
-
-
-def trivial_group(degree: int = 1, name: str = "trivial") -> Group:
-    return group_from_generators(degree, [], name=name)
 
 
 def direct_product(a: Group, b: Group, cap: int | None = None, name: str | None = None) -> Group:
@@ -1000,6 +969,11 @@ def direct_product(a: Group, b: Group, cap: int | None = None, name: str | None 
     if order > cap:
         raise CapExceeded(f"direct product order {order} passes the element cap {cap}")
     degree = a.degree + b.degree
+    if order * degree > _CELL_LIMIT:
+        raise CapExceeded(
+            f"direct product table of {order} x {degree} cells passes the cell "
+            f"limit of {_CELL_LIMIT}"
+        )
     dtype = _images_dtype(degree)
     left = np.repeat(a._rows.astype(dtype), b.order, axis=0)
     right = np.tile(b._rows.astype(dtype) + a.degree, (a.order, 1))

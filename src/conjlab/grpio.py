@@ -1,4 +1,4 @@
-"""Reading and writing the .grp generator file format.
+"""Reading the .grp generator file format.
 
 A .grp file is plain text: a degree line, a name line, then one generator
 per line in 0-based disjoint cycle notation, with ``()`` for the identity.
@@ -8,9 +8,6 @@ per line in 0-based disjoint cycle notation, with ``()`` for the identity.
     name example
     (0 1 2 3)
     (0 1)
-
-The writer emits a canonical form (cycles sorted by least point, least
-point first, single spaces) so that write -> parse -> write is bit-exact.
 """
 
 from __future__ import annotations
@@ -55,31 +52,8 @@ def parse_grp(text: str) -> tuple[int, str, list[Perm]]:
     return degree, name, gens
 
 
-def format_grp(degree: int, name: str, generators: list[Perm]) -> str:
-    """Render canonical .grp text (ends with a newline)."""
-    if "\n" in name or "#" in name:
-        raise GrpFormatError("group name may not contain newlines or '#'")
-    if not name.strip():
-        raise GrpFormatError("group name is empty")
-    out = [f"degree {degree}", f"name {name.strip()}"]
-    for g in generators:
-        if g.degree != degree:
-            raise GrpFormatError(
-                f"generator degree {g.degree} does not match header degree {degree}"
-            )
-        out.append(g.cycle_string())
-    return "\n".join(out) + "\n"
-
-
 def load_grp(path: str | os.PathLike, cap: int | None = None) -> Group:
     """Load a .grp file and enumerate the group it generates."""
     with open(path, "r", encoding="utf-8") as fh:
         degree, name, gens = parse_grp(fh.read())
     return group_from_generators(degree, gens, cap=cap, name=name)
-
-
-def save_grp(path: str | os.PathLike, group: Group) -> None:
-    """Write a group's degree, name and generators as canonical .grp text."""
-    text = format_grp(group.degree, group.name, group.generators)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -2,20 +2,19 @@
 
 Everything here is derived from the multiset of conjugacy class sizes and
 from Sylow structure: the class-size set, centralizer indices, the largest
-prime-power parts occurring among class sizes, the classification of how a
-prime's powers show up across class sizes, p-centrality, and the
+p-part occurring among class sizes, the classification of how a prime's
+powers show up across class sizes, the orbit of Sylow centers, and the
 commuting-Sylow criterion that ties class sizes to subgroup structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .arith import IntSet, is_prime, p_part, prime_divisors
-from .errors import EngineFault, NotAPElement
+from .arith import IntSet, is_prime, p_part
+from .errors import EngineFault
 from .group import Group, Subgroup
 
 # How the p-parts of the class sizes behave:
@@ -37,15 +36,6 @@ class ClassSizeSet:
     def sorted_sizes(self) -> list[int]:
         return sorted(self.sizes)
 
-    def count_of(self, size: int) -> int:
-        for s, c in self.multiplicities:
-            if s == size:
-                return c
-        return 0
-
-    def __contains__(self, size: int) -> bool:
-        return size in self.sizes
-
 
 @dataclass(frozen=True)
 class PPartClassification:
@@ -60,10 +50,6 @@ class PPartClassification:
     kind: str
     exponent: int | None
     parts: tuple[int, ...]
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.kind != KIND_MIXED
 
 
 def class_size_set(g: Group) -> ClassSizeSet:
@@ -108,18 +94,6 @@ def max_class_p_part(g: Group, p: int) -> int:
     return best
 
 
-def max_class_pi_part(g: Group, primes: Iterable[int]) -> int:
-    out = 1
-    for p in sorted(set(primes)):
-        out *= max_class_p_part(g, p)
-    return out
-
-
-def max_class_part(g: Group) -> int:
-    """Product of the largest class-size p-parts over all primes dividing |G|."""
-    return max_class_pi_part(g, prime_divisors(g.order))
-
-
 def _class_size_per_element(g: Group) -> np.ndarray:
     sizes = np.array([cls.size for cls in g.conjugacy_classes()], dtype=np.int64)
     return sizes[g._class_id]
@@ -153,9 +127,6 @@ def classify_p_parts(g: Group, p: int) -> PPartClassification:
     return PPartClassification(p, kind, exponent, parts)
 
 
-# ----- p-centrality ---------------------------------------------------------
-
-
 def sylow_center_orbit(g: Group, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(subgroup indices, center indices) for every Sylow p-subgroup.
 
@@ -165,28 +136,6 @@ def sylow_center_orbit(g: Group, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     syl = g.sylow_subgroup(p)
     center_positions = syl.as_group().center().indices
     return g._conjugate_sets(syl.indices, np.sort(syl.indices[center_positions]))
-
-
-def sylow_center_union_mask(g: Group, p: int) -> np.ndarray:
-    """Mask of elements central in at least one Sylow p-subgroup."""
-    mask = np.zeros(g.order, dtype=bool)
-    for _, cen in sylow_center_orbit(g, p):
-        mask[cen] = True
-    return mask
-
-
-def is_p_central(g: Group, x, p: int) -> bool:
-    """True iff the p-element x lies in the center of some Sylow p-subgroup."""
-    i = x if isinstance(x, int) else g.index_of(x)
-    if not g.p_element_mask(p)[i]:
-        raise NotAPElement(f"element of order {g.order_of_idx(i)} is not a {p}-element")
-    return bool(sylow_center_union_mask(g, p)[i])
-
-
-def all_p_elements_p_central(g: Group, p: int) -> bool:
-    pmask = g.p_element_mask(p)
-    central = sylow_center_union_mask(g, p)
-    return bool(central[pmask].all())
 
 
 # ----- commuting Sylow pairs --------------------------------------------------

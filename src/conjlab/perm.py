@@ -101,9 +101,6 @@ class Perm:
             n = math.lcm(n, len(cyc))
         return n
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
     def cycle_string(self) -> str:
         cycs = self.cycles()
         if not cycs:
@@ -141,9 +138,6 @@ class Perm:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
 
     def __hash__(self) -> int:
         return hash(self.images)

@@ -14,8 +14,8 @@ predicate and one failure label, and _check is the one place that turns
 them into a pass or fail LemmaResult.  The checks that quantify over
 elements or normal subgroups go through _drive, which picks the cases:
 every case when the case count fits the sample budget, and exactly that
-many seeded draws otherwise.  The public check_* functions reuse the lemma
-predicates.  The coprime-action splitting check has its own witness type
+many seeded draws otherwise.  The public check_noncentral_misses_class
+reuses its lemma's predicate.  The coprime-action splitting check has its own witness type
 since it quantifies over group actions rather than a single group.
 
 Each centralizer mask and each quotient is computed once per group: Group
@@ -49,7 +49,6 @@ from .arith import Factorization, find_hypothesis_factorizations, p_part, prime_
 from .errors import (
     BudgetExceeded,
     CapExceeded,
-    Inapplicable,
     InvalidPermutation,
     NotAbelian,
     NotCoprime,
@@ -316,27 +315,6 @@ def verify_main_theorem(
 
 
 # ----- standalone structural checks ------------------------------------------
-
-
-def _require_uniform_active(g: Group, p: int):
-    cls = classify_p_parts(g, p)
-    if cls.kind != KIND_UNIFORM_ACTIVE:
-        raise Inapplicable(
-            f"{g.name}: p-part pattern for p={p} is {cls.kind}, need {KIND_UNIFORM_ACTIVE}"
-        )
-    return cls
-
-
-def check_normal_p_complement(g: Group, p: int) -> bool:
-    """Uniform-active p-part pattern should force a normal p-complement."""
-    _require_uniform_active(g, p)
-    return g.has_normal_p_complement(p)
-
-
-def check_sylow_center_in_center(g: Group, p: int) -> bool:
-    """Uniform-active pattern: every Sylow p-center sits inside the center."""
-    _require_uniform_active(g, p)
-    return all(_sylow_centers_central(g, p))
 
 
 def check_noncentral_misses_class(g: Group) -> bool:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conjlab import theorem
 from conjlab.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_OK, main
+from conjlab.corpus import build, parse_spec
 from conjlab.group import ConjugacyClass, Group
 
 
@@ -289,6 +290,24 @@ def test_composite_n_in_a_decomposition_is_a_counterexample(capsys, monkeypatch)
     assert out.endswith("verdict COUNTEREXAMPLE\n")
 
 
+def test_scan_with_a_counterexample_record_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(theorem, "prime_divisors", lambda n: [2, 3])
+    corpus = write_dir_corpus(tmp_path)
+    g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
+    gens = "\n".join(p.cycle_string() for p in g.generators)
+    (corpus / "c_product.grp").write_text(f"degree {g.degree}\nname product\n{gens}\n")
+    out_path = tmp_path / "scan.jsonl"
+    code, out, err = run(capsys, "scan", "--corpus", str(corpus), "--out", str(out_path), "--no-lemmas")
+    assert code == EXIT_COUNTEREXAMPLE and err == ""  # every group is still scanned and recorded
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [r["report"]["verdict"] for r in records] == [
+        "HypothesisNotMet",
+        "HypothesisNotMet",
+        "COUNTEREXAMPLE",
+    ]
+    assert "COUNTEREXAMPLE=1" in out
+
+
 def test_scan_rejects_bad_corpus(tmp_path, capsys):
     code, _, err = run(capsys, "scan", "--corpus", str(tmp_path / "nowhere"))
     assert code == EXIT_ERROR and "error:" in err
@@ -341,6 +360,10 @@ def test_scan_has_no_json_flag(capsys):
         ["analyze", "cyclic:200000"],
         ["analyze", "dihedral:100000"],
         ["analyze", "heisenberg:1000000000000000003"],
+        ["analyze", "cyclic:100000"],
+        ["analyze", "cyclic:8000"],
+        ["analyze", "direct:heisenberg:13+cyclic:40"],
+        ["analyze", "big.grp"],
     ],
     ids=[
         "verify-samples",
@@ -351,12 +374,22 @@ def test_scan_has_no_json_flag(capsys):
         "over-cap-cyclic",
         "over-cap-dihedral",
         "huge-prime-heisenberg",
+        "over-cell-limit-cyclic",
+        "just-over-cell-limit-cyclic",
+        "over-cell-limit-product",
+        "over-cell-limit-grp",
     ],
 )
-def test_bad_values_exit_two_with_one_error_line(capsys, argv):
+def test_bad_values_exit_two_with_one_error_line(capsys, tmp_path, argv):
+    if argv[-1] == "big.grp":
+        # within the element cap, but 60000 x 60000 table cells
+        cycle = " ".join(map(str, range(60000)))
+        argv = ["analyze", str(tmp_path / "big.grp")]
+        Path(argv[-1]).write_text(f"degree 60000\nname big\n({cycle})\n")
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    # each value is refused before any group is built or primality tested
+    # each value is refused before any group is built or primality tested,
+    # or once enumeration reaches the cell limit
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_ERROR
     assert out == ""

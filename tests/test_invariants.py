@@ -1,23 +1,18 @@
-"""Class-size invariants: size sets, p-part patterns, p-centrality, criteria."""
+"""Class-size invariants: size sets, p-part patterns, Sylow centers, criteria."""
 
 import numpy as np
 import pytest
 
 import oracle
-from conjlab.errors import NotAPElement
 from conjlab.group import group_from_generators
 from conjlab.invariants import (
     KIND_MIXED,
     KIND_UNIFORM_ACTIVE,
     KIND_UNIFORM_INERT,
-    all_p_elements_p_central,
     centralizer_index,
     class_size_set,
     classify_p_parts,
-    is_p_central,
     max_class_p_part,
-    max_class_part,
-    max_class_pi_part,
     sylow_center_orbit,
     sylow_commute_criterion,
 )
@@ -41,8 +36,6 @@ def test_class_size_set_structure():
     css = class_size_set(S4)
     assert sorted(css.sizes) == [1, 3, 6, 8]
     assert css.multiplicities == ((1, 1), (3, 1), (6, 2), (8, 1))
-    assert css.count_of(6) == 2 and css.count_of(5) == 0
-    assert 8 in css and 2 not in css
     assert css.sorted_sizes() == [1, 3, 6, 8]
 
 
@@ -64,10 +57,6 @@ def test_max_class_parts():
     assert max_class_p_part(S4, 2) == 8
     assert max_class_p_part(S4, 3) == 3
     assert max_class_p_part(S4, 5) == 1
-    assert max_class_pi_part(S4, {2, 3}) == 24
-    assert max_class_pi_part(S4, {5, 7}) == 1
-    assert max_class_part(S4) == 24
-    assert max_class_part(C12) == 1
 
 
 def test_classify_pinned_patterns():
@@ -86,7 +75,6 @@ def test_classify_pinned_patterns():
     for g, p, kind, exponent, parts in cases:
         c = classify_p_parts(g, p)
         assert (c.kind, c.exponent, c.parts) == (kind, exponent, parts), (g.name, p)
-        assert c.is_uniform == (kind != KIND_MIXED)
 
 
 def test_classify_rejects_composite():
@@ -122,26 +110,7 @@ def test_sylow_center_orbit_s4():
         # center elements are double transpositions
         for i in center_idx:
             el = S4.element(int(i))
-            assert el.is_identity() or len(el.cycles()) == 2
-
-
-def test_is_p_central_s4():
-    double = S4.index_of(Perm((1, 0, 3, 2)))
-    four_cycle = S4.index_of(Perm((1, 2, 3, 0)))
-    transposition = S4.index_of(Perm((1, 0, 2, 3)))
-    assert is_p_central(S4, double, 2)
-    assert not is_p_central(S4, four_cycle, 2)
-    assert not is_p_central(S4, transposition, 2)
-    three_cycle = S4.index_of(Perm((1, 2, 0, 3)))
-    with pytest.raises(NotAPElement):
-        is_p_central(S4, three_cycle, 2)
-
-
-def test_all_p_elements_p_central():
-    assert not all_p_elements_p_central(S4, 2)
-    assert all_p_elements_p_central(C12, 2)
-    assert all_p_elements_p_central(C12, 3)
-    assert not all_p_elements_p_central(H3, 3)  # non-central elements everywhere
+            assert len(el.cycles()) in (0, 2)
 
 
 def test_sylow_commute_criterion_agreement_small():

@@ -1,5 +1,5 @@
-"""Element tables and conjugacy classes against the slow paths they replaced,
-and against the oracle on random groups."""
+"""Element tables, bases and conjugacy classes against the slow paths they
+replaced, and against the oracle on random groups."""
 
 from collections import Counter
 
@@ -14,6 +14,7 @@ from conjlab.corpus import _order_up_to, build, builtin_corpus, parse_spec
 from conjlab.errors import CapExceeded, InvalidPermutation
 from conjlab.group import Group, group_from_generators
 from conjlab.perm import Perm
+from conjlab.theorem import STATUS_PASS, VERDICT_COUNTEREXAMPLE, verify_main_theorem
 
 BUILTIN = [s.name for s in builtin_corpus()]
 
@@ -55,6 +56,51 @@ def test_duplicate_rows_are_refused(extra):
     g = build(parse_spec("symmetric:4"))
     with pytest.raises(InvalidPermutation, match="duplicate rows"):
         Group(np.vstack([g._rows, g._rows[extra : extra + 1]]), [], "dup")
+
+
+# ----- base ---------------------------------------------------------------------------
+
+
+def _greedy_base(rows: np.ndarray) -> list[int]:
+    """Points that only the identity row fixes all of, picked greedily.
+
+    Each step takes the point fixed by the fewest rows that fix every point
+    taken so far (lowest point on ties), so the base stays short; it is the
+    reference for the length of the base Group reads off its stabilizer chain.
+    """
+    points = np.arange(rows.shape[1])
+    base: list[int] = []
+    stab = np.arange(len(rows))
+    while len(stab) > 1 and len(base) < rows.shape[1]:
+        fixers = (rows[stab] == points).sum(axis=0)
+        b = int(np.argmin(fixers))
+        base.append(b)
+        stab = stab[rows[stab, b] == b]
+    return base
+
+
+# the benchmark groups that are not builtin
+_BENCHMARK_SPECS = [
+    "symmetric:8",
+    "heisenberg:13",
+    "direct:symmetric:5+heisenberg:7",
+    "frobenius:101,100",
+    "dihedral:500",
+]
+
+
+@pytest.mark.parametrize("spec", BUILTIN + _BENCHMARK_SPECS)
+def test_chain_base_is_a_base_as_short_as_the_greedy_one(spec):
+    g = build(parse_spec(spec))
+    fixes_base = np.all(g._rows[:, g._base] == np.array(g._base), axis=1)
+    assert np.flatnonzero(fixes_base).tolist() == [0]
+    assert len(g._base) == len(_greedy_base(g._rows))
+
+
+def test_chain_base_skips_points_whose_stabilizer_does_not_shrink():
+    g = group_from_generators(8, [Perm.from_cycle_string("(5 6 7)", 8)])
+    assert g._base == [5]
+    assert [g.index_of(p) for p in g.elements()] == [0, 1, 2]
 
 
 # ----- enumeration -----------------------------------------------------------------
@@ -208,3 +254,6 @@ def test_random_groups_match_the_oracle(drawn):
     assert Counter(c.size for c in q.conjugacy_classes()) == _quotient_class_sizes(
         elements, members
     )
+    report = verify_main_theorem(g, lemma_seed=0)
+    assert report.verdict != VERDICT_COUNTEREXAMPLE
+    assert {r.status for r in report.lemma_results.values()} == {STATUS_PASS}

@@ -13,7 +13,7 @@ import oracle
 from conjlab import group as group_module
 from conjlab import theorem
 from conjlab.corpus import build, parse_spec
-from conjlab.errors import BudgetExceeded, Inapplicable, NotAbelian, NotCoprime
+from conjlab.errors import BudgetExceeded, NotAbelian, NotCoprime
 from conjlab.group import (
     Group,
     Subgroup,
@@ -32,9 +32,7 @@ from conjlab.theorem import (
     VERDICT_VERIFIED,
     builtin_witnesses,
     check_coprime_action_split,
-    check_normal_p_complement,
     check_noncentral_misses_class,
-    check_sylow_center_in_center,
     coprime_action_witness,
     run_lemma_suite,
     verify_main_theorem,
@@ -407,24 +405,7 @@ def test_count_predicate_matches_three_masks():
     assert checked > g.order
 
 
-# ----- gated single-lemma checks ---------------------------------------------------
-
-
-def test_normal_p_complement_check():
-    h3 = make(oracle.heisenberg_gens(3), "h3")
-    assert check_normal_p_complement(h3, 3)  # complement is the trivial subgroup
-    c6 = make(oracle.cyclic_gens(6), "c6")
-    with pytest.raises(Inapplicable):
-        check_normal_p_complement(c6, 2)  # no 2-element of positive 2-index
-
-
-def test_sylow_center_check():
-    h3 = make(oracle.heisenberg_gens(3), "h3")
-    assert check_sylow_center_in_center(h3, 3)
-    g = positive_example()
-    assert check_sylow_center_in_center(g, 3)
-    with pytest.raises(Inapplicable):
-        check_sylow_center_in_center(make(oracle.cyclic_gens(6), "c6"), 3)
+# ----- standalone checks -----------------------------------------------------------
 
 
 def test_noncentral_misses_class():
