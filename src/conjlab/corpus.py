@@ -23,7 +23,13 @@ import numpy as np
 
 from .arith import divisibility_digraph, is_disconnected, is_prime
 from .errors import CapExceeded, InvalidSpec, RecordFormatError
-from .group import Group, default_element_cap, direct_product, group_from_generators
+from .group import (
+    _CELL_LIMIT,
+    Group,
+    default_element_cap,
+    direct_product,
+    group_from_generators,
+)
 from .grpio import load_grp
 from .perm import Perm
 from .theorem import TheoremReport
@@ -229,11 +235,24 @@ def _order_up_to(spec: GroupSpec, cap: int) -> int | None:
     return order
 
 
+_BUILDERS = {
+    "cyclic": _cyclic_gens,
+    "dihedral": _dihedral_gens,
+    "symmetric": _symmetric_gens,
+    "alternating": _alternating_gens,
+    "heisenberg": _heisenberg_gens,
+    "frobenius": _frobenius_gens,
+}
+
+
 def build(spec: GroupSpec, cap: int | None = None) -> Group:
     """Construct the group a spec names; enumeration respects the cap.
 
-    A family whose order is known from its parameters to pass the cap is
-    refused before any permutation is made.
+    A family whose order, known from its parameters, passes the cap is
+    refused before any permutation is made, and one whose order x degree
+    table passes _CELL_LIMIT as soon as its builders give the degree,
+    before anything is enumerated.  A direct product is measured whole:
+    the product of its part orders times the sum of their degrees.
     """
     _validate(spec)
     if cap is None:
@@ -243,22 +262,26 @@ def build(spec: GroupSpec, cap: int | None = None) -> Group:
         raise CapExceeded(f"{spec.name}: group order passes the element cap of {cap}")
     if spec.kind == "file":
         return load_grp(spec.path, cap=cap)
-    if spec.kind == "direct":
-        g = build(spec.parts[0], cap=cap)
-        for part in spec.parts[1:]:
-            g = direct_product(g, build(part, cap=cap), cap=cap)
-        g.name = spec.name
-        return g
-    builder = {
-        "cyclic": _cyclic_gens,
-        "dihedral": _dihedral_gens,
-        "symmetric": _symmetric_gens,
-        "alternating": _alternating_gens,
-        "heisenberg": _heisenberg_gens,
-        "frobenius": _frobenius_gens,
-    }[spec.kind]
-    degree, gens = builder(*spec.params)
-    return group_from_generators(degree, gens, cap=cap, name=spec.name)
+    if order is None:  # a direct product with a .grp part, measured part by part
+        factors = [build(part, cap=cap) for part in spec.parts]
+    else:
+        parts = spec.parts if spec.kind == "direct" else (spec,)
+        made = [_BUILDERS[part.kind](*part.params) for part in parts]
+        degree = sum(d for d, _ in made)
+        if order * degree > _CELL_LIMIT:
+            raise CapExceeded(
+                f"{spec.name}: its table of {order} x {degree} cells passes the cell "
+                f"limit of {_CELL_LIMIT}"
+            )
+        factors = [
+            group_from_generators(d, gens, cap=cap, name=part.name)
+            for part, (d, gens) in zip(parts, made)
+        ]
+    g = factors[0]
+    for h in factors[1:]:
+        g = direct_product(g, h, cap=cap)
+    g.name = spec.name
+    return g
 
 
 # ----- the builtin corpus -----------------------------------------------------

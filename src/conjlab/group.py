@@ -232,6 +232,7 @@ class Group:
         self._centralizer_cache: _Cache = _Cache()
         self._quotient_cache: _Cache = _Cache()  # kernel index bytes -> QuotientMap
         self._normals: list[Subgroup] | None = None
+        self._series: list[Subgroup] | None = None
 
     # ----- basic accessors -------------------------------------------------
 
@@ -350,9 +351,22 @@ class Group:
             stripped[m] //= p
         return stripped == 1
 
+    def _product_images(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+        """Base images of x_i * x_j for all i in a and j in b, shape (|a|, |b|, |B|)."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        # x_i then x_j sends a base point to x_j(x_i(point))
+        return self._rows[b[None, :, None], self._base_rows[a][:, None, :]]
+
     def _commute(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        """True iff every member indexed by a commutes with every one indexed by b."""
-        return all(self.mult_idx(i, j) == self.mult_idx(j, i) for i in a for j in b)
+        """True iff every member indexed by a commutes with every one indexed by b.
+
+        Both products are members, so x*y = y*x iff they agree on the base;
+        all pairs are compared at once.
+        """
+        return bool(
+            np.array_equal(self._product_images(a, b), self._product_images(b, a).transpose(1, 0, 2))
+        )
 
     def is_abelian(self) -> bool:
         return self._commute(self._gen_idx, self._gen_idx)
@@ -771,21 +785,26 @@ class Group:
         Recurses through a maximal proper normal subgroup, chosen as the
         largest order with ties broken by least element index list.  Members
         of the recursive series, with their generators, are mapped back
-        through the subgroup's sorted-index correspondence.
+        through the subgroup's sorted-index correspondence.  The series is
+        computed once per group; later calls return a copy of the same list.
         """
+        if self._series is not None:
+            return list(self._series)
         full = Subgroup(self, np.arange(self.order, dtype=np.int64), list(self._gen_idx))
         if self.order == 1:
-            return [full]
-        proper = [s for s in self.normal_subgroups(budget) if s.order < self.order]
-        m = min(proper, key=lambda s: (-s.order, tuple(int(i) for i in s.indices)))
-        if m.order == 1:
-            below = [Subgroup(self, np.array([0], dtype=np.int64), [])]
+            below = []
         else:
-            below = [
-                Subgroup(self, m.indices[s.indices], [int(m.indices[i]) for i in s.ensure_gens()])
-                for s in m.as_group().composition_series(budget)
-            ]
-        return below + [full]
+            proper = [s for s in self.normal_subgroups(budget) if s.order < self.order]
+            m = min(proper, key=lambda s: (-s.order, tuple(int(i) for i in s.indices)))
+            if m.order == 1:
+                below = [Subgroup(self, np.array([0], dtype=np.int64), [])]
+            else:
+                below = [
+                    Subgroup(self, m.indices[s.indices], [int(m.indices[i]) for i in s.ensure_gens()])
+                    for s in m.as_group().composition_series(budget)
+                ]
+        self._series = below + [full]
+        return list(self._series)
 
 
 class ConjugacyClass:
@@ -884,9 +903,11 @@ class QuotientMap:
         self.coset_id = coset_id
         self.coset_reps = coset_reps
         self._coset_elem: np.ndarray | None = None
+        self._projection: np.ndarray | None = None
         # what the parent's quotient cache charges: the quotient's element
-        # table and the coset arrays, _coset_elem included before it exists
-        self.nbytes = quotient._rows.nbytes + coset_id.nbytes + 2 * coset_reps.nbytes
+        # table and the coset arrays, with _coset_elem (one entry per coset)
+        # and projection (one per member) charged before they exist
+        self.nbytes = quotient._rows.nbytes + 2 * coset_id.nbytes + 2 * coset_reps.nbytes
 
     def _coset_to_element(self) -> np.ndarray:
         # The projection factors through cosets; tabulate coset -> quotient
@@ -905,10 +926,13 @@ class QuotientMap:
     def image_idx(self, i: int) -> int:
         return int(self._coset_to_element()[self.coset_id[i]])
 
-    def image_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Sorted quotient indices of the image of a member-index set."""
-        cosets = np.unique(self.coset_id[indices])
-        return np.unique(self._coset_to_element()[cosets])
+    @property
+    def projection(self) -> np.ndarray:
+        """Read-only array of the quotient index of every member's image."""
+        if self._projection is None:
+            self._projection = self._coset_to_element()[self.coset_id]
+            self._projection.flags.writeable = False
+        return self._projection
 
 
 # ----- module-level constructors -------------------------------------------------

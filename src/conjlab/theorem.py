@@ -9,28 +9,38 @@ never expected on real groups).  A budget failure raises instead of
 guessing.
 
 run_lemma_suite() independently spot-checks the supporting structural
-facts the argument leans on.  Every lemma is one case iterator, one
+facts the argument leans on.  Every lemma is one case source, one
 predicate and one failure label, and _check is the one place that turns
-them into a pass or fail LemmaResult.  The checks that quantify over
-elements or normal subgroups go through _drive, which picks the cases:
-every case when the case count fits the sample budget, and exactly that
-many seeded draws otherwise.  The public check_noncentral_misses_class
-reuses its lemma's predicate.  The coprime-action splitting check has its own witness type
-since it quantifies over group actions rather than a single group.
+them into a pass or fail LemmaResult.  Cases are int64 arrays with one case
+per row, and a predicate decides a whole batch, one bool per row;
+_check_each lifts the scalar predicates of the few-case lemmas (primes,
+prime pairs).  The checks that quantify over elements or normal subgroups
+go through _drive, which picks the cases: every case when the case count
+fits the sample budget, and exactly that many seeded draws otherwise.
+Draws still go through rng.randrange one case at a time, in a fixed order;
+they are decided _CHUNK at a time, so memory stays bounded for any budget
+and where a chunk ends moves no result.  The public
+check_noncentral_misses_class reuses its lemma's predicate.  The
+coprime-action splitting check has its own witness type since it
+quantifies over group actions rather than a single group.
 
-Each centralizer mask and each quotient is computed once per group: Group
-memoises centralizer_mask_idx per element and quotient per kernel.  Both
-memos sit below the functions a test may patch to break a fact, and never
-in a lemma body.  The mask memo is inside Group.centralizer_mask_idx, so a
-patch that wraps that method sees every call.  _misses_a_class reads its
-mask at the class representative inside the function itself, so a patch of
-_misses_a_class replaces the whole predicate.  class_size_divisibility
-reads |x^K| and the image's class size from per-class tables
-(_class_divisors), which hold because both are class functions of x.  The
-two quotient-centralizer lemmas get no such table, though their predicates
-are class functions as well.  They read the mask of each element they
-draw, not of its class representative, so they also check
-centralizer_mask_idx at elements that no other lemma reads.
+Each centralizer mask, quotient and composition series is computed once
+per group: Group memoises centralizer_mask_idx per element, quotient per
+kernel and composition_series, and QuotientMap.projection maps every
+member to its image at once.  These memos sit below the functions a test may patch to
+break a fact, and never in a lemma body.  The mask memo is inside
+Group.centralizer_mask_idx, so a patch that wraps that method sees every
+call.  _misses_a_class reads its masks at class representatives inside
+the function itself, so a patch of _misses_a_class replaces the whole
+predicate.  class_size_divisibility reads |x^K| and the image's class size
+from (kernel, class) tables (_ClassDivisors), which hold because both are
+class functions of x, and series_class_divisibility reads the factor class
+size at each position of a series step from one array per step.  The two
+quotient-centralizer lemmas get no such table, though their predicates are
+class functions as well.  They read the mask of the element in each case,
+not of its class representative, so they also check centralizer_mask_idx
+at elements that no other lemma reads; with the projection, each such case
+is a few whole-array operations.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -319,7 +329,7 @@ def verify_main_theorem(
 
 def check_noncentral_misses_class(g: Group) -> bool:
     """Every non-central element fails to commute into some whole class."""
-    return all(_misses_a_class(g, int(i)) for i in np.flatnonzero(~g.center().mask()))
+    return bool(_misses_a_class(g, np.flatnonzero(~g.center().mask())).all())
 
 
 def _sylow_centers_central(g: Group, p: int) -> list[bool]:
@@ -328,56 +338,91 @@ def _sylow_centers_central(g: Group, p: int) -> list[bool]:
     return [bool(zmask[cen].all()) for _, cen in sylow_center_orbit(g, p)]
 
 
-def _misses_a_class(g: Group, i: int) -> bool:
-    """True iff the centralizer of x_i meets no member of some class.
+def _misses_a_class(g: Group, xs: np.ndarray) -> np.ndarray:
+    """Per index i in xs: does the centralizer of x_i miss some whole class?
 
     Conjugating x_i conjugates its centralizer, which meets each class as
-    often as before, so the answer is read at x_i's class representative.
+    often as before, so the answer is read at x_i's class representative,
+    once for each class that xs reaches.
     """
     classes = g.conjugacy_classes()
-    rep = int(classes[g._class_id[i]].indices[0])
-    hits = np.bincount(g._class_id[g.centralizer_mask_idx(rep)], minlength=len(classes))
-    return bool((hits == 0).any())
+    cids = g._class_id[xs]
+    misses = np.zeros(len(classes), dtype=bool)
+    for c in np.unique(cids).tolist():
+        rep = int(classes[c].indices[0])
+        hits = np.bincount(g._class_id[g.centralizer_mask_idx(rep)], minlength=len(classes))
+        misses[c] = (hits == 0).any()
+    return misses[cids]
 
 
 # ----- lemma suite -------------------------------------------------------------
 
+# cases decided at a time; the sampled path holds no more draws than this,
+# so memory stays bounded for any sample budget
+_CHUNK = 4096
+
 
 def _check(
-    cases: Iterable, holds: Callable[..., bool], label: str, mode: str = MODE_EXHAUSTIVE
+    batches: Iterable[np.ndarray],
+    holds: Callable[[np.ndarray], np.ndarray],
+    label: str,
+    mode: str = MODE_EXHAUSTIVE,
 ) -> LemmaResult:
     """Decide every case; the one place a pass or fail LemmaResult is made.
 
-    A case of None is skipped and not counted.  holds(*case) decides the
-    rest, and a failing case is reported as label.format(*case).
+    batches yields int64 arrays with one case per row.  They are decided
+    _CHUNK rows at a time: holds(cases) returns one bool per row, and a
+    failing case is reported as label.format(*row).
     """
     fails, checked = [], 0
-    for case in cases:
-        if case is None:
-            continue
-        checked += 1
-        if not holds(*case):
-            fails.append(label.format(*case))
+    for batch in batches:
+        for start in range(0, len(batch), _CHUNK):
+            cases = batch[start : start + _CHUNK]
+            checked += len(cases)
+            bad = cases[~holds(cases)][: 5 - len(fails)]
+            fails.extend(label.format(*case) for case in bad.tolist())
     if fails:
-        return LemmaResult(STATUS_FAIL, checked, mode, f"violations: {', '.join(fails[:5])}")
+        return LemmaResult(STATUS_FAIL, checked, mode, f"violations: {', '.join(fails)}")
     return LemmaResult(STATUS_PASS, checked, mode)
+
+
+def _check_each(cases: Iterable[tuple], holds: Callable[..., bool], label: str) -> LemmaResult:
+    """_check a few integer cases with a predicate of one case, holds(*case)."""
+    return _check(
+        [np.array(list(cases), dtype=np.int64)],
+        lambda batch: np.array([holds(*case) for case in batch.tolist()], dtype=bool),
+        label,
+    )
 
 
 def _drive(
     total: int,
     samples: int,
-    exhaustive: Iterable,
+    exhaustive: Iterable[np.ndarray],
     draw: Callable[[], tuple | None],
-    holds: Callable[..., bool],
+    holds: Callable[[np.ndarray], np.ndarray],
     label: str,
 ) -> LemmaResult:
     """_check every case when the total fits in samples, else samples draws.
 
-    exhaustive iterates the case tuples and draw() returns one seeded case.
+    exhaustive yields the case arrays.  draw() returns one seeded case, or
+    None for a draw that checks nothing; draws are taken _CHUNK at a time,
+    in rng order, and each chunk is decided before the next is drawn.
     """
     if total <= samples:
         return _check(exhaustive, holds, label)
-    return _check((draw() for _ in range(samples)), holds, label, MODE_SAMPLED)
+    return _check(_drawn(draw, samples), holds, label, MODE_SAMPLED)
+
+
+def _drawn(draw: Callable[[], tuple | None], samples: int) -> Iterator[np.ndarray]:
+    for start in range(0, samples, _CHUNK):
+        cases = (draw() for _ in range(min(_CHUNK, samples - start)))
+        yield np.array([case for case in cases if case is not None], dtype=np.int64)
+
+
+def _with(first: int, seconds: np.ndarray) -> np.ndarray:
+    """The cases (first, s) for s in seconds, one per row."""
+    return np.column_stack([np.full(len(seconds), first, dtype=np.int64), seconds])
 
 
 def _primes_of_kind(g: Group, kind: str) -> Iterable[PPartClassification]:
@@ -388,22 +433,35 @@ def _primes_of_kind(g: Group, kind: str) -> Iterable[PPartClassification]:
             yield cls
 
 
-def _centralizer_of_product_splits(g: Group, x: int, y: int) -> bool:
-    """C(xy) = C(x) & C(y) for commuting x and y: the predicate of both
+def _centralizers_of_products_split(g: Group) -> Callable[[np.ndarray], np.ndarray]:
+    """C(xy) = C(x) & C(y) per commuting pair (x, y): the predicate of both
     centralizer-product lemmas.
 
     C(xy) always holds C(x) & C(y) then, so the two are equal iff their
-    orders are, and |C(xy)| is |G| over the class size of xy.
+    orders are, and |C(xy)| is |G| over the class size of xy.  The products
+    of a batch are looked up at once; each intersection is counted on its own.
     """
-    if x == 0 or y == 0:
-        return True  # identity factor: intersection degenerates
-    both = np.count_nonzero(g.centralizer_mask_idx(x) & g.centralizer_mask_idx(y))
-    return int(both) * g.class_size_of_idx(g.mult_idx(x, y)) == g.order
+    sizes = _class_size_per_element(g)
+
+    def holds(cases: np.ndarray) -> np.ndarray:
+        out = np.ones(len(cases), dtype=bool)  # an identity factor: nothing to split
+        live = np.flatnonzero((cases != 0).all(axis=1))
+        x, y = cases[live].T
+        # x then y sends a base point b to y(x(b))
+        xy = g._indices_of_images(g._rows[y[:, None], g._base_rows[x]])
+        both = [
+            np.count_nonzero(g.centralizer_mask_idx(i) & g.centralizer_mask_idx(j))
+            for i, j in zip(x.tolist(), y.tolist())
+        ]
+        out[live] = np.array(both, dtype=np.int64) * sizes[xy] == g.order
+        return out
+
+    return holds
 
 
 def _lemma_normal_p_complement(g, rng, samples, nbudget) -> LemmaResult:
     active = ((cls.p,) for cls in _primes_of_kind(g, KIND_UNIFORM_ACTIVE))
-    return _check(active, g.has_normal_p_complement, "p={}")
+    return _check_each(active, g.has_normal_p_complement, "p={}")
 
 
 def _lemma_sylow_center_in_center(g, rng, samples, nbudget) -> LemmaResult:
@@ -412,89 +470,109 @@ def _lemma_sylow_center_in_center(g, rng, samples, nbudget) -> LemmaResult:
         for cls in _primes_of_kind(g, KIND_UNIFORM_ACTIVE)
         for central in _sylow_centers_central(g, cls.p)
     )
-    return _check(cases, lambda p, central: central, "p={}")
+    return _check_each(cases, lambda p, central: central, "p={}")
 
 
-def _class_divisors(
-    g: Group, normals: Sequence[Subgroup]
-) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
-    """|x^K| and the class size of x's image in G/K, as functions of (k, x).
+def _degenerate(g: Group, normals: Sequence[Subgroup], cases: np.ndarray) -> np.ndarray:
+    """Per (k, x): K = 1, K = G or x = 1, where G -> G/K and x say nothing."""
+    korders = np.array([s.order for s in normals], dtype=np.int64)[cases[:, 0]]
+    return (korders == 1) | (korders == g.order) | (cases[:, 1] == 0)
 
-    For normal K = normals[k] both are class functions of x, so each is
-    computed once per (k, class), at the class representative, on its first
-    read.  G/K is built on the first read of the second function for k.
+
+class _ClassDivisors:
+    """Per (k, x): |x^K| and the class size of xK in G/K divide |x^G|, K = normals[k].
+
+    Both divisors are class functions of x, so they are read from (kernel,
+    class) tables, filled for the pairs the cases reach and 0 elsewhere:
+    in_kernel holds |K| / |C_K(rep)| at each class representative, and
+    in_quotient, filled a kernel at a time, the quotient's class size at
+    each representative's image.  A kernel's quotient is built only once one
+    of its cases passes the |x^K| test, in the order such cases come.
     """
-    reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
 
-    @functools.cache
-    def in_kernel(k: int, c: int) -> int:
-        return centralizer_index(g, normals[k], reps[c])
+    def __init__(self, g: Group, normals: Sequence[Subgroup]):
+        self.g, self.normals = g, normals
+        self.sizes = _class_size_per_element(g)
+        self.reps = np.array([int(c.indices[0]) for c in g.conjugacy_classes()], dtype=np.int64)
+        self.in_kernel = np.zeros((len(normals), len(self.reps)), dtype=np.int64)
+        self.in_quotient = np.zeros_like(self.in_kernel)
 
-    @functools.cache
-    def in_quotient(k: int, c: int) -> int:
-        q, qmap = g.quotient(normals[k])
-        return q.class_size_of_idx(qmap.image_idx(reps[c]))
-
-    return (
-        lambda k, x: in_kernel(k, int(g._class_id[x])),
-        lambda k, x: in_quotient(k, int(g._class_id[x])),
-    )
+    def __call__(self, cases: np.ndarray) -> np.ndarray:
+        g, sizes = self.g, self.sizes
+        out = np.ones(len(cases), dtype=bool)
+        live = np.flatnonzero(~_degenerate(g, self.normals, cases))
+        k, x = cases[live].T
+        c = g._class_id[x]
+        unread = np.column_stack([k, c])[self.in_kernel[k, c] == 0]
+        for kk, cc in np.unique(unread, axis=0).tolist():
+            self.in_kernel[kk, cc] = centralizer_index(g, self.normals[kk], int(self.reps[cc]))
+        ok = sizes[x] % self.in_kernel[k, c] == 0
+        passed = k[ok]
+        _, first = np.unique(passed, return_index=True)
+        for kk in passed[np.sort(first)].tolist():
+            if self.in_quotient[kk, 0] == 0:
+                q, qmap = g.quotient(self.normals[kk])
+                images = qmap.projection[self.reps].tolist()
+                self.in_quotient[kk] = [q.class_size_of_idx(i) for i in images]
+        ok[ok] = sizes[x[ok]] % self.in_quotient[passed, c[ok]] == 0
+        out[live] = ok
+        return out
 
 
 def _lemma_class_size_divisibility(g, rng, samples, nbudget) -> LemmaResult:
     # class of x inside a normal subgroup, and class of the image in the
     # quotient, both divide the class of x
     normals = g.normal_subgroups(nbudget)
-    sizes = _class_size_per_element(g)
-    in_kernel, in_quotient = _class_divisors(g, normals)
-
-    def case(k: int, x: int) -> bool:
-        sub = normals[k]
-        if sub.order == 1 or sub.order == g.order or x == 0:
-            return True  # degenerate: both divisors collapse to 1 or |x^G|
-        if sizes[x] % in_kernel(k, x) != 0:
-            return False
-        return sizes[x] % in_quotient(k, x) == 0
-
     n = len(normals)
     return _drive(
         n * g.order,
         samples,
-        itertools.product(range(n), range(g.order)),
+        (_with(k, np.arange(g.order)) for k in range(n)),
         lambda: (rng.randrange(n), rng.randrange(g.order)),
-        case,
+        _ClassDivisors(g, normals),
         "K#{},x#{}",
     )
+
+
+def _factor_class_sizes(g: Group, series: Sequence[Subgroup]) -> list[np.ndarray]:
+    """Per step low < high of the series: the class size in high/low of each
+    member's image, by position in high."""
+    out = []
+    for low, high in zip(series, series[1:]):
+        mg = g if high.order == g.order else high.as_group()
+        low_pos = np.searchsorted(high.indices, low.indices)
+        factor, qmap = mg.quotient(Subgroup(mg, low_pos))
+        factor_sizes = [factor.class_size_of_idx(i) for i in range(factor.order)]
+        out.append(np.array(factor_sizes, dtype=np.int64)[qmap.projection])
+    return out
 
 
 def _lemma_series_class_divisibility(g, rng, samples, nbudget) -> LemmaResult:
     # class size in a composition factor divides the class size in the group
     series = g.composition_series(nbudget)
-    sizes = _class_size_per_element(g)
-    steps = []
-    for low, high in zip(series, series[1:]):
-        mg = g if high.order == g.order else high.as_group()
-        low_pos = np.searchsorted(high.indices, low.indices)
-        factor, qmap = mg.quotient(Subgroup(mg, low_pos))
-        steps.append((high, factor, qmap))
-    if not steps:
+    highs = series[1:]
+    if not highs:
         return LemmaResult(STATUS_PASS, 0, MODE_EXHAUSTIVE, "trivial group")
+    sizes = _class_size_per_element(g)
+    # case (step, pos) is entry starts[step] + pos of the joined arrays
+    starts = np.cumsum([0] + [high.order for high in highs])
+    members = np.concatenate([high.indices for high in highs])
+    in_factor = np.concatenate(_factor_class_sizes(g, series))
 
-    def case(si: int, pos: int) -> bool:
-        high, factor, qmap = steps[si]
-        q_class = factor.class_size_of_idx(qmap.image_idx(pos))
-        return sizes[high.indices[pos]] % q_class == 0
+    def holds(cases: np.ndarray) -> np.ndarray:
+        at = starts[cases[:, 0]] + cases[:, 1]
+        return sizes[members[at]] % in_factor[at] == 0
 
     def draw():
-        si = rng.randrange(len(steps))
-        return si, rng.randrange(steps[si][0].order)
+        si = rng.randrange(len(highs))
+        return si, rng.randrange(highs[si].order)
 
     return _drive(
-        sum(high.order for high, _, _ in steps),
+        int(starts[-1]),
         samples,
-        ((si, pos) for si, (high, _, _) in enumerate(steps) for pos in range(high.order)),
+        (_with(si, np.arange(high.order)) for si, high in enumerate(highs)),
         draw,
-        case,
+        holds,
         "step{},pos{}",
     )
 
@@ -504,58 +582,82 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
     orders = g.element_orders()
     classes = g.conjugacy_classes()
 
-    def pairs():
-        for cls in classes:
-            x = int(cls.indices[0])
-            for y in np.flatnonzero(g.centralizer_mask_idx(x)):
-                if gcd(int(orders[x]), int(orders[y])) == 1:
-                    yield x, int(y)
+    @functools.cache
+    def coprime_to(order: int) -> np.ndarray:
+        return np.gcd(orders, order) == 1
+
+    def coprime_partners(x: int) -> np.ndarray:
+        # members of C(x) of order prime to x's; the identity is always one
+        return np.flatnonzero(g.centralizer_mask_idx(x) & coprime_to(int(orders[x])))
 
     def draw():
-        # draw y from C(x) so every draw yields a commuting pair; the
-        # identity, of order 1, is always a coprime partner
+        # draw y from C(x) so every draw yields a commuting pair
         x = rng.randrange(g.order)
-        partners = np.flatnonzero(g.centralizer_mask_idx(x))
-        coprime = partners[np.gcd(orders[partners], int(orders[x])) == 1]
+        coprime = coprime_partners(x)
         return x, int(coprime[rng.randrange(coprime.size)])
 
     return _drive(
         sum(g.order // cls.size for cls in classes),
         samples,
-        pairs(),
+        (_with(x, coprime_partners(x)) for x in (int(cls.indices[0]) for cls in classes)),
         draw,
-        lambda x, y: _centralizer_of_product_splits(g, x, y),
+        _centralizers_of_products_split(g),
         "x#{},y#{}",
     )
 
 
-def _quotient_centralizer_case(g, normals, k: int, x: int, subset_only: bool) -> bool:
-    sub = normals[k]
-    if sub.order == 1 or sub.order == g.order or x == 0:
-        return True  # quotient is an isomorphism or a point
-    q, qmap = g.quotient(sub)
-    image = qmap.image_indices(np.flatnonzero(g.centralizer_mask_idx(x)))
-    target = np.flatnonzero(q.centralizer_mask_idx(qmap.image_idx(x)))
-    if subset_only:
-        return np.setdiff1d(image, target).size == 0
-    return bool(np.array_equal(image, target))
+def _quotient_centralizers(
+    g: Group, normals: Sequence[Subgroup], subset_only: bool
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Per (k, x): the image of C(x) in G/K lies in C(xK), and with subset_only
+    false equals it, K = normals[k].
+
+    With image the projection of C(x)'s members and target C(xK)'s mask,
+    image lies in C(xK) iff target holds at all of it, and equals C(xK) iff
+    marking it in a mask of G/K gives target.  Each case reads the mask of
+    its own x, not of x's class representative.
+    """
+
+    def holds(cases: np.ndarray) -> np.ndarray:
+        out = np.ones(len(cases), dtype=bool)  # degenerate: an isomorphism or a point
+        maps: dict = {}  # quotients asked for in this batch, in case order
+        for row in np.flatnonzero(~_degenerate(g, normals, cases)).tolist():
+            k, x = cases[row].tolist()
+            if k not in maps:
+                maps[k] = g.quotient(normals[k])
+            q, qmap = maps[k]
+            image = qmap.projection[g.centralizer_mask_idx(x)]
+            target = q.centralizer_mask_idx(int(qmap.projection[x]))
+            if subset_only:
+                out[row] = target[image].all()
+            else:
+                marked = np.zeros(q.order, dtype=bool)
+                marked[image] = True
+                out[row] = np.array_equal(marked, target)
+        return out
+
+    return holds
 
 
 def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult:
     # element order coprime to |K|: centralizer image equals image centralizer
     normals = g.normal_subgroups(nbudget)
     orders = g.element_orders()
-    reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
+    reps = np.array([int(cls.indices[0]) for cls in g.conjugacy_classes()], dtype=np.int64)
 
-    def coprime(k: int, x: int):
+    def draw():
+        k, x = rng.randrange(len(normals)), rng.randrange(g.order)
         return (k, x) if gcd(int(orders[x]), normals[k].order) == 1 else None
 
     return _drive(
         len(normals) * len(reps),
         samples,
-        (coprime(k, x) for k, x in itertools.product(range(len(normals)), reps)),
-        lambda: coprime(rng.randrange(len(normals)), rng.randrange(g.order)),
-        lambda k, x: _quotient_centralizer_case(g, normals, k, x, subset_only=False),
+        (
+            _with(k, reps[np.gcd(orders[reps], sub.order) == 1])
+            for k, sub in enumerate(normals)
+        ),
+        draw,
+        _quotient_centralizers(g, normals, subset_only=False),
         "K#{},x#{}",
     )
 
@@ -563,13 +665,13 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
 def _lemma_centralizer_image_in_quotient(g, rng, samples, nbudget) -> LemmaResult:
     # always: image of the centralizer lands inside the image's centralizer
     normals = g.normal_subgroups(nbudget)
-    reps = [int(cls.indices[0]) for cls in g.conjugacy_classes()]
+    reps = np.array([int(cls.indices[0]) for cls in g.conjugacy_classes()], dtype=np.int64)
     return _drive(
         len(normals) * len(reps),
         samples,
-        itertools.product(range(len(normals)), reps),
+        (_with(k, reps) for k in range(len(normals))),
         lambda: (rng.randrange(len(normals)), rng.randrange(g.order)),
-        lambda k, x: _quotient_centralizer_case(g, normals, k, x, subset_only=True),
+        _quotient_centralizers(g, normals, subset_only=True),
         "K#{},x#{}",
     )
 
@@ -580,9 +682,9 @@ def _lemma_noncentral_misses_class(g, rng, samples, nbudget) -> LemmaResult:
     return _drive(
         len(noncentral),
         samples,
-        ((int(i),) for i in noncentral),
+        [noncentral[:, None]],
         lambda: (int(noncentral[rng.randrange(len(noncentral))]),),
-        lambda i: _misses_a_class(g, i),
+        lambda cases: _misses_a_class(g, cases[:, 0]),
         "x#{}",
     )
 
@@ -592,7 +694,7 @@ def _lemma_commuting_sylow_criterion(g, rng, samples, nbudget) -> LemmaResult:
         (p, q, *sylow_commute_criterion(g, p, q))
         for p, q in itertools.combinations(prime_divisors(g.order), 2)
     )
-    return _check(
+    return _check_each(
         cases, lambda p, q, by_class, by_subgroup: by_class == by_subgroup, "(p,q)=({},{})"
     )
 
@@ -605,7 +707,7 @@ def _lemma_abelian_sylow_when_inert(g, rng, samples, nbudget) -> LemmaResult:
     inert = (
         (cls.p,) for cls in _primes_of_kind(g, KIND_UNIFORM_INERT) if cls.exponent is not None
     )
-    return _check(inert, abelian, "p={}")
+    return _check_each(inert, abelian, "p={}")
 
 
 def _lemma_single_nonabelian_factor(g, rng, samples, nbudget) -> LemmaResult:
@@ -615,7 +717,7 @@ def _lemma_single_nonabelian_factor(g, rng, samples, nbudget) -> LemmaResult:
         (p, sum(1 for order, abelian in factors if not abelian and order % p == 0))
         for p in inert
     )
-    return _check(hits, lambda p, n: n <= 1, "p={}:{}")
+    return _check_each(hits, lambda p, n: n <= 1, "p={}:{}")
 
 
 def _lemma_split_sylow_centralizer(g, rng, samples, nbudget) -> LemmaResult:
@@ -652,9 +754,12 @@ def _lemma_split_sylow_centralizer(g, rng, samples, nbudget) -> LemmaResult:
     return _drive(
         sum(a.order * b.order for a, b in cases),
         samples,
-        ((int(ai), int(bi)) for a, b in cases for ai in a.indices for bi in b.indices),
+        (
+            np.column_stack([np.repeat(a.indices, b.order), np.tile(b.indices, a.order)])
+            for a, b in cases
+        ),
         draw,
-        lambda a, b: _centralizer_of_product_splits(g, a, b),
+        _centralizers_of_products_split(g),
         "a#{},b#{}",
     )
 

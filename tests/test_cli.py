@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conjlab import theorem
+from conjlab import corpus, theorem
 from conjlab.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_OK, main
 from conjlab.corpus import build, parse_spec
 from conjlab.group import ConjugacyClass, Group
@@ -395,6 +395,19 @@ def test_bad_values_exit_two_with_one_error_line(capsys, tmp_path, argv):
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["cyclic:100000", "direct:heisenberg:13+cyclic:40"])
+def test_over_cell_limit_is_refused_before_enumeration(capsys, monkeypatch, spec):
+    # order x degree is known once the builders return the degree
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(corpus, "group_from_generators", enumerate_nothing)
+    code, out, err = run(capsys, "analyze", spec)
+    assert code == EXIT_ERROR and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "cell limit" in line
 
 
 def test_help_exits_zero(capsys):

@@ -289,7 +289,20 @@ def _fill_quotients(g, ref):
         ref_q, ref_map = ref.quotient(ref_k)
         assert np.array_equal(q._rows, ref_q._rows)
         assert np.array_equal(qmap.coset_id, ref_map.coset_id)
+        assert np.array_equal(qmap.projection, ref_map.projection)  # charged up front
         yield (g._quotient_cache,)
+
+
+def test_quotient_charge_equals_the_arrays_it_holds():
+    g = build(parse_spec("direct:symmetric:3+cyclic:3"))
+    for k in g.normal_subgroups():
+        q, qmap = g.quotient(k)
+        charged = qmap.nbytes
+        projection = qmap.projection
+        held = [q._rows, qmap.coset_id, qmap.coset_reps, qmap._coset_elem, projection]
+        assert charged == qmap.nbytes == sum(a.nbytes for a in held)
+        assert projection.tolist() == [qmap.image_idx(i) for i in range(g.order)]
+        assert not projection.flags.writeable
 
 
 def _two_largest_quotients(ref):
@@ -519,6 +532,8 @@ def test_composition_series_orders():
     assert orders == [1, 2, 4, 12, 24]
     for low, high in zip(series, series[1:]):
         assert set(low.indices) <= set(high.indices)
+    again = s4.composition_series()  # computed once, returned as a fresh list
+    assert again is not series and all(a is b for a, b in zip(again, series))
 
 
 # ----- products --------------------------------------------------------------------
@@ -555,7 +570,10 @@ def test_internal_direct_product_raises_when_factors_fail_to_commute(monkeypatch
     normals = g.normal_subgroups()
     b = next(s for s in normals if s.order == 4)
     a = next(s for s in normals if s.order == 6 and is_internal_direct_product(g, s, b))
-    monkeypatch.setattr(g, "mult_idx", lambda i, j: i)
+    # every product x_i * x_j reads as x_i, so no two distinct members commute
+    monkeypatch.setattr(
+        g, "_product_images", lambda a, b: g._base_rows[np.asarray(a)][:, None, :].repeat(len(b), 1)
+    )
     with pytest.raises(NotASubgroup, match="engine invariant broken"):
         is_internal_direct_product(g, a, b)
 

@@ -21,7 +21,7 @@ from conjlab.group import (
     group_from_generators,
     is_internal_direct_product,
 )
-from conjlab.invariants import centralizer_index
+from conjlab.invariants import _class_size_per_element, centralizer_index
 from conjlab.perm import Perm
 from conjlab.theorem import (
     LEMMA_NAMES,
@@ -372,6 +372,46 @@ def test_lemma_suite_builds_each_quotient_and_mask_once(monkeypatch):
     assert len(groups) > len(first_quotient) + len(first_mask)  # asks were repeated
 
 
+# ----- batched predicates against the scalar references ---------------------------
+
+# The lemma suite decides its cases in batches.  The scalar per-case
+# predicates it used before are kept here as references: on every case of
+# these groups, batched and scalar verdicts must agree, also under a patch
+# that drops each element from its own centralizer.
+DIFFERENTIAL_SPECS = ["symmetric:4", "dihedral:6", ORDER_540, "direct:symmetric:3+cyclic:3"]
+
+
+@pytest.fixture(params=[False, True], ids=["unpatched", "drop-own-bit"])
+def masks_patched(request, monkeypatch):
+    if request.param:
+        patch = _drop_own_bit(Group.centralizer_mask_idx)
+        monkeypatch.setattr(Group, "centralizer_mask_idx", patch)
+    return request.param
+
+
+def _degenerate(g, sub, x):
+    return sub.order == 1 or sub.order == g.order or x == 0
+
+
+def _class_size_divides_ref(g, normals, sizes, k, x):
+    # both divisors read at x itself, not at its class representative
+    sub = normals[k]
+    if _degenerate(g, sub, x):
+        return True
+    if sizes[x] % centralizer_index(g, sub, x) != 0:
+        return False
+    q, qmap = g.quotient(sub)
+    return sizes[x] % q.class_size_of_idx(qmap.image_idx(x)) == 0
+
+
+def _split_by_count(g, x, y):
+    # the per-case count form of the centralizer-product predicate
+    if x == 0 or y == 0:
+        return True
+    both = np.count_nonzero(g.centralizer_mask_idx(x) & g.centralizer_mask_idx(y))
+    return int(both) * g.class_size_of_idx(g.mult_idx(x, y)) == g.order
+
+
 def _split_by_masks(g, x, y):
     # the three-mask form of the centralizer-product predicate
     if x == 0 or y == 0:
@@ -380,29 +420,170 @@ def _split_by_masks(g, x, y):
     return bool(np.array_equal(cxy, g.centralizer_mask_idx(x) & g.centralizer_mask_idx(y)))
 
 
+def _quotient_centralizer_ref(g, normals, k, x, subset_only):
+    # sorted quotient indices of the image of C(x) against those of C(xK)
+    sub = normals[k]
+    if _degenerate(g, sub, x):
+        return True
+    q, qmap = g.quotient(sub)
+    cosets = np.unique(qmap.coset_id[np.flatnonzero(g.centralizer_mask_idx(x))])
+    image = np.unique(qmap._coset_to_element()[cosets])
+    target = np.flatnonzero(q.centralizer_mask_idx(qmap.image_idx(x)))
+    if subset_only:
+        return np.setdiff1d(image, target).size == 0
+    return bool(np.array_equal(image, target))
+
+
+def _misses_a_class_ref(g, i):
+    # read at x_i itself, not at its class representative
+    hits = np.bincount(g._class_id[g.centralizer_mask_idx(i)], minlength=len(g.conjugacy_classes()))
+    return bool((hits == 0).any())
+
+
+def _commute_by_products(g, a, b):
+    return all(g.mult_idx(i, j) == g.mult_idx(j, i) for i in a for j in b)
+
+
+def _every_kx(g, normals):
+    return np.array([(k, x) for k in range(len(normals)) for x in range(g.order)], dtype=np.int64)
+
+
+def _outcome(fn, *args):
+    # a verdict, or the type and message of the error deciding it raised
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["sizes", "sizes-plus-one"])
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_batched_class_divisibility_matches_scalar(monkeypatch, spec, masks_patched, shift):
+    def shifted(g):
+        # class sizes off by one make the quotient test decide cases too
+        return _class_size_per_element(g) + shift
+
+    monkeypatch.setattr(theorem, "_class_size_per_element", shifted)
+    g = build(parse_spec(spec))
+    normals = g.normal_subgroups()
+    cases = _every_kx(g, normals)
+    want = [
+        _outcome(_class_size_divides_ref, g, normals, shifted(g), k, x) for k, x in cases.tolist()
+    ]
+    if any(isinstance(w, tuple) for w in want):
+        # a case whose divisor raises must raise the same error, one case at a time
+        divides = theorem._ClassDivisors(g, normals)
+        got = [_outcome(lambda row: bool(divides(row)[0]), row) for row in np.split(cases, len(cases))]
+        assert got == want
+    else:
+        assert theorem._ClassDivisors(g, normals)(cases).tolist() == want
+    assert False in want or not shift
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_batched_product_split_matches_scalar(spec, masks_patched):
+    g = build(parse_spec(spec))
+    orders = g.element_orders()
+    pairs = [
+        (x, y)
+        for x in range(g.order)
+        for y in np.flatnonzero(g.centralizer_mask_idx(x)).tolist()
+        if gcd(int(orders[x]), int(orders[y])) == 1
+    ]
+    got = theorem._centralizers_of_products_split(g)(np.array(pairs, dtype=np.int64))
+    assert got.tolist() == [_split_by_count(g, x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("subset_only", [True, False], ids=["image-in", "image-equals"])
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_batched_quotient_centralizers_match_scalar(spec, masks_patched, subset_only):
+    g = build(parse_spec(spec))
+    normals = g.normal_subgroups()
+    cases = _every_kx(g, normals)
+    got = theorem._quotient_centralizers(g, normals, subset_only)(cases)
+    want = [_quotient_centralizer_ref(g, normals, k, x, subset_only) for k, x in cases.tolist()]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_batched_misses_a_class_matches_scalar(spec, masks_patched):
+    g = build(parse_spec(spec))
+    noncentral = np.flatnonzero(~g.center().mask())
+    got = theorem._misses_a_class(g, noncentral)
+    assert got.tolist() == [_misses_a_class_ref(g, i) for i in noncentral.tolist()]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_factor_class_sizes_match_per_position(spec, masks_patched):
+    g = build(parse_spec(spec))
+    series = g.composition_series()
+    tables = theorem._factor_class_sizes(g, series)
+    assert len(tables) == len(series) - 1
+    for table, low, high in zip(tables, series, series[1:]):
+        mg = g if high.order == g.order else high.as_group()
+        factor, qmap = mg.quotient(Subgroup(mg, np.searchsorted(high.indices, low.indices)))
+        assert table.tolist() == [
+            factor.class_size_of_idx(qmap.image_idx(pos)) for pos in range(high.order)
+        ]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_batched_commute_matches_scalar(spec):
+    g = build(parse_spec(spec))
+    gens = [s.ensure_gens() for s in g.normal_subgroups()]
+    gens += [g.sylow_subgroup(p).ensure_gens() for p in (2, 3)]
+    gens.append(random.Random(spec).sample(range(g.order), 5))
+    verdicts = []
+    for a in gens:
+        for b in gens:
+            verdicts.append(g._commute(a, b))
+            assert verdicts[-1] == _commute_by_products(g, a, b)
+    assert any(verdicts) and not all(verdicts)
+
+
 @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6", ORDER_540])
 def test_class_keyed_divisors_match_per_element(spec):
     g = build(parse_spec(spec))
     normals = g.normal_subgroups()
-    in_kernel, in_quotient = theorem._class_divisors(g, normals)
+    divides = theorem._ClassDivisors(g, normals)
+    assert divides(_every_kx(g, normals)).all()
     for k, sub in enumerate(normals):
+        if sub.order in (1, g.order):
+            assert not divides.in_kernel[k].any() and not divides.in_quotient[k].any()
+            continue
         q, qmap = g.quotient(sub)
-        for x in range(g.order):
-            assert in_kernel(k, x) == centralizer_index(g, sub, x)
-            assert in_quotient(k, x) == q.class_size_of_idx(qmap.image_idx(x))
+        for x in range(1, g.order):
+            c = g.class_id_of_idx(x)
+            assert divides.in_kernel[k, c] == centralizer_index(g, sub, x)
+            assert divides.in_quotient[k, c] == q.class_size_of_idx(qmap.image_idx(x))
 
 
 def test_count_predicate_matches_three_masks():
     g = build(parse_spec(ORDER_540))
     orders = g.element_orders()
-    checked = 0
-    for x in range(g.order):
-        for y in np.flatnonzero(g.centralizer_mask_idx(x)):
-            if gcd(int(orders[x]), int(orders[y])) == 1:
-                split = theorem._centralizer_of_product_splits(g, x, int(y))
-                assert split == _split_by_masks(g, x, int(y))
-                checked += 1
-    assert checked > g.order
+    pairs = [
+        (x, y)
+        for x in range(g.order)
+        for y in np.flatnonzero(g.centralizer_mask_idx(x)).tolist()
+        if gcd(int(orders[x]), int(orders[y])) == 1
+    ]
+    got = theorem._centralizers_of_products_split(g)(np.array(pairs, dtype=np.int64))
+    assert got.tolist() == [_split_by_masks(g, x, y) for x, y in pairs]
+    assert len(pairs) > g.order
+
+
+# ----- chunk edges ----------------------------------------------------------------------
+
+
+def test_chunk_edges_move_no_result_and_no_draw(monkeypatch):
+    # a small prime chunk puts chunk edges inside every lemma's cases
+    monkeypatch.setattr(theorem, "_CHUNK", 7)
+    for (spec, budget), digest in RECORDED_SUITES.items():
+        test_lemma_suite_matches_recorded(spec, budget)
+    test_lemma_draws_match_recorded(monkeypatch)
+    for entry in RECORDED_FAILURES[::4]:
+        with monkeypatch.context() as patched:
+            test_lemma_failure_paths_match_recorded(patched, *entry)
 
 
 # ----- standalone checks -----------------------------------------------------------
