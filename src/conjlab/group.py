@@ -17,7 +17,9 @@ Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 which is what the cached per-generator index maps are built from.  One
 BFS over such maps, Group._spread, builds subgroup closures; conjugacy
 classes and quotient cosets come from _least_labels, which names each
-orbit by its least index through whole-array pointer doubling.  Generating
+orbit by its least index through whole-array pointer doubling; a
+conjugation map inverts only its generator's row, and element orders are
+walked at class representatives and read off per class.  Generating
 sets come from one loop, Group._accumulate, that adjoins each candidate
 not yet in the closure, and orbits of index sets under conjugation
 (subgroup conjugates, Sylow centers) from Group._conjugate_sets.  Two
@@ -28,12 +30,12 @@ Elements are found through a base (Sims): the points B at which the
 stabilizer chain of 0, 1, 2, ... shrinks, read off the same walk that finds
 the sort prefix, so that only the identity fixes all of them.  Two members
 that agree on B are then equal, so a member is named by its base images alone.
-Each row gets an exact int64 key built from its images of B; the keys are
-kept sorted and looked up with ``np.searchsorted``.  A product of members,
-such as ``s_row[rows[:, B]]`` for a right-multiplication map, is therefore
-found from |B| columns instead of ``degree``.  That shortcut is exact only
-because every table is closed under multiplication, so each such product is
-a member: group_from_generators, direct_product and quotient build closed
+Each row gets an exact int64 key built from its images of B; the sorted
+table is already in key order, and keys are found with ``np.searchsorted``.
+A product of members, such as ``s_row[rows[:, B]]`` for a right-multiplication
+map, is found from |B| columns instead of ``degree``.  That shortcut is exact
+only because every table is closed under multiplication, so each such product
+is a member: group_from_generators, direct_product and quotient build closed
 tables, and Subgroup.as_group validates its element set first.  Rows that
 come from outside (index_of, membership tests, the constructor's
 generators) are found by base images and then compared in full.
@@ -216,10 +218,10 @@ class Group:
             raise InvalidPermutation("identity missing from element table")
         self._base = base
         self._base_rows = self._rows[:, self._base].astype(np.int64)
-        self._key_plan, keys = _key_plan(self._base_rows, self.degree)
-        self._key_order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._key_order]
-        if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
+        # members agreeing before a point outside the base agree there too, so
+        # they first differ on the base and the prefix sort is key order
+        self._key_plan, self._sorted_keys = _key_plan(self._base_rows, self.degree)
+        if np.any(self._sorted_keys[1:] <= self._sorted_keys[:-1]):
             raise InvalidPermutation("element table has duplicate rows or is not a group")
         self._gen_idx = [self.index_of(g) for g in gen_rows]
         # lazy caches
@@ -284,7 +286,7 @@ class Group:
                 key = np.where(prefixes[rank] == key, rank, -1)
             key = key * self.degree + col
         pos = np.minimum(np.searchsorted(self._sorted_keys, key), self.order - 1)
-        return np.where(self._sorted_keys[pos] == key, self._key_order[pos], -1)
+        return np.where(self._sorted_keys[pos] == key, pos, -1)
 
     def _indices_of_images(self, images: np.ndarray) -> np.ndarray:
         """Indices of products of members, given by their base images."""
@@ -300,10 +302,11 @@ class Group:
 
     def inverse_indices(self) -> np.ndarray:
         if self._inv_idx is None:
-            # x^-1 sends b to the point x sends to b
+            # x^-1 sends b to the point x sends to b, one of column b's values
             images = np.empty_like(self._base_rows)
-            for j, b in enumerate(self._base):
-                images[:, j] = np.argmax(self._rows == b, axis=1)
+            for j, (b, col) in enumerate(zip(self._base, self._base_rows.T)):
+                lo, hi = int(col.min()), int(col.max())
+                images[:, j] = np.argmax(self._rows[:, lo : hi + 1] == b, axis=1) + lo
             self._inv_idx = self._indices_of_images(images)
         return self._inv_idx
 
@@ -320,20 +323,22 @@ class Group:
 
         x^m is the identity exactly when it fixes every base point, that is
         when m is a multiple of the length of each base point's cycle.
+        Conjugates have the same order, so only class representatives walk.
         """
         if self._orders is None:
-            orders = np.ones(self.order, dtype=np.int64)
-            for b, col in zip(self._base, self._base_rows.T):
+            reps = np.array([c.indices[0] for c in self.conjugacy_classes()], dtype=np.int64)
+            orders = np.ones(len(reps), dtype=np.int64)
+            for b, col in zip(self._base, self._base_rows[reps].T):
                 alive = np.flatnonzero(col != b)
                 pts = col[alive]
                 length = 1
                 while alive.size:
                     length += 1
-                    pts = self._rows[alive, pts]
+                    pts = self._rows[reps[alive], pts]
                     back = pts == b
                     orders[alive[back]] = np.lcm(orders[alive[back]], length)
                     alive, pts = alive[~back], pts[~back]
-            self._orders = orders
+            self._orders = orders[self._class_id]
         return self._orders
 
     def order_of_idx(self, i: int) -> int:
@@ -385,8 +390,8 @@ class Group:
         """Map i -> index of g^-1 * x_i * g, for all i at once."""
         cached = self._conj_cache.get(g)
         if cached is None:
-            ginv = self._rows[self.inv_idx(g)]
-            cached = self._indices_of_images(self._rows[g][self._rows[:, ginv[self._base]]])
+            ginv_base = np.argsort(self._rows[g])[self._base]
+            cached = self._indices_of_images(self._rows[g][self._rows[:, ginv_base]])
             _cache_put(self._conj_cache, g, cached)
         return cached
 
@@ -455,6 +460,7 @@ class Group:
     def conjugacy_classes(self) -> list["ConjugacyClass"]:
         """Classes ordered by (size, lexicographically least member)."""
         if self._classes is None:
+            # element_orders reads the classes, so the bound comes from the Perm
             cmaps = [(self._conj_map(g), self.element(g).order()) for g in self._gen_idx]
             least = _least_labels(self.order, cmaps)
             members = np.argsort(least, kind="stable")  # by class, ascending within
@@ -705,7 +711,8 @@ class Group:
                     queue.append(k)
 
         subs = [Subgroup(self, np.flatnonzero(mask), gens) for mask, gens, _ in entries.values()]
-        subs.sort(key=lambda s: (s.order, tuple(int(i) for i in s.indices)))
+        # equal orders give equal lengths, so big-endian bytes sort like tuples
+        subs.sort(key=lambda s: (s.order, s.indices.astype(">i8").tobytes()))
         self._normals = subs
         return list(subs)
 
@@ -795,7 +802,7 @@ class Group:
             below = []
         else:
             proper = [s for s in self.normal_subgroups(budget) if s.order < self.order]
-            m = min(proper, key=lambda s: (-s.order, tuple(int(i) for i in s.indices)))
+            m = min(proper, key=lambda s: (-s.order, s.indices.astype(">i8").tobytes()))
             if m.order == 1:
                 below = [Subgroup(self, np.array([0], dtype=np.int64), [])]
             else:
@@ -970,7 +977,8 @@ def group_from_generators(
     seen = dict.fromkeys(frontier)
     while frontier:
         fresh: list[bytes] = []
-        cur = np.frombuffer(b"".join(frontier), dtype=dtype).reshape(-1, degree)
+        # intp indices: numpy gathers with int16 ones about 3x slower
+        cur = np.frombuffer(b"".join(frontier), dtype=dtype).reshape(-1, degree).astype(np.intp)
         for g in gen_rows:
             prod = g[cur].tobytes()
             for pos in range(0, len(prod), width):
@@ -999,9 +1007,11 @@ def direct_product(a: Group, b: Group, cap: int | None = None, name: str | None 
             f"limit of {_CELL_LIMIT}"
         )
     dtype = _images_dtype(degree)
-    left = np.repeat(a._rows.astype(dtype), b.order, axis=0)
-    right = np.tile(b._rows.astype(dtype) + a.degree, (a.order, 1))
-    rows = np.hstack([left, right])
+    # row i * |b| + j is (x_i, y_j); cast b first, as the shift may pass its dtype
+    rows = np.empty((a.order, b.order, degree), dtype=dtype)
+    rows[:, :, : a.degree] = a._rows[:, None, :]
+    rows[:, :, a.degree :] = b._rows.astype(dtype) + a.degree
+    rows = rows.reshape(order, degree)
     gen_rows = []
     for g in a._gen_idx:
         row = np.concatenate(

@@ -18,6 +18,15 @@ from conjlab.theorem import STATUS_PASS, VERDICT_COUNTEREXAMPLE, verify_main_the
 
 BUILTIN = [s.name for s in builtin_corpus()]
 
+# the benchmark groups that are not builtin
+_BENCHMARK_SPECS = [
+    "symmetric:8",
+    "heisenberg:13",
+    "direct:symmetric:5+heisenberg:7",
+    "frobenius:101,100",
+    "dihedral:500",
+]
+
 
 def _fully_sorted(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
@@ -26,10 +35,12 @@ def _fully_sorted(rows: np.ndarray) -> np.ndarray:
 # ----- table order ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", BUILTIN)
+@pytest.mark.parametrize("spec", BUILTIN + _BENCHMARK_SPECS)
 def test_prefix_sort_matches_a_full_lexsort(spec):
     g = build(parse_spec(spec))
     assert np.array_equal(g._rows, _fully_sorted(g._rows))
+    # and is key order: each row's base images are found at its own index
+    assert np.array_equal(g._lookup(g._base_rows), np.arange(g.order))
 
 
 def test_prefix_sort_of_subgroup_and_quotient_tables():
@@ -50,12 +61,27 @@ def test_prefix_sort_of_a_shuffled_table():
     assert h._gen_idx == g._gen_idx
 
 
-@pytest.mark.parametrize("extra", [0, 5])
+@pytest.mark.parametrize("extra", [0, 5, 17])
 def test_duplicate_rows_are_refused(extra):
     # a second identity row is fixed by every point and still terminates
     g = build(parse_spec("symmetric:4"))
     with pytest.raises(InvalidPermutation, match="duplicate rows"):
         Group(np.vstack([g._rows, g._rows[extra : extra + 1]]), [], "dup")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # only the identity fixes 0, so the base is [0], and the last two rows agree there
+        [[0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 3, 2]],
+        # the base is [0, 2]; the last two rows first differ at 1, outside it,
+        # so the prefix sort puts their keys (1, 3) and (1, 0) out of order
+        [[0, 1, 2, 3], [0, 1, 3, 2], [1, 2, 3, 0], [1, 3, 0, 2]],
+    ],
+)
+def test_tables_that_are_not_groups_are_refused(rows):
+    with pytest.raises(InvalidPermutation, match="duplicate rows or is not a group"):
+        Group(np.array(rows, dtype=np.int16), [], "not a group")
 
 
 # ----- base ---------------------------------------------------------------------------
@@ -77,16 +103,6 @@ def _greedy_base(rows: np.ndarray) -> list[int]:
         base.append(b)
         stab = stab[rows[stab, b] == b]
     return base
-
-
-# the benchmark groups that are not builtin
-_BENCHMARK_SPECS = [
-    "symmetric:8",
-    "heisenberg:13",
-    "direct:symmetric:5+heisenberg:7",
-    "frobenius:101,100",
-    "dihedral:500",
-]
 
 
 @pytest.mark.parametrize("spec", BUILTIN + _BENCHMARK_SPECS)
@@ -166,6 +182,101 @@ def test_bytes_enumeration_matches_the_row_loop(monkeypatch, name):
         assert str(fast.value) == str(slow.value)
 
 
+def _stacked_product(a, b):
+    """The repeat/tile/hstack table that direct_product used to build."""
+    dtype = group_module._images_dtype(a.degree + b.degree)
+    left = np.repeat(a._rows.astype(dtype), b.order, axis=0)
+    right = np.tile(b._rows.astype(dtype) + a.degree, (a.order, 1))
+    return np.hstack([left, right])
+
+
+def _recorded_product(monkeypatch, a, b):
+    """direct_product(a, b) and the table it hands to the Group constructor."""
+    seen = []
+
+    class Recording(Group):
+        def __init__(self, rows, gen_rows, label):
+            seen.append(np.array(rows))
+            super().__init__(rows, gen_rows, label)
+
+    with monkeypatch.context() as m:
+        m.setattr(group_module, "Group", Recording)
+        g = group_module.direct_product(a, b, cap=a.order * b.order)
+    return g, seen[0]
+
+
+@pytest.mark.parametrize("spec", BUILTIN + _BENCHMARK_SPECS)
+def test_direct_product_matches_the_stacked_table(monkeypatch, spec):
+    # a direct: spec is checked on its own parts, any other spec times C2
+    parsed = parse_spec(spec)
+    parts = parsed.parts if parsed.kind == "direct" else (parsed, parse_spec("cyclic:2"))
+    g = build(parts[0])
+    for part in parts[1:]:
+        h = build(part)
+        ref = _stacked_product(g, h)
+        g, rows = _recorded_product(monkeypatch, g, h)
+        assert rows.dtype == ref.dtype
+        assert np.array_equal(rows, ref)
+        assert np.array_equal(g._rows, _fully_sorted(ref))
+
+
+def test_direct_product_past_the_int16_range():
+    # each part fits int16, the product's degree 33000 does not
+    a = group_from_generators(32000, [Perm.from_cycle_string("(0 1)", 32000)])
+    b = group_from_generators(1000, [Perm.from_cycle_string("(0 1 2)", 1000)])
+    assert a._rows.dtype == b._rows.dtype == np.int16
+    g = group_module.direct_product(a, b)
+    assert g.order == 6 and g._rows.dtype == np.int32
+    assert np.array_equal(g._rows, _fully_sorted(_stacked_product(a, b)))
+    assert set(g._rows[:, 32000:].ravel().tolist()) == set(range(32000, 33000))
+    assert [g.element(i).cycle_string() for i in g._gen_idx] == ["(0 1)", "(32000 32001 32002)"]
+
+
+# ----- inverses, conjugation maps and element orders ----------------------------------
+
+
+def _inverses_by_full_rows(g):
+    """The inverse table from an argmax over every column of every row."""
+    images = np.empty_like(g._base_rows)
+    for j, b in enumerate(g._base):
+        images[:, j] = np.argmax(g._rows == b, axis=1)
+    return g._indices_of_images(images)
+
+
+def _conj_map_by_inverse(g, x, inverses):
+    """Conjugation by x_x, with x^-1 read from the inverse table."""
+    xinv = g._rows[inverses[x]]
+    return g._indices_of_images(g._rows[x][g._rows[:, xinv[g._base]]])
+
+
+def _orders_by_walk(g):
+    """Every element's cycle lengths through the base, walked row by row."""
+    orders = np.ones(g.order, dtype=np.int64)
+    for b, col in zip(g._base, g._base_rows.T):
+        alive = np.flatnonzero(col != b)
+        pts = col[alive]
+        length = 1
+        while alive.size:
+            length += 1
+            pts = g._rows[alive, pts]
+            back = pts == b
+            orders[alive[back]] = np.lcm(orders[alive[back]], length)
+            alive, pts = alive[~back], pts[~back]
+    return orders
+
+
+@pytest.mark.parametrize("spec", BUILTIN + _BENCHMARK_SPECS)
+def test_inverses_conjugation_maps_and_orders_match_the_table_passes(spec):
+    g = build(parse_spec(spec))
+    inverses = _inverses_by_full_rows(g)
+    for x in g._gen_idx:
+        assert np.array_equal(g._conj_map(x), _conj_map_by_inverse(g, x, inverses))
+    assert g._inv_idx is None  # the classes never built the inverse table
+    assert np.array_equal(g.element_orders(), _orders_by_walk(g))
+    assert g._inv_idx is None
+    assert np.array_equal(g.inverse_indices(), inverses)
+
+
 # ----- conjugacy classes ------------------------------------------------------------
 
 
@@ -196,6 +307,30 @@ def test_classes_match_the_per_class_spread(spec):
         assert cls.indices.dtype == np.int64
         assert np.array_equal(cls.indices, idx)
         assert all(g.class_id_of_idx(int(i)) == cid for i in idx)
+
+
+# ----- subgroup sort keys -------------------------------------------------------------
+
+
+def test_big_endian_bytes_sort_index_arrays_like_tuples():
+    # the keys normal_subgroups and composition_series sort subgroups by
+    rng = np.random.default_rng(3)
+    for length in (1, 2, 5, 40):
+        for high in (4, 300, 70000, 2**40):
+            arrays = [np.sort(rng.choice(high, size=min(length, high), replace=False)) for _ in range(60)]
+            arrays += arrays[:5]  # ties
+            by_tuple = sorted(arrays, key=lambda a: tuple(int(i) for i in a))
+            by_bytes = sorted(arrays, key=lambda a: a.astype(">i8").tobytes())
+            assert [a.tolist() for a in by_bytes] == [a.tolist() for a in by_tuple]
+
+
+def test_normal_subgroups_and_series_follow_the_tuple_order():
+    g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
+    normals = g.normal_subgroups()
+    assert normals == sorted(normals, key=lambda s: (s.order, tuple(s.indices.tolist())))
+    proper = [s for s in normals if s.order < g.order]
+    top = min(proper, key=lambda s: (-s.order, tuple(s.indices.tolist())))
+    assert g.composition_series()[-2] == top
 
 
 # ----- random groups against the oracle ----------------------------------------------
