@@ -7,7 +7,7 @@ JSONL), and gamma (divisibility digraph of an integer set).
 Exit codes are a stable contract: 0 for success (including the
 HypothesisNotMet and VerifiedDecomposition verdicts), 2 for usage, parse,
 IO, cap, or budget errors and engine faults, 3 for a COUNTEREXAMPLE verdict.
-A scan records a group's cap or budget error and goes on.  Once it has
+A scan records a group's cap, budget or memory error and goes on.  Once it has
 written every record it exits 2 if any of them holds an engine fault, else
 3 if any holds a COUNTEREXAMPLE verdict.
 
@@ -264,7 +264,7 @@ def _scan_one(task: tuple) -> str:
         )
         report.timings = {}
         rec = ScanRecord(spec=spec_name, report=report, timestamp=_CANON_TIMESTAMP)
-    except ConjlabError as exc:
+    except (ConjlabError, MemoryError) as exc:
         rec = ScanRecord(
             spec=spec_name,
             report=None,
@@ -300,10 +300,12 @@ def cmd_scan(args) -> int:
         )
         for name in spec_names
     ]
-    if args.jobs == 1:
+    # the pool starts all its workers at once, so it gets no more than tasks
+    workers = min(args.jobs, len(tasks))
+    if workers == 1:
         lines = [_scan_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             lines = list(pool.map(_scan_one, tasks))
     lines.sort(key=lambda line: json.loads(line)["spec"])
     records = [json.loads(line) for line in lines]
@@ -376,11 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ConjlabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ConjlabError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return EXIT_ERROR
 
 

@@ -16,8 +16,9 @@ Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 ``mult(x, s)`` for every row x at once is the fancy index ``s_row[rows]``,
 which is what the cached per-generator index maps are built from.  One
 BFS over such maps, Group._spread, builds subgroup closures; conjugacy
-classes and quotient cosets come from _least_labels, which names each
-orbit by its least index through whole-array pointer doubling; a
+classes, cosets and the classes of a quotient come from coset_labels,
+which names each orbit by its least index through whole-array pointer
+doubling (_least_labels); a
 conjugation map inverts only its generator's row, and element orders are
 walked at class representatives and read off per class.  Generating
 sets come from one loop, Group._accumulate, that adjoins each candidate
@@ -77,7 +78,7 @@ CAP_ENV_VAR = "CONJLAB_CAP"
 _CELL_LIMIT = 50_000_000
 
 # cap, in bytes, on each of a group's caches: right-multiplication maps,
-# conjugation maps, centralizer masks and quotients, each bounded separately
+# conjugation maps, centralizer masks and coset labels, each bounded separately
 _MAP_CACHE_BYTES = 192_000_000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -232,7 +233,7 @@ class Group:
         self._rmul_cache: _Cache = _Cache()
         self._conj_cache: _Cache = _Cache()
         self._centralizer_cache: _Cache = _Cache()
-        self._quotient_cache: _Cache = _Cache()  # kernel index bytes -> QuotientMap
+        self._quotient_cache: _Cache = _Cache()  # kernel index bytes -> coset labels
         self._normals: list[Subgroup] | None = None
         self._series: list[Subgroup] | None = None
 
@@ -460,9 +461,8 @@ class Group:
     def conjugacy_classes(self) -> list["ConjugacyClass"]:
         """Classes ordered by (size, lexicographically least member)."""
         if self._classes is None:
-            # element_orders reads the classes, so the bound comes from the Perm
-            cmaps = [(self._conj_map(g), self.element(g).order()) for g in self._gen_idx]
-            least = _least_labels(self.order, cmaps)
+            trivial = Subgroup(self, np.zeros(1, dtype=np.int64), [])
+            least = self.coset_labels(trivial, self._gen_idx)
             members = np.argsort(least, kind="stable")  # by class, ascending within
             reps, starts, sizes = np.unique(least[members], return_index=True, return_counts=True)
             rank = np.lexsort((reps, sizes))
@@ -727,22 +727,37 @@ class Group:
         _, mask = self._accumulate(np.flatnonzero(pprime))
         return int(mask.sum()) == target
 
-    # ----- quotients ---------------------------------------------------------
+    # ----- cosets and quotients ---------------------------------------------
+
+    def coset_labels(self, k: "Subgroup", actors: Sequence[int] = ()) -> np.ndarray:
+        """Least member of each member's orbit under x -> x*s, s a generator
+        of k, and x -> a^-1 * x * a, a an actor.
+
+        With no actors, two members share a label iff they share a coset xK.
+        With actors that generate a group H normalizing k, the orbit of x is
+        the union of the cosets in the class of xK in H/K, so the count of a
+        label over |K| is that class size.  The no-actor labels are computed
+        once per kernel.  The array is read-only.
+        """
+        key = k.indices.tobytes()
+        least = None if actors else self._quotient_cache.get(key)
+        if least is None:
+            # element_orders reads the classes, so the bounds come from the Perms
+            maps = [(self._rmul_map(s), self.element(s).order()) for s in k.ensure_gens()]
+            maps += [(self._conj_map(a), self.element(a).order()) for a in actors]
+            least = _least_labels(self.order, maps)
+            least.flags.writeable = False
+            if not actors:
+                _cache_put(self._quotient_cache, key, least)
+        return least
 
     def quotient(self, k: "Subgroup") -> tuple["Group", "QuotientMap"]:
         """Coset-action quotient and the projection map.
 
         The quotient acts on the left cosets of k, numbered by least member;
-        generators project to the coset permutations they induce.  Each
-        kernel's quotient is built, and k checked, once; later calls return
-        the same pair.
+        generators project to the coset permutations they induce.  Each call
+        checks k and builds a new quotient group.
         """
-        if k.parent is not self:
-            raise NotASubgroup("subgroup belongs to a different group")
-        key = k.indices.tobytes()
-        cached = self._quotient_cache.get(key)
-        if cached is not None:
-            return cached.quotient, cached
         self._validate_subgroup(k)
         if not self.is_normal(k):
             raise NotNormal(f"subgroup of order {k.order} is not normal in {self.name}")
@@ -751,10 +766,7 @@ class Group:
             raise CapExceeded(
                 f"coset action table for index {q_order} would exceed the cell limit"
             )
-        # least member of each coset xK, its orbit under right multiplication
-        least = _least_labels(self.order, [(self._rmul_map(s), k.order) for s in k.ensure_gens()])
-        rep_arr = np.unique(least)
-        coset_id = np.searchsorted(rep_arr, least)
+        rep_arr, coset_id = np.unique(self.coset_labels(k), return_inverse=True)
         rep_base = self._base_rows[rep_arr]
         qgens = [
             Perm(coset_id[self._indices_of_images(self._rows[g][rep_base])])
@@ -765,9 +777,7 @@ class Group:
         )
         if q.order != q_order:
             raise NotNormal("coset action has wrong order; subgroup not normal")
-        qmap = QuotientMap(self, k, q, coset_id, rep_arr)
-        _cache_put(self._quotient_cache, key, qmap)
-        return q, qmap
+        return q, QuotientMap(self, k, q, coset_id, rep_arr)
 
     # ----- composition factors --------------------------------------------------
 
@@ -896,25 +906,14 @@ class Subgroup:
 class QuotientMap:
     """Projection G -> G/K for the coset-action quotient."""
 
-    def __init__(
-        self,
-        parent: Group,
-        kernel: Subgroup,
-        quotient: Group,
-        coset_id: np.ndarray,
-        coset_reps: np.ndarray,
-    ):
+    def __init__(self, parent: Group, kernel: Subgroup, quotient: Group,
+                 coset_id: np.ndarray, coset_reps: np.ndarray):
         self.parent = parent
         self.kernel = kernel
         self.quotient = quotient
         self.coset_id = coset_id
         self.coset_reps = coset_reps
         self._coset_elem: np.ndarray | None = None
-        self._projection: np.ndarray | None = None
-        # what the parent's quotient cache charges: the quotient's element
-        # table and the coset arrays, with _coset_elem (one entry per coset)
-        # and projection (one per member) charged before they exist
-        self.nbytes = quotient._rows.nbytes + 2 * coset_id.nbytes + 2 * coset_reps.nbytes
 
     def _coset_to_element(self) -> np.ndarray:
         # The projection factors through cosets; tabulate coset -> quotient
@@ -932,14 +931,6 @@ class QuotientMap:
 
     def image_idx(self, i: int) -> int:
         return int(self._coset_to_element()[self.coset_id[i]])
-
-    @property
-    def projection(self) -> np.ndarray:
-        """Read-only array of the quotient index of every member's image."""
-        if self._projection is None:
-            self._projection = self._coset_to_element()[self.coset_id]
-            self._projection.flags.writeable = False
-        return self._projection
 
 
 # ----- module-level constructors -------------------------------------------------

@@ -24,23 +24,27 @@ check_noncentral_misses_class reuses its lemma's predicate.  The
 coprime-action splitting check has its own witness type since it
 quantifies over group actions rather than a single group.
 
-Each centralizer mask, quotient and composition series is computed once
-per group: Group memoises centralizer_mask_idx per element, quotient per
-kernel and composition_series, and QuotientMap.projection maps every
-member to its image at once.  These memos sit below the functions a test may patch to
-break a fact, and never in a lemma body.  The mask memo is inside
+Each centralizer mask, coset labelling and composition series is computed
+once per group: Group memoises centralizer_mask_idx per element, the
+no-actor coset_labels per kernel and composition_series.  No lemma builds a
+quotient group.  G/K is read through Group.coset_labels: with no actors the
+labels name the cosets xK, and with G's generators as actors a label's
+count over |K| is the class size of xK in G/K, kept per kernel by the lemma
+that reads it, for one run.  These memos sit below the functions a test may
+patch to break a fact, and never in a lemma body.  The mask memo is inside
 Group.centralizer_mask_idx, so a patch that wraps that method sees every
-call.  _misses_a_class reads its masks at class representatives inside
-the function itself, so a patch of _misses_a_class replaces the whole
-predicate.  class_size_divisibility reads |x^K| and the image's class size
+call.  _misses_a_class reads its masks at class representatives inside the
+function itself, so a patch of _misses_a_class replaces the whole
+predicate.  class_size_divisibility reads |x^K| and the class size of xK
 from (kernel, class) tables (_ClassDivisors), which hold because both are
 class functions of x, and series_class_divisibility reads the factor class
-size at each position of a series step from one array per step.  The two
-quotient-centralizer lemmas get no such table, though their predicates are
-class functions as well.  They read the mask of the element in each case,
-not of its class representative, so they also check centralizer_mask_idx
-at elements that no other lemma reads; with the projection, each such case
-is a few whole-array operations.
+size at each position of a series step from one labelling per step, with
+the step's top as actors.  The two quotient-centralizer lemmas get no such
+table, though their predicates are class functions as well.  They read the
+mask of the element in each case, not of its class representative, so they
+also check centralizer_mask_idx at elements that no other lemma reads;
+C(xK) is decided coset by coset, with one lookup of y^-1 x y for each coset
+yK that C(x) meets.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -479,15 +483,21 @@ def _degenerate(g: Group, normals: Sequence[Subgroup], cases: np.ndarray) -> np.
     return (korders == 1) | (korders == g.order) | (cases[:, 1] == 0)
 
 
+def _class_sizes_over(g: Group, k: Subgroup, actors: Sequence[int]) -> np.ndarray:
+    """Per member x: the class size of xK in H/K, H = <actors>, K = k normal in H."""
+    labels = g.coset_labels(k, actors)
+    return np.bincount(labels, minlength=g.order)[labels] // k.order
+
+
 class _ClassDivisors:
     """Per (k, x): |x^K| and the class size of xK in G/K divide |x^G|, K = normals[k].
 
     Both divisors are class functions of x, so they are read from (kernel,
     class) tables, filled for the pairs the cases reach and 0 elsewhere:
     in_kernel holds |K| / |C_K(rep)| at each class representative, and
-    in_quotient, filled a kernel at a time, the quotient's class size at
-    each representative's image.  A kernel's quotient is built only once one
-    of its cases passes the |x^K| test, in the order such cases come.
+    in_quotient, filled a kernel at a time, the class size of rep K in G/K.
+    A kernel's row is filled only once one of its cases passes the |x^K|
+    test, in the order such cases come.
     """
 
     def __init__(self, g: Group, normals: Sequence[Subgroup]):
@@ -511,9 +521,7 @@ class _ClassDivisors:
         _, first = np.unique(passed, return_index=True)
         for kk in passed[np.sort(first)].tolist():
             if self.in_quotient[kk, 0] == 0:
-                q, qmap = g.quotient(self.normals[kk])
-                images = qmap.projection[self.reps].tolist()
-                self.in_quotient[kk] = [q.class_size_of_idx(i) for i in images]
+                self.in_quotient[kk] = _class_sizes_over(g, self.normals[kk], g._gen_idx)[self.reps]
         ok[ok] = sizes[x[ok]] % self.in_quotient[passed, c[ok]] == 0
         out[live] = ok
         return out
@@ -537,14 +545,10 @@ def _lemma_class_size_divisibility(g, rng, samples, nbudget) -> LemmaResult:
 def _factor_class_sizes(g: Group, series: Sequence[Subgroup]) -> list[np.ndarray]:
     """Per step low < high of the series: the class size in high/low of each
     member's image, by position in high."""
-    out = []
-    for low, high in zip(series, series[1:]):
-        mg = g if high.order == g.order else high.as_group()
-        low_pos = np.searchsorted(high.indices, low.indices)
-        factor, qmap = mg.quotient(Subgroup(mg, low_pos))
-        factor_sizes = [factor.class_size_of_idx(i) for i in range(factor.order)]
-        out.append(np.array(factor_sizes, dtype=np.int64)[qmap.projection])
-    return out
+    return [
+        _class_sizes_over(g, low, high.ensure_gens())[high.indices]
+        for low, high in zip(series, series[1:])
+    ]
 
 
 def _lemma_series_class_divisibility(g, rng, samples, nbudget) -> LemmaResult:
@@ -606,34 +610,46 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
     )
 
 
+# base-image cells one lookup of conjugates holds, unless one case needs more
+_LOOKUP_CELLS = 1 << 20
+
+
 def _quotient_centralizers(
     g: Group, normals: Sequence[Subgroup], subset_only: bool
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Per (k, x): the image of C(x) in G/K lies in C(xK), and with subset_only
     false equals it, K = normals[k].
 
-    With image the projection of C(x)'s members and target C(xK)'s mask,
-    image lies in C(xK) iff target holds at all of it, and equals C(xK) iff
-    marking it in a mask of G/K gives target.  Each case reads the mask of
-    its own x, not of x's class representative.
+    yK centralizes xK iff y^-1 x y lies in xK, for every member y of yK or
+    for none, so it is tested at the label of each coset that C(x) meets.
+    The image, a subset of C(xK), is all of it iff it has |G/K| / |xK^(G/K)|
+    cosets.  Each case reads the mask of its own x, not of x's class
+    representative.
     """
+    in_quotient: dict = {}  # kernel -> class size of xK in G/K per member x
 
     def holds(cases: np.ndarray) -> np.ndarray:
         out = np.ones(len(cases), dtype=bool)  # degenerate: an isomorphism or a point
-        maps: dict = {}  # quotients asked for in this batch, in case order
-        for row in np.flatnonzero(~_degenerate(g, normals, cases)).tolist():
-            k, x = cases[row].tolist()
-            if k not in maps:
-                maps[k] = g.quotient(normals[k])
-            q, qmap = maps[k]
-            image = qmap.projection[g.centralizer_mask_idx(x)]
-            target = q.centralizer_mask_idx(int(qmap.projection[x]))
-            if subset_only:
-                out[row] = target[image].all()
-            else:
-                marked = np.zeros(q.order, dtype=bool)
-                marked[image] = True
-                out[row] = np.array_equal(marked, target)
+        live = np.flatnonzero(~_degenerate(g, normals, cases))
+        for k in np.unique(cases[live, 0]).tolist():
+            rows, labels = live[cases[live, 0] == k], g.coset_labels(normals[k])
+            step = max(1, _LOOKUP_CELLS * normals[k].order // (g.order * len(g._base)))
+            for chunk in np.split(rows, range(step, len(rows), step)):
+                met = [
+                    np.flatnonzero(np.bincount(labels[g.centralizer_mask_idx(x)], minlength=g.order))
+                    for x in cases[chunk, 1].tolist()
+                ]
+                counts = np.array([len(ys) for ys in met], dtype=np.int64)
+                owner, y = np.repeat(chunk, counts), np.concatenate(met)
+                x = cases[owner, 1]
+                # y^-1 x y sends b to y(x(y^-1(b)))
+                images = g._rows[y[:, None], g._rows[x[:, None], g._base_rows[g.inverse_indices()[y]]]]
+                out[owner[labels[g._indices_of_images(images)] != labels[x]]] = False
+                if not subset_only:
+                    if k not in in_quotient:
+                        in_quotient[k] = _class_sizes_over(g, normals[k], g._gen_idx)
+                    sizes = in_quotient[k][cases[chunk, 1]]
+                    out[chunk] &= counts * sizes * normals[k].order == g.order
         return out
 
     return holds
@@ -840,9 +856,7 @@ def coprime_action_witness(
     if not base.is_abelian():
         raise NotAbelian(f"{name}: base group is not abelian")
     n = base.order
-    mult = np.empty((n, n), dtype=np.int64)
-    for j in range(n):
-        mult[:, j] = base._rmul_map(j)
+    mult = np.column_stack([base._rmul_map(j) for j in range(n)])
     arows = []
     for a in actor_gens:
         if a.degree != n:
@@ -884,15 +898,9 @@ def check_coprime_action_split(w: CoprimeActionWitness) -> bool:
 
 def _cyclic_product(moduli: Sequence[int], name: str) -> Group:
     degree = sum(moduli)
-    gens = []
-    start = 0
-    for m in moduli:
-        gens.append(Perm.from_cycles([tuple(range(start, start + m))], degree))
-        start += m
-    order = 1
-    for m in moduli:
-        order *= m
-    return group_from_generators(degree, gens, cap=order + 1, name=name)
+    starts = itertools.accumulate(moduli, initial=0)
+    gens = [Perm.from_cycles([tuple(range(s, s + m))], degree) for s, m in zip(starts, moduli)]
+    return group_from_generators(degree, gens, cap=prod(moduli) + 1, name=name)
 
 
 def _matrix_witness(name: str, moduli: Sequence[int], matrices: Sequence) -> CoprimeActionWitness:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conjlab import corpus, theorem
+from conjlab import cli, corpus, theorem
 from conjlab.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_OK, main
 from conjlab.corpus import build, parse_spec
 from conjlab.group import ConjugacyClass, Group
@@ -240,6 +240,59 @@ def test_scan_records_per_group_errors(tmp_path, capsys):
     bad = next(r for r in records if r["spec"].endswith("c_big.grp"))
     assert bad["report"] is None and "CapExceeded" in bad["error"]
     assert "error=1" in out
+
+
+def test_scan_starts_no_more_workers_than_groups(tmp_path, capsys, monkeypatch):
+    # a stand-in pool records max_workers and maps in-process: no worker starts
+    made = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    corpus = write_dir_corpus(tmp_path)
+    outs = [run(capsys, "scan", "--corpus", str(corpus), "--jobs", jobs) for jobs in ("1", "2", "64")]
+    assert made == [2, 2]
+    assert outs[0] == outs[1] == outs[2] and outs[0][0] == EXIT_OK
+
+
+def _run_out_of_memory_on(monkeypatch, name):
+    real = cli.build
+
+    def build(spec, cap=None):
+        if spec.name.endswith(name):
+            raise MemoryError("Unable to allocate 40.0 GiB for an array")
+        return real(spec, cap=cap)
+
+    monkeypatch.setattr(cli, "build", build)
+
+
+def test_scan_records_a_memory_error_and_goes_on(tmp_path, capsys, monkeypatch):
+    _run_out_of_memory_on(monkeypatch, "b_dihedral.grp")
+    corpus = write_dir_corpus(tmp_path)
+    code, out, err = run(capsys, "scan", "--corpus", str(corpus), "--no-lemmas")
+    assert code == EXIT_OK and err == ""
+    first, second = [json.loads(line) for line in out.splitlines()]
+    assert first["report"]["verdict"] == "HypothesisNotMet"
+    assert second["report"] is None
+    assert second["error"] == "MemoryError: Unable to allocate 40.0 GiB for an array"
+
+
+def test_verify_memory_error_exits_two_without_traceback(capsys, monkeypatch):
+    _run_out_of_memory_on(monkeypatch, "symmetric:4")
+    code, out, err = run(capsys, "verify", "symmetric:4")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: Unable to allocate 40.0 GiB for an array\n"
 
 
 def _break_class_sizes(monkeypatch):

@@ -282,32 +282,28 @@ def _fill_masks(g, ref):
         yield (g._centralizer_cache,)
 
 
-def _fill_quotients(g, ref):
+def _fill_coset_labels(g, ref):
     pairs = list(zip(g.normal_subgroups(), ref.normal_subgroups()))
-    for k, ref_k in pairs + pairs:  # the second pass rebuilds evicted quotients
-        q, qmap = g.quotient(k)
-        ref_q, ref_map = ref.quotient(ref_k)
-        assert np.array_equal(q._rows, ref_q._rows)
-        assert np.array_equal(qmap.coset_id, ref_map.coset_id)
-        assert np.array_equal(qmap.projection, ref_map.projection)  # charged up front
+    for k, ref_k in pairs + pairs:  # the second pass relabels evicted kernels
+        labels = g.coset_labels(k)
+        assert np.array_equal(labels, ref.coset_labels(ref_k))
+        with pytest.raises(ValueError):
+            labels[0] = 1  # cached labels are shared, so they are read-only
         yield (g._quotient_cache,)
 
 
-def test_quotient_charge_equals_the_arrays_it_holds():
+def test_coset_labels_name_cosets_and_quotient_classes():
+    # against the quotient group: labels are least coset members, and with
+    # the generators as actors a label's count over |K| is a class size of G/K
     g = build(parse_spec("direct:symmetric:3+cyclic:3"))
     for k in g.normal_subgroups():
         q, qmap = g.quotient(k)
-        charged = qmap.nbytes
-        projection = qmap.projection
-        held = [q._rows, qmap.coset_id, qmap.coset_reps, qmap._coset_elem, projection]
-        assert charged == qmap.nbytes == sum(a.nbytes for a in held)
-        assert projection.tolist() == [qmap.image_idx(i) for i in range(g.order)]
-        assert not projection.flags.writeable
-
-
-def _two_largest_quotients(ref):
-    sizes = sorted(ref.quotient(k)[1].nbytes for k in ref.normal_subgroups())
-    return sum(sizes[-2:])
+        labels = g.coset_labels(k)
+        assert np.array_equal(labels, qmap.coset_reps[qmap.coset_id])
+        classes = g.coset_labels(k, g._gen_idx)
+        sizes = np.bincount(classes, minlength=g.order)[classes] // k.order
+        assert sizes.tolist() == [q.class_size_of_idx(qmap.image_idx(i)) for i in range(g.order)]
+        assert not classes.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -315,9 +311,9 @@ def _two_largest_quotients(ref):
     [
         (_fill_maps, lambda ref: 3 * 8 * ref.order, 3),  # three int64 maps
         (_fill_masks, lambda ref: 3 * ref.order, 3),  # three boolean masks
-        (_fill_quotients, _two_largest_quotients, 3),  # of the four quotients
+        (_fill_coset_labels, lambda ref: 3 * 8 * ref.order, 3),  # of four kernels
     ],
-    ids=["maps", "centralizer-masks", "quotients"],
+    ids=["maps", "centralizer-masks", "coset-labels"],
 )
 def test_map_caches_stay_under_the_byte_cap(monkeypatch, fill, room, kept):
     ref = build(parse_spec("symmetric:4"))

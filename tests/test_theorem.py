@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import oracle
-from conjlab import group as group_module
 from conjlab import theorem
 from conjlab.corpus import build, parse_spec
 from conjlab.errors import BudgetExceeded, NotAbelian, NotCoprime
@@ -259,6 +258,16 @@ def _drop_own_bit(original):
     return patched
 
 
+def _label_by_next_coset(original):
+    # each coset's label names a member of the coset y*s, s the first generator,
+    # not of yK itself; the class labels, with actors, stay right
+    def patched(self, k, actors=()):
+        labels = original(self, k, actors)
+        return labels if actors else self._rmul_map(self._gen_idx[0])[labels]
+
+    return patched
+
+
 # each patch breaks one fact the lemmas rely on, so their failure paths run
 FAILURE_PATCHES = {
     "has_normal_p_complement": (Group, lambda original: lambda self, p: False),
@@ -278,10 +287,13 @@ FAILURE_PATCHES = {
         lambda original: lambda self, p: Subgroup(self, np.arange(self.order)),
     ),
     "centralizer_mask_idx": (Group, _drop_own_bit),
+    "coset_labels": (Group, _label_by_next_coset),
 }
 
 # full LemmaResults under each patch, recorded before the lemma checks
-# shared one checker
+# shared one checker; the quotient-centralizer rows under centralizer_mask_idx
+# and the coset_labels rows were recorded once those lemmas read G/K through
+# coset labels, where dropping x from C(x) no longer reaches C(xK)
 RECORDED_FAILURES = [
     ("has_normal_p_complement", ORDER_540, 20, "normal_p_complement", ("fail", 1, "exhaustive", "violations: p=3")),
     ("has_normal_p_complement", ORDER_540, 10000, "normal_p_complement", ("fail", 1, "exhaustive", "violations: p=3")),
@@ -312,19 +324,27 @@ RECORDED_FAILURES = [
     ("centralizer_mask_idx", ORDER_540, 20, "coprime_centralizer_product", ("fail", 20, "sampled", "violations: x#108,y#2, x#19,y#486, x#8,y#243, x#26,y#27")),
     ("centralizer_mask_idx", ORDER_540, 20, "split_sylow_centralizer", ("pass", 20, "sampled", "")),
     ("centralizer_mask_idx", ORDER_540, 20, "coprime_quotient_centralizer", ("pass", 0, "sampled", "")),
-    ("centralizer_mask_idx", ORDER_540, 20, "centralizer_image_in_quotient", ("fail", 20, "sampled", "violations: K#15,x#266, K#5,x#367, K#18,x#19, K#19,x#136, K#8,x#312")),
+    ("centralizer_mask_idx", ORDER_540, 20, "centralizer_image_in_quotient", ("pass", 20, "sampled", "")),
     ("centralizer_mask_idx", ORDER_540, 10000, "coprime_centralizer_product", ("fail", 887, "exhaustive", "violations: x#1,y#27, x#1,y#54, x#1,y#81, x#1,y#108, x#1,y#135")),
     ("centralizer_mask_idx", ORDER_540, 10000, "split_sylow_centralizer", ("pass", 32, "exhaustive", "")),
-    ("centralizer_mask_idx", ORDER_540, 10000, "coprime_quotient_centralizer", ("fail", 187, "exhaustive", "violations: K#1,x#135, K#1,x#27, K#1,x#54, K#1,x#81, K#2,x#1")),
-    ("centralizer_mask_idx", ORDER_540, 10000, "centralizer_image_in_quotient", ("fail", 1540, "exhaustive", "violations: K#1,x#1, K#1,x#2, K#1,x#3, K#1,x#6, K#1,x#9")),
+    ("centralizer_mask_idx", ORDER_540, 10000, "coprime_quotient_centralizer", ("fail", 187, "exhaustive", "violations: K#2,x#27, K#2,x#28, K#2,x#29, K#2,x#54, K#2,x#55")),
+    ("centralizer_mask_idx", ORDER_540, 10000, "centralizer_image_in_quotient", ("pass", 1540, "exhaustive", "")),
     ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "coprime_centralizer_product", ("fail", 20, "sampled", "violations: x#2,y#15, x#1,y#6, x#6,y#1")),
     ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "split_sylow_centralizer", ("fail", 18, "exhaustive", "violations: a#1,b#9, a#1,b#12, a#2,b#9, a#2,b#12")),
-    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "coprime_quotient_centralizer", ("fail", 5, "sampled", "violations: K#4,x#6")),
-    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "centralizer_image_in_quotient", ("fail", 20, "sampled", "violations: K#3,x#8, K#1,x#17, K#4,x#4, K#2,x#9, K#2,x#11")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "coprime_quotient_centralizer", ("fail", 5, "sampled", "violations: K#2,x#6")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 20, "centralizer_image_in_quotient", ("pass", 20, "sampled", "")),
     ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "coprime_centralizer_product", ("fail", 33, "exhaustive", "violations: x#1,y#3, x#1,y#6, x#1,y#15, x#2,y#3, x#2,y#6")),
     ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "split_sylow_centralizer", ("fail", 18, "exhaustive", "violations: a#1,b#9, a#1,b#12, a#2,b#9, a#2,b#12")),
-    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "coprime_quotient_centralizer", ("fail", 17, "exhaustive", "violations: K#1,x#3, K#4,x#3")),
-    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "centralizer_image_in_quotient", ("fail", 54, "exhaustive", "violations: K#1,x#1, K#1,x#2, K#1,x#9, K#1,x#10, K#1,x#11")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "coprime_quotient_centralizer", ("fail", 17, "exhaustive", "violations: K#2,x#3")),
+    ("centralizer_mask_idx", "direct:symmetric:3+cyclic:3", 10000, "centralizer_image_in_quotient", ("pass", 54, "exhaustive", "")),
+    ("coset_labels", "symmetric:4", 20, "coprime_quotient_centralizer", ("fail", 9, "exhaustive", "violations: K#1,x#3")),
+    ("coset_labels", "symmetric:4", 20, "centralizer_image_in_quotient", ("fail", 20, "exhaustive", "violations: K#1,x#9, K#1,x#3")),
+    ("coset_labels", "symmetric:4", 10000, "coprime_quotient_centralizer", ("fail", 9, "exhaustive", "violations: K#1,x#3")),
+    ("coset_labels", "symmetric:4", 10000, "centralizer_image_in_quotient", ("fail", 20, "exhaustive", "violations: K#1,x#9, K#1,x#3")),
+    ("coset_labels", "direct:symmetric:4+cyclic:5", 20, "coprime_quotient_centralizer", ("fail", 6, "sampled", "violations: K#2,x#105, K#2,x#115")),
+    ("coset_labels", "direct:symmetric:4+cyclic:5", 20, "centralizer_image_in_quotient", ("fail", 20, "sampled", "violations: K#4,x#43, K#2,x#95, K#2,x#77, K#1,x#72, K#2,x#119")),
+    ("coset_labels", "direct:symmetric:4+cyclic:5", 10000, "coprime_quotient_centralizer", ("fail", 54, "exhaustive", "violations: K#1,x#15, K#1,x#16, K#1,x#17, K#1,x#18, K#1,x#19")),
+    ("coset_labels", "direct:symmetric:4+cyclic:5", 10000, "centralizer_image_in_quotient", ("fail", 200, "exhaustive", "violations: K#1,x#45, K#1,x#46, K#1,x#47, K#1,x#48, K#1,x#49")),
 ]
 
 
@@ -336,40 +356,28 @@ def test_lemma_failure_paths_match_recorded(monkeypatch, patch, spec, budget, na
     assert result[name] == LemmaResult(*expected)
 
 
-# ----- one computation per centralizer and quotient ------------------------------
+# ----- no quotient group, one computation per centralizer ----------------------
 
 
-def test_lemma_suite_builds_each_quotient_and_mask_once(monkeypatch):
-    # at the default budget the suite asks for each quotient and mask many
-    # times; every ask after the first must return the object built first
-    builds, groups = [], []
-    first_quotient, first_mask = {}, {}
-    build_map = group_module.QuotientMap.__init__
-    quotient, mask = Group.quotient, Group.centralizer_mask_idx
-
-    def counting_init(self, parent, kernel, *rest):
-        builds.append((id(parent), kernel.indices.tobytes()))
-        build_map(self, parent, kernel, *rest)
-
-    def same_quotient(self, k):
-        groups.append(self)  # keeps ids from being reused
-        got = quotient(self, k)
-        assert first_quotient.setdefault((id(self), k.indices.tobytes()), got[1]) is got[1]
-        return got
+def test_lemma_suite_builds_no_quotient_and_each_mask_once(monkeypatch):
+    # the lemmas read G/K through coset labels; at the default budget the
+    # suite asks for each mask many times, and every ask after the first must
+    # return the array built first
+    quotients, groups, first_mask = [], [], {}
+    mask = Group.centralizer_mask_idx
 
     def same_mask(self, i):
-        groups.append(self)
+        groups.append(self)  # keeps ids from being reused
         got = mask(self, i)
         assert first_mask.setdefault((id(self), i), got) is got
         return got
 
-    monkeypatch.setattr(group_module.QuotientMap, "__init__", counting_init)
-    monkeypatch.setattr(Group, "quotient", same_quotient)
+    monkeypatch.setattr(Group, "quotient", lambda self, k: quotients.append(k))
     monkeypatch.setattr(Group, "centralizer_mask_idx", same_mask)
-    run_lemma_suite(build(parse_spec(ORDER_540)), seed=0, sample_budget=10000)
-    # before quotients were cached per kernel, the suite built 73 for these 31
-    assert len(builds) == len(set(builds)) == len(first_quotient) == 31
-    assert len(groups) > len(first_quotient) + len(first_mask)  # asks were repeated
+    results = run_lemma_suite(build(parse_spec(ORDER_540)), seed=0, sample_budget=10000)
+    assert all(r.status == "pass" for r in results.values())
+    assert quotients == []
+    assert len(groups) > len(first_mask)  # asks were repeated
 
 
 # ----- batched predicates against the scalar references ---------------------------
@@ -393,14 +401,19 @@ def _degenerate(g, sub, x):
     return sub.order == 1 or sub.order == g.order or x == 0
 
 
-def _class_size_divides_ref(g, normals, sizes, k, x):
+def _quotients(g, normals):
+    # Group.quotient keeps nothing, so each reference builds its quotients once
+    return {k: g.quotient(sub) for k, sub in enumerate(normals) if 1 < sub.order < g.order}
+
+
+def _class_size_divides_ref(g, normals, quotients, sizes, k, x):
     # both divisors read at x itself, not at its class representative
     sub = normals[k]
     if _degenerate(g, sub, x):
         return True
     if sizes[x] % centralizer_index(g, sub, x) != 0:
         return False
-    q, qmap = g.quotient(sub)
+    q, qmap = quotients[k]
     return sizes[x] % q.class_size_of_idx(qmap.image_idx(x)) == 0
 
 
@@ -420,15 +433,19 @@ def _split_by_masks(g, x, y):
     return bool(np.array_equal(cxy, g.centralizer_mask_idx(x) & g.centralizer_mask_idx(y)))
 
 
-def _quotient_centralizer_ref(g, normals, k, x, subset_only):
-    # sorted quotient indices of the image of C(x) against those of C(xK)
+_UNPATCHED_MASK = Group.centralizer_mask_idx
+
+
+def _quotient_centralizer_ref(g, normals, quotients, k, x, subset_only):
+    # sorted quotient indices of the image of C(x) against those of C(xK);
+    # C(xK) comes from the quotient group's own mask, never patched
     sub = normals[k]
     if _degenerate(g, sub, x):
         return True
-    q, qmap = g.quotient(sub)
+    q, qmap = quotients[k]
     cosets = np.unique(qmap.coset_id[np.flatnonzero(g.centralizer_mask_idx(x))])
     image = np.unique(qmap._coset_to_element()[cosets])
-    target = np.flatnonzero(q.centralizer_mask_idx(qmap.image_idx(x)))
+    target = np.flatnonzero(_UNPATCHED_MASK(q, qmap.image_idx(x)))
     if subset_only:
         return np.setdiff1d(image, target).size == 0
     return bool(np.array_equal(image, target))
@@ -467,8 +484,10 @@ def test_batched_class_divisibility_matches_scalar(monkeypatch, spec, masks_patc
     g = build(parse_spec(spec))
     normals = g.normal_subgroups()
     cases = _every_kx(g, normals)
+    quotients = _quotients(g, normals)
     want = [
-        _outcome(_class_size_divides_ref, g, normals, shifted(g), k, x) for k, x in cases.tolist()
+        _outcome(_class_size_divides_ref, g, normals, quotients, shifted(g), k, x)
+        for k, x in cases.tolist()
     ]
     if any(isinstance(w, tuple) for w in want):
         # a case whose divisor raises must raise the same error, one case at a time
@@ -501,7 +520,11 @@ def test_batched_quotient_centralizers_match_scalar(spec, masks_patched, subset_
     normals = g.normal_subgroups()
     cases = _every_kx(g, normals)
     got = theorem._quotient_centralizers(g, normals, subset_only)(cases)
-    want = [_quotient_centralizer_ref(g, normals, k, x, subset_only) for k, x in cases.tolist()]
+    quotients = _quotients(g, normals)
+    want = [
+        _quotient_centralizer_ref(g, normals, quotients, k, x, subset_only)
+        for k, x in cases.tolist()
+    ]
     assert got.tolist() == want
 
 
@@ -576,8 +599,10 @@ def test_count_predicate_matches_three_masks():
 
 
 def test_chunk_edges_move_no_result_and_no_draw(monkeypatch):
-    # a small prime chunk puts chunk edges inside every lemma's cases
+    # a small prime chunk puts chunk edges inside every lemma's cases, and a
+    # one-cell lookup gives each quotient-centralizer case its own lookup
     monkeypatch.setattr(theorem, "_CHUNK", 7)
+    monkeypatch.setattr(theorem, "_LOOKUP_CELLS", 1)
     for (spec, budget), digest in RECORDED_SUITES.items():
         test_lemma_suite_matches_recorded(spec, budget)
     test_lemma_draws_match_recorded(monkeypatch)
