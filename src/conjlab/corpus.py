@@ -7,6 +7,11 @@ The canonical name of a spec is exactly its spec string, so parse and name
 round-trip.  builtin_corpus() fixes the group list that scans and the
 acceptance suite run over.
 
+build() writes each family's element table in closed form, already in
+table order, and gives it to group_from_generators with the family's
+generators, which keeps it in place of an enumeration; only .grp files
+are enumerated.
+
 ScanRecord pairs a spec with its verification report; records serialize
 one-per-line as JSONL with sorted keys, and read_records reports the line
 number of any malformed line.
@@ -20,12 +25,14 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import divisibility_digraph, is_disconnected, is_prime
+from .arith import divisibility_digraph, is_disconnected, is_prime, prime_divisors
 from .errors import CapExceeded, InvalidSpec, RecordFormatError
 from .group import (
     _CELL_LIMIT,
     Group,
+    _images_dtype,
     default_element_cap,
     direct_product,
     group_from_generators,
@@ -142,16 +149,45 @@ def parse_spec(text: str) -> GroupSpec:
 
 
 # ----- constructors ---------------------------------------------------------
+#
+# Each family has a generator function, giving the degree and the generator
+# Perms from the parameters alone, and a table function, writing the whole
+# element table in closed form: every row in the image dtype of its degree,
+# the rows in table (lexicographic) order, and no temporary larger than the
+# table beyond arrays of one entry per row.
+
+
+def _windows(row: np.ndarray) -> np.ndarray:
+    """Read-only view whose window s is row[s:] + row[:s], for s <= len(row)."""
+    return sliding_window_view(np.concatenate([row, row]), len(row))
 
 
 def _cyclic_gens(n: int) -> tuple[int, list[Perm]]:
     return n, [Perm.from_cycles([tuple(range(n))], n)]
 
 
+def _cyclic_table(n: int) -> np.ndarray:
+    # row j is i -> i + j
+    return _windows(np.arange(n, dtype=_images_dtype(n)))[:n].copy()
+
+
 def _dihedral_gens(n: int) -> tuple[int, list[Perm]]:
     rot = Perm((np.arange(n) + 1) % n)
     flip = Perm((n - np.arange(n)) % n)
     return n, [rot, flip]
+
+
+def _dihedral_table(n: int) -> np.ndarray:
+    # the rotation i -> i + j and the reflection i -> j - i both send 0 to j;
+    # the reflection sends 1 to the smaller point unless j is 0 or n - 1
+    dtype = _images_dtype(n)
+    rotations = _windows(np.arange(n, dtype=dtype))[:n]
+    reflections = _windows(np.arange(n - 1, -1, -1, dtype=dtype))[n - 1 :: -1]
+    out = np.empty((n, 2, n), dtype=dtype)
+    out[:, 0], out[:, 1] = reflections, rotations
+    ends = [0, n - 1]
+    out[ends, 0], out[ends, 1] = rotations[ends], reflections[ends]
+    return out.reshape(2 * n, n)
 
 
 def _symmetric_gens(n: int) -> tuple[int, list[Perm]]:
@@ -175,6 +211,33 @@ def _alternating_gens(n: int) -> tuple[int, list[Perm]]:
     return n, gens
 
 
+def _permutation_table(n: int, even: bool) -> np.ndarray:
+    """All permutations of 0..n-1, or only the even ones, in lexicographic order.
+
+    Built up by degree: the permutations starting with f are f followed by
+    those of degree m - 1 with every image >= f raised by one.  The leading
+    f adds f inversions, so each row's parity is carried along, and the
+    even ones of the last degree take only tails of f's parity.
+    """
+    dtype = _images_dtype(n)
+    rows, odd = np.zeros((1, 0), dtype=dtype), np.zeros(1, dtype=bool)
+    for m in range(1, n + 1):
+        keep = (~odd, odd) if even and m == n else (np.ones_like(odd),) * 2
+        sizes = [int(keep[f % 2].sum()) for f in range(m)]
+        out = np.empty((sum(sizes), m), dtype=dtype)
+        out_odd = np.empty(len(out), dtype=bool)
+        start = 0
+        for f, size in enumerate(sizes):
+            block = out[start : start + size]
+            block[:, 0] = f
+            block[:, 1:] = rows[keep[f % 2]]
+            block[:, 1:] += block[:, 1:] >= f
+            out_odd[start : start + size] = odd[keep[f % 2]] ^ bool(f % 2)
+            start += size
+        rows, odd = out, out_odd
+    return rows
+
+
 def _heisenberg_gens(p: int) -> tuple[int, list[Perm]]:
     # elements are triples (a, b, c) mod p at index a*p^2 + b*p + c, with
     # (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2); generators act by
@@ -192,20 +255,55 @@ def _heisenberg_gens(p: int) -> tuple[int, list[Perm]]:
     return n, [right_mult(1, 0, 0), right_mult(0, 1, 0)]
 
 
-def _multiplicative_order(x: int, p: int) -> int:
-    k, acc = 1, x % p
-    while acc != 1:
-        acc = acc * x % p
-        k += 1
-    return k
+def _heisenberg_table(p: int) -> np.ndarray:
+    # row g = (ga, gb, gc) is right multiplication by g; it sends the identity
+    # to g, so the rows come in the order of g's index
+    n = p**3
+    dtype = _images_dtype(n)
+    r = np.arange(p)
+    shift = (r[:, None] + r) % p  # shift[g, x] = (x + g) % p
+    # the two low digits, ((b + gb) % p) * p + (c + gc + a*gb) % p, by (gb, gc, a, b, c)
+    low = np.empty((p,) * 5, dtype=dtype)
+    low[...] = (shift * p)[:, None, None, :, None]
+    central = (r[:, None, None, None] * r[:, None] + r[:, None, None] + r) % p  # (gb, gc, a, c)
+    low += central.astype(dtype)[:, :, :, None, :]
+    out = np.empty((p,) * 6, dtype=dtype)  # (ga, gb, gc, a, b, c)
+    np.add(low, (shift * p * p).astype(dtype)[:, None, None, :, None, None], out=out)
+    return out.reshape(n, n)
+
+
+def _frobenius_multiplier(p: int, q: int) -> int:
+    """The smallest x mod p of multiplicative order exactly q (q divides p - 1)."""
+    return next(
+        x
+        for x in range(2, p)
+        if pow(x, q, p) == 1 and all(pow(x, q // r, p) != 1 for r in prime_divisors(q))
+    )
 
 
 def _frobenius_gens(p: int, q: int) -> tuple[int, list[Perm]]:
     # translation plus the smallest multiplier of exact order q mod p
-    m = next(x for x in range(2, p) if _multiplicative_order(x, p) == q)
+    m = _frobenius_multiplier(p, q)
     shift = Perm((np.arange(p) + 1) % p)
     scale = Perm(np.arange(p) * m % p)
     return p, [shift, scale]
+
+
+def _frobenius_table(p: int, q: int) -> np.ndarray:
+    # the rows are the maps x -> u*x + t, u = m^j, sorted by their images of
+    # 0 and 1: t, then (u + t) % p.  As u*x + t = u*(x + s) with s = t/u, the
+    # row of (u, t) is window s of the row x -> u*x: window s is the row of t = s*u
+    m = _frobenius_multiplier(p, q)
+    powers = np.array([pow(m, j, p) for j in range(q)], dtype=np.int64)
+    t = np.arange(p, dtype=np.int64)
+    order = np.argsort((t[:, None] * p + (powers + t[:, None]) % p).ravel())
+    position = np.empty(p * q, dtype=np.int64)
+    position[order] = np.arange(p * q)
+    position = position.reshape(p, q)
+    out = np.empty((p * q, p), dtype=_images_dtype(p))
+    for j, u in enumerate(powers.tolist()):
+        out[position[t * u % p, j]] = _windows((t * u % p).astype(out.dtype))[:p]
+    return out
 
 
 def _order_up_to(spec: GroupSpec, cap: int) -> int | None:
@@ -244,15 +342,27 @@ _BUILDERS = {
     "frobenius": _frobenius_gens,
 }
 
+_TABLES = {
+    "cyclic": _cyclic_table,
+    "dihedral": _dihedral_table,
+    "symmetric": lambda n: _permutation_table(n, even=False),
+    "alternating": lambda n: _permutation_table(n, even=True),
+    "heisenberg": _heisenberg_table,
+    "frobenius": _frobenius_table,
+}
+
 
 def build(spec: GroupSpec, cap: int | None = None) -> Group:
-    """Construct the group a spec names; enumeration respects the cap.
+    """Construct the group a spec names, within the cap.
 
+    A family's table is written in closed form (_TABLES) and handed to
+    group_from_generators with the family's generators, which keeps it;
+    only a .grp file is enumerated.
     A family whose order, known from its parameters, passes the cap is
     refused before any permutation is made, and one whose order x degree
-    table passes _CELL_LIMIT as soon as its builders give the degree,
-    before anything is enumerated.  A direct product is measured whole:
-    the product of its part orders times the sum of their degrees.
+    table passes _CELL_LIMIT as soon as its generators give the degree,
+    before any table is built.  A direct product is measured whole: the
+    product of its part orders times the sum of their degrees.
     """
     _validate(spec)
     if cap is None:
@@ -274,7 +384,9 @@ def build(spec: GroupSpec, cap: int | None = None) -> Group:
                 f"limit of {_CELL_LIMIT}"
             )
         factors = [
-            group_from_generators(d, gens, cap=cap, name=part.name)
+            group_from_generators(
+                d, gens, cap=cap, name=part.name, table=_TABLES[part.kind](*part.params)
+            )
             for part, (d, gens) in zip(parts, made)
         ]
     g = factors[0]

@@ -4,7 +4,10 @@ A Group owns its complete element table: an (order x degree) integer matrix
 whose rows are image arrays, sorted lexicographically so that element
 identity is row identity and row 0 is always the group identity.  The sort
 reads only the first k columns, k the fewest leading points that only the
-identity fixes all of: distinct members already differ there.  Every
+identity fixes all of: distinct members already differ there.  A table
+that already comes in that order (a builtin family's closed form from
+corpus.build, a direct product, a subgroup's rows) is kept as given,
+without a sort or a copy, and every table is read-only.  Every
 query — conjugacy classes, centralizers, Sylow subgroups, normalizers,
 normal subgroups, quotients, composition factors — is answered by direct,
 reproducible search over that table.  This trades memory for the ability
@@ -36,10 +39,11 @@ table is already in key order, and keys are found with ``np.searchsorted``.
 A product of members, such as ``s_row[rows[:, B]]`` for a right-multiplication
 map, is found from |B| columns instead of ``degree``.  That shortcut is exact
 only because every table is closed under multiplication, so each such product
-is a member: group_from_generators, direct_product and quotient build closed
-tables, and Subgroup.as_group validates its element set first.  Rows that
-come from outside (index_of, membership tests, the constructor's
-generators) are found by base images and then compared in full.
+is a member: group_from_generators, direct_product, quotient and
+corpus.build's family tables are closed, and Subgroup.as_group validates
+its element set first.  Rows that come from outside (index_of, membership
+tests, the constructor's generators) are found by base images and then
+compared in full.
 
 Normal subgroups are unions of conjugacy classes, so normal_subgroups keys
 each one by its set of class ids, held as an int bitset, and runs a closure
@@ -176,6 +180,17 @@ def _least_labels(n: int, maps: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
             return least
 
 
+def _ascending(rows: np.ndarray) -> bool:
+    """True iff the rows strictly ascend in lexicographic order."""
+    tied = np.ones(len(rows) - 1, dtype=bool)  # adjacent pairs equal so far
+    for col in rows.T:
+        lo, hi = col[:-1][tied], col[1:][tied]
+        if np.any(hi < lo):
+            return False
+        tied[tied] = hi == lo
+    return not tied.any()
+
+
 class _Cache(dict):
     """Cached values, oldest first, with the sum of their nbytes."""
 
@@ -196,10 +211,12 @@ class Group:
 
     Do not call the constructor directly; use group_from_generators,
     direct_product, corpus.build or Subgroup.as_group.  The rows must form
-    a group: lookups of products by base images rely on it.
+    a group: lookups of products by base images rely on it.  Rows that
+    already come in table order are kept as given, without a sort or a
+    copy, so the table is made read-only, and with it the array passed in.
     """
 
-    def __init__(self, rows: np.ndarray, gen_rows: list[np.ndarray], name: str):
+    def __init__(self, rows: np.ndarray, gen_rows: list[np.ndarray | Perm], name: str):
         # walk the stabilizer chain of 0, 1, 2, ...: distinct members differ
         # within the first k points once only the identity fixes 0..k-1, so a
         # sort on those columns sorts the table, and the points where the
@@ -210,8 +227,11 @@ class Group:
             if len(fixers) < len(stab):
                 base.append(k)
             stab, k = fixers, k + 1
-        order = np.lexsort(rows[:, : max(k, 1)].T[::-1])
-        self._rows = np.ascontiguousarray(rows[order])
+        prefix = rows[:, : max(k, 1)]
+        if not _ascending(prefix):
+            rows = rows[np.lexsort(prefix.T[::-1])]
+        self._rows = np.ascontiguousarray(rows)
+        self._rows.flags.writeable = False
         self.degree = int(rows.shape[1])
         self.name = name
         ident = np.arange(self.degree, dtype=self._rows.dtype)
@@ -233,7 +253,7 @@ class Group:
         self._rmul_cache: _Cache = _Cache()
         self._conj_cache: _Cache = _Cache()
         self._centralizer_cache: _Cache = _Cache()
-        self._quotient_cache: _Cache = _Cache()  # kernel index bytes -> coset labels
+        self._quotient_cache: _Cache = _Cache()  # (kernel index bytes, actors) -> coset labels
         self._normals: list[Subgroup] | None = None
         self._series: list[Subgroup] | None = None
 
@@ -736,19 +756,18 @@ class Group:
         With no actors, two members share a label iff they share a coset xK.
         With actors that generate a group H normalizing k, the orbit of x is
         the union of the cosets in the class of xK in H/K, so the count of a
-        label over |K| is that class size.  The no-actor labels are computed
-        once per kernel.  The array is read-only.
+        label over |K| is that class size.  The labels are computed once per
+        kernel and actor list.  The array is read-only.
         """
-        key = k.indices.tobytes()
-        least = None if actors else self._quotient_cache.get(key)
+        key = (k.indices.tobytes(), tuple(int(a) for a in actors))
+        least = self._quotient_cache.get(key)
         if least is None:
             # element_orders reads the classes, so the bounds come from the Perms
             maps = [(self._rmul_map(s), self.element(s).order()) for s in k.ensure_gens()]
             maps += [(self._conj_map(a), self.element(a).order()) for a in actors]
             least = _least_labels(self.order, maps)
             least.flags.writeable = False
-            if not actors:
-                _cache_put(self._quotient_cache, key, least)
+            _cache_put(self._quotient_cache, key, least)
         return least
 
     def quotient(self, k: "Subgroup") -> tuple["Group", "QuotientMap"]:
@@ -887,7 +906,7 @@ class Subgroup:
         rows = self.parent._rows[self.indices]
         gen_rows = [self.parent._rows[i] for i in self.ensure_gens()]
         label = name if name is not None else f"{self.parent.name}|sub{self.order}"
-        return Group(rows.copy(), gen_rows, label)
+        return Group(rows, gen_rows, label)
 
     def __eq__(self, other) -> bool:
         return (
@@ -941,12 +960,15 @@ def group_from_generators(
     generators: Iterable,
     cap: int | None = None,
     name: str = "group",
+    table: np.ndarray | None = None,
 ) -> Group:
     """Enumerate the group generated by the given permutations.
 
     Breadth-first right-multiplication closure from the identity; raises
     CapExceeded as soon as the element count would pass the cap, or the
-    table would pass _CELL_LIMIT cells.
+    table would pass _CELL_LIMIT cells.  A table given by the caller, the
+    whole group written in closed form, is held to the same limits and
+    kept in place of the enumeration.
     """
     if cap is None:
         cap = default_element_cap()
@@ -962,6 +984,10 @@ def group_from_generators(
             f"{name}: enumeration passed {limit} elements, the most a degree-{degree} "
             f"table may hold under the cell limit of {_CELL_LIMIT}"
         )
+    if table is not None:
+        if len(table) > limit:
+            raise CapExceeded(refusal)
+        return Group(table, gen_rows, name)
     # each member is kept as the bytes of its image row, in discovery order
     width = degree * np.dtype(dtype).itemsize
     frontier = [np.arange(degree, dtype=dtype).tobytes()]

@@ -452,11 +452,11 @@ def test_bad_values_exit_two_with_one_error_line(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("spec", ["cyclic:100000", "direct:heisenberg:13+cyclic:40"])
 def test_over_cell_limit_is_refused_before_enumeration(capsys, monkeypatch, spec):
-    # order x degree is known once the builders return the degree
-    def enumerate_nothing(*args, **kwargs):
-        raise AssertionError("enumeration ran")
+    # order x degree is known once the generator functions return the degree
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("a table was built")
 
-    monkeypatch.setattr(corpus, "group_from_generators", enumerate_nothing)
+    monkeypatch.setattr(corpus, "_TABLES", dict.fromkeys(corpus._TABLES, build_nothing))
     code, out, err = run(capsys, "analyze", spec)
     assert code == EXIT_ERROR and out == ""
     (line,) = err.splitlines()

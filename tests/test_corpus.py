@@ -111,7 +111,7 @@ def test_build_direct_name_and_order():
     ],
 )
 def test_cap_refusal_is_exact(text):
-    # orders computed from the parameters must agree with enumeration
+    # orders computed from the parameters must agree with the built tables
     spec = parse_spec(text)
     order = build(spec).order
     assert build(spec, cap=order).order == order

@@ -1,6 +1,7 @@
 """Element tables, bases and conjugacy classes against the slow paths they
 replaced, and against the oracle on random groups."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracle
 from conjlab import group as group_module
-from conjlab.corpus import _order_up_to, build, builtin_corpus, parse_spec
+from conjlab.arith import is_prime
+from conjlab.corpus import _BUILDERS, _TABLES, _order_up_to, build, builtin_corpus, parse_spec
 from conjlab.errors import CapExceeded, InvalidPermutation
 from conjlab.group import Group, group_from_generators
 from conjlab.perm import Perm
@@ -59,6 +61,45 @@ def test_prefix_sort_of_a_shuffled_table():
     h = Group(shuffled, [g._rows[i] for i in g._gen_idx], "shuffled")
     assert np.array_equal(h._rows, g._rows)
     assert h._gen_idx == g._gen_idx
+    # a sorted copy is kept, read-only, and the caller's array is left as it was
+    assert not np.shares_memory(h._rows, shuffled) and shuffled.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        h._rows[1] = h._rows[0]
+
+
+def _kept_table(monkeypatch, make):
+    """The group make() builds, and the table it handed to the Group constructor."""
+    seen = []
+
+    class Recording(Group):
+        def __init__(self, rows, gen_rows, label):
+            seen.append(rows)
+            super().__init__(rows, gen_rows, label)
+
+    with monkeypatch.context() as m:
+        m.setattr(group_module, "Group", Recording)
+        g = make()
+    return g, seen[-1]
+
+
+_ORDERED_TABLES = {
+    "closed-form": lambda: build(parse_spec("symmetric:4")),
+    "direct-product": lambda: group_module.direct_product(
+        build(parse_spec("symmetric:3")), build(parse_spec("cyclic:4"))
+    ),
+    "subgroup": lambda: build(parse_spec("symmetric:4")).normal_subgroups()[2].as_group(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORDERED_TABLES))
+def test_ordered_tables_are_kept_and_made_read_only(monkeypatch, case):
+    g, rows = _kept_table(monkeypatch, _ORDERED_TABLES[case])
+    assert np.shares_memory(g._rows, rows)  # neither sorted nor copied
+    assert np.array_equal(g._rows, _fully_sorted(g._rows))
+    with pytest.raises(ValueError, match="read-only"):
+        g._rows[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1  # the caller's array is the table, so it is read-only too
 
 
 @pytest.mark.parametrize("extra", [0, 5, 17])
@@ -117,6 +158,71 @@ def test_chain_base_skips_points_whose_stabilizer_does_not_shrink():
     g = group_from_generators(8, [Perm.from_cycle_string("(5 6 7)", 8)])
     assert g._base == [5]
     assert [g.index_of(p) for p in g.elements()] == [0, 1, 2]
+
+
+# ----- closed-form family tables --------------------------------------------------
+
+
+def _family_parts(specs):
+    """Names of the family specs in specs, direct products taken apart."""
+    parts = []
+    for text in specs:
+        spec = parse_spec(text)
+        parts += [p.name for p in (spec.parts if spec.kind == "direct" else (spec,))]
+    return list(dict.fromkeys(parts))
+
+
+def _check_closed_form(text):
+    """A family's closed-form table is its sorted enumerated table, and the
+    Group kept on it has the same base and generator indices."""
+    spec = parse_spec(text)
+    degree, gens = _BUILDERS[spec.kind](*spec.params)
+    rows = _TABLES[spec.kind](*spec.params)
+    ref = group_from_generators(degree, gens, name=text)
+    assert rows.dtype == ref._rows.dtype
+    assert np.array_equal(rows, ref._rows)
+    g = group_from_generators(degree, gens, cap=len(rows), name=text, table=rows)
+    assert np.shares_memory(g._rows, rows)  # already in table order
+    assert g._base == ref._base
+    assert g._gen_idx == ref._gen_idx
+    with pytest.raises(CapExceeded, match="element cap"):
+        group_from_generators(degree, gens, cap=len(rows) - 1, name=text, table=rows)
+
+
+@pytest.mark.parametrize("spec", _family_parts(BUILTIN + _BENCHMARK_SPECS))
+def test_closed_form_tables_match_enumeration(spec):
+    _check_closed_form(spec)
+
+
+_PRIMES = [p for p in range(3, 32) if is_prime(p)]
+_FAMILY_SPECS = st.one_of(
+    st.integers(1, 64).map(lambda n: f"cyclic:{n}"),
+    st.integers(3, 64).map(lambda n: f"dihedral:{n}"),
+    st.integers(1, 7).map(lambda n: f"symmetric:{n}"),
+    st.integers(1, 7).map(lambda n: f"alternating:{n}"),
+    st.sampled_from([3, 5, 7]).map(lambda p: f"heisenberg:{p}"),
+    st.sampled_from([f"frobenius:{p},{q}" for p in _PRIMES for q in range(2, p) if (p - 1) % q == 0]),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(spec=_FAMILY_SPECS)
+def test_closed_form_tables_match_enumeration_swept(spec):
+    _check_closed_form(spec)
+
+
+def test_building_a_product_peaks_below_one_and_a_half_tables():
+    # the parts are written in closed form and the product is filled in
+    # place and kept as it comes, so no second table is ever held
+    spec = parse_spec("direct:symmetric:5+heisenberg:7")
+    build(spec)  # outside the trace, so one-time allocations do not count
+    tracemalloc.start()
+    try:
+        g = build(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * g._rows.nbytes
 
 
 # ----- enumeration -----------------------------------------------------------------

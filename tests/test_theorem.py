@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracle
+from conjlab import group as group_module
 from conjlab import theorem
 from conjlab.corpus import build, parse_spec
 from conjlab.errors import BudgetExceeded, NotAbelian, NotCoprime
@@ -378,6 +379,35 @@ def test_lemma_suite_builds_no_quotient_and_each_mask_once(monkeypatch):
     assert all(r.status == "pass" for r in results.values())
     assert quotients == []
     assert len(groups) > len(first_mask)  # asks were repeated
+
+
+def test_lemma_suite_labels_each_kernel_once(monkeypatch):
+    # class_size_divisibility and coprime_quotient_centralizer both read the
+    # classes of G/K from labels with G's generators as actors; the labels are
+    # kept per (kernel, actors), so no such labelling runs twice
+    asked, labelled = [], []
+    coset_labels, least_labels = Group.coset_labels, group_module._least_labels
+
+    def noting(self, k, actors=()):
+        asked.append((k.indices.tobytes(), tuple(actors)))
+        try:
+            return coset_labels(self, k, actors)
+        finally:
+            asked.pop()
+
+    def counting(n, maps):
+        if asked and asked[-1][1]:
+            labelled.append(asked[-1])
+        return least_labels(n, maps)
+
+    monkeypatch.setattr(Group, "coset_labels", noting)
+    monkeypatch.setattr(group_module, "_least_labels", counting)
+    g = build(parse_spec(ORDER_540))
+    results = run_lemma_suite(g, seed=0, sample_budget=10000)
+    assert all(r.status == "pass" for r in results.values())
+    assert len(labelled) == len(set(labelled))
+    kernels = [k for k, actors in labelled if list(actors) == g._gen_idx]
+    assert len(kernels) > len(g.normal_subgroups()) // 2  # the lemmas did label kernels
 
 
 # ----- batched predicates against the scalar references ---------------------------
