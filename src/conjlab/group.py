@@ -52,7 +52,9 @@ whole rational class: x and x^k with k prime to |x| generate the same
 cyclic group.  A join NA of two known normal subgroups has order
 |N||A|/|N & A|, the intersection's order being the summed sizes of the
 shared classes, so a known subgroup of that order holding both is NA and
-no closure runs for it.
+no closure runs for it.  The meets of one N with every atom A (the normal
+closure of one class) come from one np.add.reduceat over the atoms' class
+ids laid end to end.
 """
 
 from __future__ import annotations
@@ -424,7 +426,11 @@ class Group:
 
         The walk stops at indices seen already holds, so one seen mask can
         be shared by several walks.  Returns the BFS levels: start, then the
-        indices each step newly marked.
+        indices each step newly marked, each level unsorted.  start must not
+        repeat an index.  Every map is a permutation of the indices, so
+        m[frontier] repeats none either, and marking each map's images in
+        seen before the next map reads it keeps the maps of one level, and
+        the levels, from sharing an index: no level needs a dedupe.
         """
         frontier = np.asarray(start, dtype=np.int64)
         seen[frontier] = True
@@ -435,7 +441,6 @@ class Group:
                 t = m[frontier]
                 t = t[~seen[t]]
                 if t.size:
-                    t = np.unique(t)
                     seen[t] = True
                     fresh_parts.append(t)
             frontier = (
@@ -662,7 +667,8 @@ class Group:
         Only closures whose result is not yet known run.  x and x^k with k
         prime to |x| have the same closure, so one closure serves a whole
         rational class.  NA has order |N||A|/|N & A|, and a known subgroup of
-        that order holding both N and A is NA.  Budget: one node per
+        that order holding both N and A is NA; one reduceat per N gives
+        |N & A| for every atom A.  Budget: one node per
         non-identity class and per attempted join, whether or not a closure
         runs, plus one per generator a running normal closure adjoins.
         Exhaustion raises BudgetExceeded, never truncates.
@@ -711,16 +717,25 @@ class Group:
                 known.update(self._rational_class_ids(rep).tolist())
             closed += 1
 
+        # the atoms' class ids end to end (none for a trivial group); no
+        # reduceat segment is empty, as every atom holds the identity class
+        parts = [np.flatnonzero(entries[ak][2]) for ak in atom_keys]
+        cat = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+        starts = np.cumsum([0] + [len(c) for c in parts])[:-1]
+        cat_sizes = sizes[cat]
+        atom_orders = np.add.reduceat(cat_sizes, starts)
+
         queue = list(entries)
         for nk in queue:  # the loop also visits keys appended while it runs
             nmask, ngens, nclasses = entries[nk]
-            for ak in atom_keys:
-                if not ak & ~nk:
+            meets = np.add.reduceat(cat_sizes * nclasses[cat], starts)
+            targets = (int(sizes[nclasses].sum()) * atom_orders // meets).tolist()
+            inside = (meets == atom_orders).tolist()
+            for ak, target, within in zip(atom_keys, targets, inside):
+                if within:
                     continue  # atom already inside
                 counter.spend()
-                amask, agens, aclasses = entries[ak]
-                meet = sizes[nclasses & aclasses].sum()
-                target = int(sizes[nclasses].sum() * sizes[aclasses].sum() // meet)
+                amask, agens, _ = entries[ak]
                 both = nk | ak
                 if any(k & both == both for k in by_order.get(target, ())):
                     continue  # NA is known already

@@ -258,9 +258,12 @@ def verify_main_theorem(
     """Full verification pass over one group.
 
     The decomposition search runs over the complete normal-subgroup list,
-    candidate second factors ascending by order; by default the first
-    realization per factorization is reported, all of them with all_pairs.
-    The lemma suite runs only when lemma_seed is given.
+    candidate second factors ascending by order.  It first pairs each
+    normal subgroup B with its normal complements A (|A||B| = |G| and
+    A & B = 1), by order, and builds a subgroup table to read class sizes
+    only for subgroups in such a pair.  By default the first realization
+    per factorization is reported, all of them with all_pairs.  The lemma
+    suite runs only when lemma_seed is given.
     """
     timings: dict = {}
     t = _now_ms()
@@ -281,17 +284,27 @@ def verify_main_theorem(
 
         t = _now_ms()
         sizes_cache: dict = {}
+        # each b with its normal complements a, both in normals order: |a||b|
+        # is |G| and only the identity lies in both
+        by_order: dict[int, list[Subgroup]] = {}
+        for a in normals:
+            by_order.setdefault(a.order, []).append(a)
+        paired: list[tuple[Subgroup, list[Subgroup]]] = []
+        for b in normals:
+            bmask = b.mask()
+            complements = [
+                a for a in by_order.get(g.order // b.order, ()) if int(bmask[a.indices].sum()) == 1
+            ]
+            if complements:
+                paired.append((b, complements))
         all_realized = True
         for fac in facs:
             target_b = frozenset({1, fac.n})
             found: list[Decomposition] = []
-            for b in normals:
+            for b, complements in paired:
                 if _sub_class_sizes(g, b, sizes_cache) != target_b:
                     continue
-                a_order = g.order // b.order
-                for a in normals:
-                    if a.order != a_order:
-                        continue
+                for a in complements:
                     if _sub_class_sizes(g, a, sizes_cache) != fac.omega:
                         continue
                     if not is_internal_direct_product(g, a, b):

@@ -9,6 +9,7 @@ import oracle
 from conjlab import group as group_module
 from conjlab.corpus import build, parse_spec
 from conjlab.errors import (
+    BudgetExceeded,
     CapExceeded,
     ElementNotInGroup,
     InvalidPermutation,
@@ -429,6 +430,28 @@ def test_one_closure_per_rational_class_and_none_per_known_join(monkeypatch):
     assert len(g.normal_subgroups()) == 12
     assert sorted(g.order_of_idx(i) for i in starts) == [2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
     assert closures == [[i] for i in starts]
+
+
+# budgets at which the search stops, and the progress it reports there, from
+# the join phase that computed one meet per (subgroup, atom) pair; reading
+# all of a subgroup's meets at once must not move a spent node
+RECORDED_BUDGET_STOPS = [
+    ("direct:frobenius:5,4+heisenberg:3", 120, "54 of 54 classes closed, 24 normal subgroups found"),
+    ("direct:frobenius:5,4+heisenberg:3", 543, "54 of 54 classes closed, 28 normal subgroups found"),
+    ("direct:frobenius:5,4+heisenberg:3", 544, None),
+    ("direct:frobenius:5,4+heisenberg:7", 1715, "274 of 274 classes closed, 44 normal subgroups found"),
+    ("direct:frobenius:5,4+heisenberg:7", 1716, None),
+]
+
+
+@pytest.mark.parametrize("spec,budget,progress", RECORDED_BUDGET_STOPS)
+def test_join_phase_spends_its_budget_as_recorded(spec, budget, progress):
+    g = build(parse_spec(spec))
+    if progress is None:
+        assert len(g.normal_subgroups(budget)) == {540: 28, 6860: 44}[g.order]
+    else:
+        with pytest.raises(BudgetExceeded, match=f"budget of {budget} nodes exhausted; {progress}$"):
+            g.normal_subgroups(budget)
 
 
 @pytest.mark.parametrize("spec", ["symmetric:5", "cyclic:60", "direct:frobenius:5,4+heisenberg:3"])

@@ -415,6 +415,48 @@ def test_classes_match_the_per_class_spread(spec):
         assert all(g.class_id_of_idx(int(i)) == cid for i in idx)
 
 
+def _spread_with_unique(maps, start, seen):
+    """The BFS that _spread ran when it sorted and deduped every level."""
+    frontier = np.unique(np.asarray(start, dtype=np.int64))
+    seen[frontier] = True
+    levels = [frontier]
+    while frontier.size:
+        parts = []
+        for m in maps:
+            t = m[frontier]
+            t = np.unique(t[~seen[t]])
+            seen[t] = True
+            parts.append(t)
+        frontier = np.concatenate(parts)
+        levels.append(frontier)
+    return levels
+
+
+@pytest.mark.parametrize("spec", ["cyclic:60", "symmetric:5", "direct:frobenius:5,4+heisenberg:3"])
+def test_spread_levels_are_disjoint_without_a_dedupe(spec):
+    g = build(parse_spec(spec))
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        gens = rng.choice(g.order, size=int(rng.integers(1, 4)), replace=False)
+        maps = [g._rmul_map(int(s)) for s in gens]
+        if rng.random() < 0.5:
+            maps += [g._conj_map(int(s)) for s in gens]
+        # an unsorted start with no index twice
+        start = rng.permutation(g.order)[: int(rng.integers(1, 6))]
+        seen = np.zeros(g.order, dtype=bool)
+        levels = g._spread(maps, start, seen)
+        union = np.concatenate(levels)
+        assert len(np.unique(union)) == len(union)  # no index twice, in a level or across
+        assert np.array_equal(np.flatnonzero(seen), np.sort(union))
+        ref_seen = np.zeros(g.order, dtype=bool)
+        ref = _spread_with_unique(maps, start, ref_seen)
+        assert np.array_equal(np.sort(union), np.unique(np.concatenate(ref)))
+        assert np.array_equal(seen, ref_seen)
+        # the same BFS levels, as sets
+        assert len(levels) == len(ref)
+        assert all(np.array_equal(np.sort(x), np.sort(r)) for x, r in zip(levels, ref))
+
+
 # ----- subgroup sort keys -------------------------------------------------------------
 
 

@@ -12,7 +12,8 @@ import pytest
 import oracle
 from conjlab import group as group_module
 from conjlab import theorem
-from conjlab.corpus import build, parse_spec
+from conjlab.arith import find_hypothesis_factorizations
+from conjlab.corpus import build, builtin_corpus, parse_spec
 from conjlab.errors import BudgetExceeded, NotAbelian, NotCoprime
 from conjlab.group import (
     Group,
@@ -21,10 +22,11 @@ from conjlab.group import (
     group_from_generators,
     is_internal_direct_product,
 )
-from conjlab.invariants import _class_size_per_element, centralizer_index
+from conjlab.invariants import _class_size_per_element, centralizer_index, class_size_set
 from conjlab.perm import Perm
 from conjlab.theorem import (
     LEMMA_NAMES,
+    Decomposition,
     LemmaResult,
     TheoremReport,
     VERDICT_COUNTEREXAMPLE,
@@ -101,6 +103,97 @@ def test_verify_budget_withholds_verdict():
     # the message says how far the search got
     with pytest.raises(BudgetExceeded, match="; 6 of 54 classes closed, 5 normal subgroups found$"):
         verify_main_theorem(g, normal_budget=10)
+
+
+def _decompositions_by_every_pair(g, all_pairs):
+    """The decomposition search as it ran before complements were paired:
+    every (b, a) pair of normal subgroups, each class-size set read off a
+    fresh subgroup table."""
+    normals = g.normal_subgroups()
+    memo = {}
+
+    def sizes(s):
+        key = s.indices.tobytes()
+        if key not in memo:
+            memo[key] = class_size_set(s.as_group()).sizes
+        return memo[key]
+
+    out = []
+    for fac in find_hypothesis_factorizations(class_size_set(g).sizes):
+        found = []
+        for b in normals:
+            if sizes(b) != {1, fac.n}:
+                continue
+            for a in normals:
+                if a.order * b.order != g.order or sizes(a) != fac.omega:
+                    continue
+                if not is_internal_direct_product(g, a, b):
+                    continue
+                found.append(
+                    Decomposition(
+                        omega=fac.omega,
+                        n=fac.n,
+                        a_order=a.order,
+                        b_order=b.order,
+                        a_class_sizes=tuple(sorted(sizes(a))),
+                        b_class_sizes=tuple(sorted(sizes(b))),
+                        a_generators=tuple(p.cycle_string() for p in a.generators()),
+                        b_generators=tuple(p.cycle_string() for p in b.generators()),
+                    )
+                )
+                if not all_pairs:
+                    break
+            if found and not all_pairs:
+                break
+        out.extend(found)
+    return out
+
+
+# the builtin groups with a hypothesis factorization, each realized once
+POSITIVE_PRODUCTS = [
+    "direct:alternating:5+heisenberg:7",
+    "direct:frobenius:5,4+heisenberg:3",
+    "direct:frobenius:5,4+heisenberg:7",
+]
+# products with more than one realization: 3 and 28 of them
+SEVERAL_REALIZATIONS = [
+    "direct:frobenius:5,4+heisenberg:3+cyclic:2",
+    "direct:frobenius:5,4+heisenberg:3+cyclic:3",
+]
+
+
+@pytest.mark.parametrize("all_pairs", [False, True], ids=["first", "all-pairs"])
+@pytest.mark.parametrize("spec", [s.name for s in builtin_corpus()] + SEVERAL_REALIZATIONS)
+def test_decomposition_search_matches_every_pair_reference(spec, all_pairs):
+    g = build(parse_spec(spec))
+    report = verify_main_theorem(g, all_pairs=all_pairs)
+    if not report.factorizations:
+        assert spec not in POSITIVE_PRODUCTS + SEVERAL_REALIZATIONS
+        assert report.decompositions == ()
+        return
+    assert spec in POSITIVE_PRODUCTS + SEVERAL_REALIZATIONS
+    assert list(report.decompositions) == _decompositions_by_every_pair(g, all_pairs)
+    if all_pairs:
+        want = {SEVERAL_REALIZATIONS[0]: 3, SEVERAL_REALIZATIONS[1]: 28}.get(spec, 1)
+        assert len(report.decompositions) == want
+
+
+@pytest.mark.parametrize("spec", POSITIVE_PRODUCTS)
+def test_decomposition_search_builds_tables_only_for_complements(spec, monkeypatch):
+    # class sizes are read only for subgroups with a normal complement: here
+    # the two factors, where every pair of normals made 10, 24 and 11 tables
+    g = build(parse_spec(spec))
+    g.normal_subgroups()
+    tables = []
+    real = Subgroup.as_group
+
+    def spy(self, *args, **kwargs):
+        tables.append(self.order)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subgroup, "as_group", spy)
+    (dec,) = verify_main_theorem(g).decompositions
+    assert sorted(tables) == sorted([dec.a_order, dec.b_order])
 
 
 def test_report_round_trip_and_field_names():
