@@ -137,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_group(text: str, cap: int | None) -> Group:
-    if text.endswith(".grp") and os.path.exists(text):
+    # a bare .grp path is a file spec even when missing, so the read names it
+    if text.endswith(".grp") and text.partition(":")[0] not in ("file", "direct"):
         spec = parse_spec(f"file:{text}")
     else:
         spec = parse_spec(text)
@@ -307,7 +308,8 @@ def cmd_scan(args) -> int:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             lines = list(pool.map(_scan_one, tasks))
-    lines.sort(key=lambda line: json.loads(line)["spec"])
+    # each line's spec is its task's name
+    lines = [line for _, line in sorted(zip(spec_names, lines), key=lambda pair: pair[0])]
     records = [json.loads(line) for line in lines]
     body = "\n".join(lines) + "\n"
     if args.out is None:

@@ -45,6 +45,11 @@ its element set first.  Rows that come from outside (index_of, membership
 tests, the constructor's generators) are found by base images and then
 compared in full.
 
+Every class reader goes through one ClassTable of arrays.  A Group caches
+arrays and index lists only, never an object that points back at it, so
+its last reference frees it at once; Subgroups and ConjugacyClasses are
+views, made anew on each call that returns them.
+
 Normal subgroups are unions of conjugacy classes, so normal_subgroups keys
 each one by its set of class ids, held as an int bitset, and runs a closure
 only when its result cannot already be known.  One normal closure serves a
@@ -60,7 +65,7 @@ ids laid end to end.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,6 +213,14 @@ def _cache_put(cache: _Cache, key, value) -> None:
         cache.nbytes += value.nbytes
 
 
+class ClassTable(NamedTuple):
+    """Conjugacy classes, numbered by (size, least member); read-only arrays."""
+
+    ids: np.ndarray  # class id of each member
+    reps: np.ndarray  # least member of each class
+    sizes: np.ndarray  # size of each class
+
+
 class Group:
     """A finite permutation group with its full element table.
 
@@ -250,14 +263,13 @@ class Group:
         # lazy caches
         self._inv_idx: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        self._classes: list[ConjugacyClass] | None = None
-        self._class_id: np.ndarray | None = None
+        self._classes: ClassTable | None = None
         self._rmul_cache: _Cache = _Cache()
         self._conj_cache: _Cache = _Cache()
         self._centralizer_cache: _Cache = _Cache()
         self._quotient_cache: _Cache = _Cache()  # (kernel index bytes, actors) -> coset labels
-        self._normals: list[Subgroup] | None = None
-        self._series: list[Subgroup] | None = None
+        self._normals: list[tuple[np.ndarray, list[int]]] | None = None
+        self._series: list[tuple[np.ndarray, list[int]]] | None = None
 
     # ----- basic accessors -------------------------------------------------
 
@@ -349,7 +361,7 @@ class Group:
         Conjugates have the same order, so only class representatives walk.
         """
         if self._orders is None:
-            reps = np.array([c.indices[0] for c in self.conjugacy_classes()], dtype=np.int64)
+            ids, reps, _ = self.class_table()
             orders = np.ones(len(reps), dtype=np.int64)
             for b, col in zip(self._base, self._base_rows[reps].T):
                 alive = np.flatnonzero(col != b)
@@ -361,7 +373,7 @@ class Group:
                     back = pts == b
                     orders[alive[back]] = np.lcm(orders[alive[back]], length)
                     alive, pts = alive[~back], pts[~back]
-            self._orders = orders[self._class_id]
+            self._orders = orders[ids]
         return self._orders
 
     def order_of_idx(self, i: int) -> int:
@@ -483,27 +495,29 @@ class Group:
 
     # ----- conjugacy classes --------------------------------------------------
 
-    def conjugacy_classes(self) -> list["ConjugacyClass"]:
-        """Classes ordered by (size, lexicographically least member)."""
+    def class_table(self) -> ClassTable:
+        """The conjugacy classes, computed once and numbered by (size, least member)."""
         if self._classes is None:
             trivial = Subgroup(self, np.zeros(1, dtype=np.int64), [])
             least = self.coset_labels(trivial, self._gen_idx)
-            members = np.argsort(least, kind="stable")  # by class, ascending within
-            reps, starts, sizes = np.unique(least[members], return_index=True, return_counts=True)
+            reps, inverse, sizes = np.unique(least, return_inverse=True, return_counts=True)
             rank = np.lexsort((reps, sizes))
-            self._classes = [
-                ConjugacyClass(self, members[starts[c] : starts[c] + sizes[c]]) for c in rank
-            ]
-            self._class_id = np.empty(self.order, dtype=np.int64)
-            self._class_id[members] = np.repeat(np.argsort(rank), sizes)
+            self._classes = ClassTable(np.argsort(rank)[inverse], reps[rank], sizes[rank])
+            for arr in self._classes:
+                arr.flags.writeable = False
         return self._classes
 
+    def conjugacy_classes(self) -> list["ConjugacyClass"]:
+        """Classes in class_table order, as views made on each call."""
+        ids, _, sizes = self.class_table()
+        members = np.argsort(ids, kind="stable")  # by class, ascending within
+        return [ConjugacyClass(self, m) for m in np.split(members, np.cumsum(sizes)[:-1])]
+
     def class_id_of_idx(self, i: int) -> int:
-        self.conjugacy_classes()
-        return int(self._class_id[i])
+        return int(self.class_table().ids[i])
 
     def class_size_of_idx(self, i: int) -> int:
-        return self.conjugacy_classes()[self.class_id_of_idx(i)].size
+        return int(self.class_table().sizes[self.class_id_of_idx(i)])
 
     def centralizer_mask_idx(self, i: int) -> np.ndarray:
         """Read-only mask of the members commuting with x_i, computed once per i."""
@@ -524,11 +538,8 @@ class Group:
         return Subgroup(self, np.flatnonzero(mask))
 
     def center(self) -> "Subgroup":
-        classes = self.conjugacy_classes()
-        idx = np.array(
-            sorted(int(c.indices[0]) for c in classes if c.size == 1), dtype=np.int64
-        )
-        return Subgroup(self, idx)
+        table = self.class_table()
+        return Subgroup(self, table.reps[table.sizes == 1])
 
     # ----- subgroup constructions ----------------------------------------------
 
@@ -653,7 +664,7 @@ class Group:
             powers = np.concatenate([powers, step[powers]])
             step = step[step]
         coprime = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-        return np.unique(self._class_id[self._indices_of_images(powers[coprime])])
+        return np.unique(self.class_table().ids[self._indices_of_images(powers[coprime])])
 
     def normal_subgroups(self, budget: int = DEFAULT_NODE_BUDGET) -> list["Subgroup"]:
         """All normal subgroups, ordered by (order, element index list).
@@ -673,24 +684,27 @@ class Group:
         runs, plus one per generator a running normal closure adjoins.
         Exhaustion raises BudgetExceeded, never truncates.
         """
-        if self._normals is not None:
-            return list(self._normals)
-        classes = self.conjugacy_classes()
-        sizes = np.array([c.size for c in classes], dtype=np.int64)
+        if self._normals is None:
+            self._normals = self._normal_search(budget)
+        return [Subgroup(self, idx, list(gens)) for idx, gens in self._normals]
+
+    def _normal_search(self, budget: int) -> list[tuple[np.ndarray, list[int]]]:
+        """(indices, generators) of every normal subgroup, in normal_subgroups order."""
+        ids, reps, sizes = self.class_table()
         closed = 0  # non-identity classes whose normal closure is known
         # subgroup key (class-id bitset) -> (mask, generators, class mask)
         entries: dict[int, tuple[np.ndarray, list[int], np.ndarray]] = {}
         counter = _Budget(
             budget,
             f"normal_subgroups({self.name})",
-            lambda: f"; {closed} of {len(classes) - 1} classes closed, "
+            lambda: f"; {closed} of {len(sizes) - 1} classes closed, "
             f"{len(entries)} normal subgroups found",
         )
         by_order: dict[int, list[int]] = {}
 
         def add(mask: np.ndarray, gens: list[int]) -> tuple[int, bool]:
-            present = np.zeros(len(classes), dtype=bool)
-            present[self._class_id[mask]] = True
+            present = np.zeros(len(sizes), dtype=bool)
+            present[ids[mask]] = True
             k = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
             if k in entries:
                 return k, False
@@ -704,8 +718,7 @@ class Group:
 
         atom_keys: list[int] = []
         known: set[int] = set()  # ids of classes whose closure is an atom already
-        for cid, cls in enumerate(classes):
-            rep = int(cls.indices[0])
+        for cid, rep in enumerate(reps.tolist()):
             if rep == 0:
                 continue
             counter.spend()
@@ -745,11 +758,10 @@ class Group:
                 if new:
                     queue.append(k)
 
-        subs = [Subgroup(self, np.flatnonzero(mask), gens) for mask, gens, _ in entries.values()]
+        subs = [(np.flatnonzero(mask), gens) for mask, gens, _ in entries.values()]
         # equal orders give equal lengths, so big-endian bytes sort like tuples
-        subs.sort(key=lambda s: (s.order, s.indices.astype(">i8").tobytes()))
-        self._normals = subs
-        return list(subs)
+        subs.sort(key=lambda s: (len(s[0]), s[0].astype(">i8").tobytes()))
+        return subs
 
     def has_normal_p_complement(self, p: int) -> bool:
         """True iff the p'-order elements form a (then normal) subgroup."""
@@ -837,25 +849,19 @@ class Group:
         largest order with ties broken by least element index list.  Members
         of the recursive series, with their generators, are mapped back
         through the subgroup's sorted-index correspondence.  The series is
-        computed once per group; later calls return a copy of the same list.
+        computed once per group; each call returns new Subgroups.
         """
-        if self._series is not None:
-            return list(self._series)
-        full = Subgroup(self, np.arange(self.order, dtype=np.int64), list(self._gen_idx))
-        if self.order == 1:
+        if self._series is None:
             below = []
-        else:
-            proper = [s for s in self.normal_subgroups(budget) if s.order < self.order]
-            m = min(proper, key=lambda s: (-s.order, s.indices.astype(">i8").tobytes()))
-            if m.order == 1:
-                below = [Subgroup(self, np.array([0], dtype=np.int64), [])]
-            else:
+            if self.order > 1:
+                proper = [s for s in self.normal_subgroups(budget) if s.order < self.order]
+                m = min(proper, key=lambda s: (-s.order, s.indices.astype(">i8").tobytes()))
                 below = [
-                    Subgroup(self, m.indices[s.indices], [int(m.indices[i]) for i in s.ensure_gens()])
+                    (m.indices[s.indices], [int(m.indices[i]) for i in s.ensure_gens()])
                     for s in m.as_group().composition_series(budget)
                 ]
-        self._series = below + [full]
-        return list(self._series)
+            self._series = below + [(np.arange(self.order, dtype=np.int64), list(self._gen_idx))]
+        return [Subgroup(self, idx, list(gens)) for idx, gens in self._series]
 
 
 class ConjugacyClass:

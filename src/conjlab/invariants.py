@@ -53,18 +53,13 @@ class PPartClassification:
 
 
 def class_size_set(g: Group) -> ClassSizeSet:
-    counts: dict[int, int] = {}
-    for cls in g.conjugacy_classes():
-        counts[cls.size] = counts.get(cls.size, 0) + 1
-    for size in counts:
+    sizes, counts = (a.tolist() for a in np.unique(g.class_table().sizes, return_counts=True))
+    for size in sizes:
         if g.order % size != 0:
             raise EngineFault(f"class size {size} does not divide |G| = {g.order}")
-    if 1 not in counts:
+    if 1 not in sizes:
         raise EngineFault("identity class missing")
-    return ClassSizeSet(
-        sizes=frozenset(counts),
-        multiplicities=tuple(sorted(counts.items())),
-    )
+    return ClassSizeSet(sizes=frozenset(sizes), multiplicities=tuple(zip(sizes, counts)))
 
 
 def centralizer_index(g: Group, within: Subgroup | None, x) -> int:
@@ -88,15 +83,15 @@ def max_class_p_part(g: Group, p: int) -> int:
     """Largest p-part occurring among the class sizes; divides |G|_p."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    best = max(p_part(cls.size, p) for cls in g.conjugacy_classes())
+    best = max(p_part(size, p) for size in g.class_table().sizes.tolist())
     if p_part(g.order, p) % best != 0:
         raise EngineFault("class-size p-part exceeds the group order p-part")
     return best
 
 
 def _class_size_per_element(g: Group) -> np.ndarray:
-    sizes = np.array([cls.size for cls in g.conjugacy_classes()], dtype=np.int64)
-    return sizes[g._class_id]
+    table = g.class_table()
+    return table.sizes[table.ids]
 
 
 def classify_p_parts(g: Group, p: int) -> PPartClassification:

@@ -26,7 +26,8 @@ quantifies over group actions rather than a single group.
 
 Each centralizer mask, coset labelling and composition series is computed
 once per group: Group memoises centralizer_mask_idx per element, the
-no-actor coset_labels per kernel and composition_series.  No lemma builds a
+no-actor coset_labels per kernel and composition_series.  Class ids,
+representatives and sizes come from Group.class_table.  No lemma builds a
 quotient group.  G/K is read through Group.coset_labels: with no actors the
 labels name the cosets xK, and with G's generators as actors a label's
 count over |K| is the class size of xK in G/K, kept per kernel by the lemma
@@ -362,12 +363,11 @@ def _misses_a_class(g: Group, xs: np.ndarray) -> np.ndarray:
     often as before, so the answer is read at x_i's class representative,
     once for each class that xs reaches.
     """
-    classes = g.conjugacy_classes()
-    cids = g._class_id[xs]
-    misses = np.zeros(len(classes), dtype=bool)
+    ids, reps, _ = g.class_table()
+    cids = ids[xs]
+    misses = np.zeros(len(reps), dtype=bool)
     for c in np.unique(cids).tolist():
-        rep = int(classes[c].indices[0])
-        hits = np.bincount(g._class_id[g.centralizer_mask_idx(rep)], minlength=len(classes))
+        hits = np.bincount(ids[g.centralizer_mask_idx(int(reps[c]))], minlength=len(reps))
         misses[c] = (hits == 0).any()
     return misses[cids]
 
@@ -516,7 +516,7 @@ class _ClassDivisors:
     def __init__(self, g: Group, normals: Sequence[Subgroup]):
         self.g, self.normals = g, normals
         self.sizes = _class_size_per_element(g)
-        self.reps = np.array([int(c.indices[0]) for c in g.conjugacy_classes()], dtype=np.int64)
+        self.ids, self.reps, _ = g.class_table()
         self.in_kernel = np.zeros((len(normals), len(self.reps)), dtype=np.int64)
         self.in_quotient = np.zeros_like(self.in_kernel)
 
@@ -525,7 +525,7 @@ class _ClassDivisors:
         out = np.ones(len(cases), dtype=bool)
         live = np.flatnonzero(~_degenerate(g, self.normals, cases))
         k, x = cases[live].T
-        c = g._class_id[x]
+        c = self.ids[x]
         unread = np.column_stack([k, c])[self.in_kernel[k, c] == 0]
         for kk, cc in np.unique(unread, axis=0).tolist():
             self.in_kernel[kk, cc] = centralizer_index(g, self.normals[kk], int(self.reps[cc]))
@@ -597,7 +597,7 @@ def _lemma_series_class_divisibility(g, rng, samples, nbudget) -> LemmaResult:
 def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
     # commuting elements of coprime order: C(xy) = C(x) & C(y)
     orders = g.element_orders()
-    classes = g.conjugacy_classes()
+    _, reps, sizes = g.class_table()
 
     @functools.cache
     def coprime_to(order: int) -> np.ndarray:
@@ -614,9 +614,9 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
         return x, int(coprime[rng.randrange(coprime.size)])
 
     return _drive(
-        sum(g.order // cls.size for cls in classes),
+        int((g.order // sizes).sum()),
         samples,
-        (_with(x, coprime_partners(x)) for x in (int(cls.indices[0]) for cls in classes)),
+        (_with(x, coprime_partners(x)) for x in reps.tolist()),
         draw,
         _centralizers_of_products_split(g),
         "x#{},y#{}",
@@ -672,7 +672,7 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
     # element order coprime to |K|: centralizer image equals image centralizer
     normals = g.normal_subgroups(nbudget)
     orders = g.element_orders()
-    reps = np.array([int(cls.indices[0]) for cls in g.conjugacy_classes()], dtype=np.int64)
+    reps = g.class_table().reps
 
     def draw():
         k, x = rng.randrange(len(normals)), rng.randrange(g.order)
@@ -694,7 +694,7 @@ def _lemma_coprime_quotient_centralizer(g, rng, samples, nbudget) -> LemmaResult
 def _lemma_centralizer_image_in_quotient(g, rng, samples, nbudget) -> LemmaResult:
     # always: image of the centralizer lands inside the image's centralizer
     normals = g.normal_subgroups(nbudget)
-    reps = np.array([int(cls.indices[0]) for cls in g.conjugacy_classes()], dtype=np.int64)
+    reps = g.class_table().reps
     return _drive(
         len(normals) * len(reps),
         samples,
@@ -917,58 +917,51 @@ def _cyclic_product(moduli: Sequence[int], name: str) -> Group:
 
 
 def _matrix_witness(name: str, moduli: Sequence[int], matrices: Sequence) -> CoprimeActionWitness:
-    """Witness whose actors act linearly on the exponent vectors of the base."""
-    base = _cyclic_product(moduli, name)
-    k = len(moduli)
-    rmaps = [base._rmul_map(base._gen_idx[i]) for i in range(k)]
-    vec_to_idx: dict[tuple, int] = {}
-    vecs = list(itertools.product(*[range(m) for m in moduli]))
-    for vec in vecs:
-        idx = 0
-        for gi, e in enumerate(vec):
-            for _ in range(e):
-                idx = int(rmaps[gi][idx])
-        vec_to_idx[vec] = idx
-    actor_gens = []
-    for mat in matrices:
-        images = [0] * base.order
-        for vec in vecs:
-            out = tuple(
-                sum(mat[i][j] * vec[j] for j in range(k)) % moduli[i] for i in range(k)
-            )
-            images[vec_to_idx[vec]] = vec_to_idx[out]
-        actor_gens.append(Perm(images))
-    return coprime_action_witness(base, actor_gens, name)
+    """Witness whose actors act linearly on the exponent vectors of the base.
+
+    The base's member with exponent vector v is its ravel_multi_index(v)-th,
+    so column j of the unravelled indices is the vector of member j.
+    """
+    vecs = np.indices(moduli).reshape(len(moduli), -1)
+    mods = np.array(moduli)[:, None]
+    actor_gens = [
+        Perm(np.ravel_multi_index(np.array(mat) @ vecs % mods, moduli).tolist())
+        for mat in matrices
+    ]
+    return coprime_action_witness(_cyclic_product(moduli, name), actor_gens, name)
 
 
 def _inv(k: int):
     return [[-1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
+# (name, moduli of the cyclic factors, actor matrices) of each builtin witness
+_WITNESS_SPECS = [
+    ("inversion-c3", (3,), [_inv(1)]),
+    ("inversion-c5", (5,), [_inv(1)]),
+    ("inversion-c7", (7,), [_inv(1)]),
+    ("inversion-c9", (9,), [_inv(1)]),
+    ("inversion-c11", (11,), [_inv(1)]),
+    ("inversion-c15", (15,), [_inv(1)]),
+    ("inversion-c21", (21,), [_inv(1)]),
+    ("inversion-c3c3", (3, 3), [_inv(2)]),
+    ("inversion-c3c9", (3, 9), [_inv(2)]),
+    ("inversion-c5c5", (5, 5), [_inv(2)]),
+    ("swap-c3c3", (3, 3), [[[0, 1], [1, 0]]]),
+    ("swap-c5c5", (5, 5), [[[0, 1], [1, 0]]]),
+    ("half-inversion-c3c3", (3, 3), [[[-1, 0], [0, 1]]]),
+    ("half-inversion-c5c5", (5, 5), [[[-1, 0], [0, 1]]]),
+    ("triple-c7", (7,), [[[2]]]),
+    ("triple-c13", (13,), [[[3]]]),
+    ("quadruple-c15", (15,), [[[2]]]),
+    ("triangle-c2c2", (2, 2), [[[0, 1], [1, 1]]]),
+    ("fano-c2c2c2", (2, 2, 2), [[[0, 1, 0], [0, 0, 1], [1, 1, 0]]]),
+    ("diag-c7c7", (7, 7), [[[2, 0], [0, 4]]]),
+    ("trivial-c6", (6,), []),
+    ("trivial-c2c4", (2, 4), []),
+]
+
+
 def builtin_witnesses() -> list[CoprimeActionWitness]:
     """Fixed collection of coprime-action witnesses across action flavors."""
-    specs = [
-        ("inversion-c3", (3,), [_inv(1)]),
-        ("inversion-c5", (5,), [_inv(1)]),
-        ("inversion-c7", (7,), [_inv(1)]),
-        ("inversion-c9", (9,), [_inv(1)]),
-        ("inversion-c11", (11,), [_inv(1)]),
-        ("inversion-c15", (15,), [_inv(1)]),
-        ("inversion-c21", (21,), [_inv(1)]),
-        ("inversion-c3c3", (3, 3), [_inv(2)]),
-        ("inversion-c3c9", (3, 9), [_inv(2)]),
-        ("inversion-c5c5", (5, 5), [_inv(2)]),
-        ("swap-c3c3", (3, 3), [[[0, 1], [1, 0]]]),
-        ("swap-c5c5", (5, 5), [[[0, 1], [1, 0]]]),
-        ("half-inversion-c3c3", (3, 3), [[[-1, 0], [0, 1]]]),
-        ("half-inversion-c5c5", (5, 5), [[[-1, 0], [0, 1]]]),
-        ("triple-c7", (7,), [[[2]]]),
-        ("triple-c13", (13,), [[[3]]]),
-        ("quadruple-c15", (15,), [[[2]]]),
-        ("triangle-c2c2", (2, 2), [[[0, 1], [1, 1]]]),
-        ("fano-c2c2c2", (2, 2, 2), [[[0, 1, 0], [0, 0, 1], [1, 1, 0]]]),
-        ("diag-c7c7", (7, 7), [[[2, 0], [0, 4]]]),
-        ("trivial-c6", (6,), []),
-        ("trivial-c2c4", (2, 4), []),
-    ]
-    return [_matrix_witness(name, moduli, mats) for name, moduli, mats in specs]
+    return [_matrix_witness(name, moduli, mats) for name, moduli, mats in _WITNESS_SPECS]

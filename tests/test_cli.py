@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conjlab import cli, corpus, theorem
 from conjlab.cli import EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_OK, main
 from conjlab.corpus import build, parse_spec
-from conjlab.group import ConjugacyClass, Group
+from conjlab.group import ClassTable, Group
 
 
 def run(capsys, *argv):
@@ -297,10 +297,13 @@ def test_verify_memory_error_exits_two_without_traceback(capsys, monkeypatch):
 
 def _break_class_sizes(monkeypatch):
     # order-24 groups get class sizes that do not divide the group order
-    size = ConjugacyClass.size.fget
-    monkeypatch.setattr(
-        ConjugacyClass, "size", property(lambda c: size(c) + (c.parent.order == 24))
-    )
+    table = Group.class_table
+
+    def broken(self):
+        ids, reps, sizes = table(self)
+        return ClassTable(ids, reps, sizes + (self.order == 24))
+
+    monkeypatch.setattr(Group, "class_table", broken)
 
 
 def _break_centralizers(monkeypatch):
@@ -417,6 +420,7 @@ def test_scan_has_no_json_flag(capsys):
         ["analyze", "cyclic:8000"],
         ["analyze", "direct:heisenberg:13+cyclic:40"],
         ["analyze", "big.grp"],
+        ["analyze", "groups/missing.grp"],
     ],
     ids=[
         "verify-samples",
@@ -431,6 +435,7 @@ def test_scan_has_no_json_flag(capsys):
         "just-over-cell-limit-cyclic",
         "over-cell-limit-product",
         "over-cell-limit-grp",
+        "missing-grp",
     ],
 )
 def test_bad_values_exit_two_with_one_error_line(capsys, tmp_path, argv):
@@ -448,6 +453,8 @@ def test_bad_values_exit_two_with_one_error_line(capsys, tmp_path, argv):
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
+    if argv[-1] == "groups/missing.grp":
+        assert argv[-1] in err  # the read names the file
 
 
 @pytest.mark.parametrize("spec", ["cyclic:100000", "direct:heisenberg:13+cyclic:40"])

@@ -17,6 +17,7 @@ from conjlab.errors import (
     NotNormal,
 )
 from conjlab.group import (
+    Group,
     Subgroup,
     direct_product,
     group_from_generators,
@@ -544,15 +545,22 @@ def test_composition_factors():
     assert sorted(f[0] for f in c12.composition_factors()) == [2, 2, 3]
 
 
-def test_composition_series_orders():
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_composition_series_orders(monkeypatch):
     s4, _ = build_oracle_pair(oracle.symmetric_gens(4))
     series = s4.composition_series()
     orders = [s.order for s in series]
     assert orders == [1, 2, 4, 12, 24]
     for low, high in zip(series, series[1:]):
         assert set(low.indices) <= set(high.indices)
-    again = s4.composition_series()  # computed once, returned as a fresh list
-    assert again is not series and all(a is b for a, b in zip(again, series))
+    # computed once: a second call runs no search and makes new, equal Subgroups
+    monkeypatch.setattr(Group, "normal_subgroups", _never_called)
+    monkeypatch.setattr(Subgroup, "as_group", _never_called)
+    again = s4.composition_series()
+    assert again == series and all(a is not b for a, b in zip(again, series))
 
 
 # ----- products --------------------------------------------------------------------

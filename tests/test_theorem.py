@@ -1,8 +1,11 @@
 """Verdict pipeline, lemma suite, and coprime-action witnesses."""
 
+import gc
 import hashlib
+import itertools
 import json
 import random
+import weakref
 from math import gcd
 from types import SimpleNamespace
 
@@ -503,6 +506,23 @@ def test_lemma_suite_labels_each_kernel_once(monkeypatch):
     assert len(kernels) > len(g.normal_subgroups()) // 2  # the lemmas did label kernels
 
 
+def test_a_group_is_freed_without_the_cycle_collector():
+    # a Group caches arrays only, never an object that points back at it, so
+    # its last reference frees it and its table at once
+    g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
+    g.conjugacy_classes()
+    g.normal_subgroups()
+    g.composition_series()
+    run_lemma_suite(g, sample_budget=50)
+    alive = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 # ----- batched predicates against the scalar references ---------------------------
 
 # The lemma suite decides its cases in batches.  The scalar per-case
@@ -576,7 +596,8 @@ def _quotient_centralizer_ref(g, normals, quotients, k, x, subset_only):
 
 def _misses_a_class_ref(g, i):
     # read at x_i itself, not at its class representative
-    hits = np.bincount(g._class_id[g.centralizer_mask_idx(i)], minlength=len(g.conjugacy_classes()))
+    ids, reps, _ = g.class_table()
+    hits = np.bincount(ids[g.centralizer_mask_idx(i)], minlength=len(reps))
     return bool((hits == 0).any())
 
 
@@ -774,6 +795,36 @@ def test_builtin_witnesses_all_split():
     for w in witnesses:
         assert check_coprime_action_split(w), w.name
         assert w.fixed.order * w.commutator.order == w.base.order, w.name
+
+
+def _vector_indices_by_walk(base, moduli):
+    """Exponent vector -> member index, walking right-multiplication maps."""
+    rmaps = [base._rmul_map(g) for g in base._gen_idx]
+    out = {}
+    for vec in itertools.product(*[range(m) for m in moduli]):
+        idx = 0
+        for rmap, e in zip(rmaps, vec):
+            for _ in range(e):
+                idx = int(rmap[idx])
+        out[vec] = idx
+    return out
+
+
+def test_matrix_witnesses_match_the_exponent_walk():
+    witnesses = builtin_witnesses()
+    assert [w.name for w in witnesses] == [name for name, _, _ in theorem._WITNESS_SPECS]
+    assert len(witnesses) == 22
+    for w, (name, moduli, mats) in zip(witnesses, theorem._WITNESS_SPECS):
+        at = _vector_indices_by_walk(w.base, moduli)
+        # the base table lists exponent vectors in ravel order
+        assert all(i == np.ravel_multi_index(vec, moduli) for vec, i in at.items()), name
+        assert len(w.actor_gens) == len(mats), name
+        for actor, mat in zip(w.actor_gens, mats):
+            want = [0] * w.base.order
+            for vec, i in at.items():
+                image = tuple(sum(a * v for a, v in zip(row, vec)) % m for row, m in zip(mat, moduli))
+                want[i] = at[image]
+            assert list(actor.images) == want, name
 
 
 def test_witness_rejects_nonabelian_base():
