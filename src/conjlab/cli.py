@@ -13,18 +13,23 @@ written every record it exits 2 if any of them holds an engine fault, else
 
 Scan output is deterministic for a fixed seed regardless of --jobs: records
 are sorted by spec name and canonicalized (timings zeroed, timestamp pinned
-to the epoch) so repeated scans are byte-identical.  Wall-clock timings are
-reported by verify_main_theorem, which does not make that promise.
+to the epoch) so repeated scans are byte-identical.  --out is opened before
+any group is built, and each record is written and flushed as it finishes,
+in spec order, so an interrupted scan leaves a byte prefix of the full
+output.  Wall-clock timings are reported by verify_main_theorem, which does
+not make that promise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .arith import (
     divisibility_digraph,
@@ -289,7 +294,6 @@ def _corpus_spec_names(corpus: str) -> list[str]:
 def cmd_scan(args) -> int:
     if args.jobs < 1:
         raise ConjlabError("--jobs must be at least 1")
-    spec_names = _corpus_spec_names(args.corpus)
     tasks = [
         (
             name,
@@ -299,35 +303,43 @@ def cmd_scan(args) -> int:
             args.lemma_samples,
             args.no_lemmas,
         )
-        for name in spec_names
+        for name in sorted(_corpus_spec_names(args.corpus))
     ]
-    # the pool starts all its workers at once, so it gets no more than tasks
-    workers = min(args.jobs, len(tasks))
-    if workers == 1:
-        lines = [_scan_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(_scan_one, tasks))
-    # each line's spec is its task's name
-    lines = [line for _, line in sorted(zip(spec_names, lines), key=lambda pair: pair[0])]
-    records = [json.loads(line) for line in lines]
-    body = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(body)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        counts: dict[str, int] = {}
-        for rec in records:
-            key = rec["report"]["verdict"] if rec["report"] else "error"
-            counts[key] = counts.get(key, 0) + 1
+    counts: dict[str, int] = {}
+    faults = 0
+    with contextlib.ExitStack() as stack:
+        if args.out is None:
+            out = sys.stdout
+        else:
+            out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+        # the pool starts all its workers at once, so it gets no more than tasks
+        workers = min(args.jobs, len(tasks))
+        if workers == 1:
+            lines = map(_scan_one, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            lines = pool.map(_scan_one, tasks)
+        try:
+            # both maps yield in task order, so the output is always a sorted prefix
+            for line in lines:
+                out.write(line + "\n")
+                out.flush()
+                rec = json.loads(line)
+                key = rec["report"]["verdict"] if rec["report"] else "error"
+                counts[key] = counts.get(key, 0) + 1
+                faults += rec["error"].startswith("EngineFault:")
+        except BrokenProcessPool as exc:
+            written = sum(counts.values())
+            raise ConjlabError(
+                f"worker pool died after {written} of {len(tasks)} records were written: {exc}"
+            ) from None
+    if args.out is not None:
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        sys.stdout.write(f"scanned {len(lines)} groups: {summary}\n")
-    faults = sum(rec["error"].startswith("EngineFault:") for rec in records)
+        sys.stdout.write(f"scanned {len(tasks)} groups: {summary}\n")
     if faults:
         sys.stderr.write(f"error: engine fault recorded for {faults} group(s)\n")
         return EXIT_ERROR
-    if VERDICT_COUNTEREXAMPLE in [rec["report"]["verdict"] for rec in records if rec["report"]]:
+    if VERDICT_COUNTEREXAMPLE in counts:
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
 

@@ -12,15 +12,14 @@ table order, and gives it to group_from_generators with the family's
 generators, which keeps it in place of an enumeration; only .grp files
 are enumerated.
 
-ScanRecord pairs a spec with its verification report; records serialize
-one-per-line as JSONL with sorted keys, and read_records reports the line
-number of any malformed line.
+ScanRecord pairs a spec with its verification report, and record_to_line
+writes it as one JSONL line with sorted keys.  Scans only write records;
+nothing in the package reads them back.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -28,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import divisibility_digraph, is_disconnected, is_prime, prime_divisors
-from .errors import CapExceeded, InvalidSpec, RecordFormatError
+from .errors import CapExceeded, InvalidSpec
 from .group import (
     _CELL_LIMIT,
     Group,
@@ -470,31 +469,6 @@ class ScanRecord:
             "error": self.error,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScanRecord":
-        report = d["report"]
-        return cls(
-            spec=d["spec"],
-            report=TheoremReport.from_dict(report) if report is not None else None,
-            engine_version=d["engine_version"],
-            timestamp=d["timestamp"],
-            error=d.get("error", ""),
-        )
-
 
 def record_to_line(rec: ScanRecord) -> str:
     return json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def read_records(path: str | os.PathLike) -> list[ScanRecord]:
-    """Read JSONL records; a malformed line fails with its line number."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(ScanRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise RecordFormatError(f"{os.fspath(path)}:{lineno}: {exc}") from None
-    return out

@@ -48,6 +48,3 @@ class InvalidSpec(ConjlabError):
 class GrpFormatError(ConjlabError):
     """Malformed .grp text; message names the offending line."""
 
-
-class RecordFormatError(ConjlabError):
-    """Malformed scan-record line; message names the offending line."""

@@ -498,8 +498,9 @@ class Group:
     def class_table(self) -> ClassTable:
         """The conjugacy classes, computed once and numbered by (size, least member)."""
         if self._classes is None:
-            trivial = Subgroup(self, np.zeros(1, dtype=np.int64), [])
-            least = self.coset_labels(trivial, self._gen_idx)
+            # element_orders reads the classes, so the bounds come from the Perms
+            maps = [(self._conj_map(a), self.element(a).order()) for a in self._gen_idx]
+            least = _least_labels(self.order, maps)
             reps, inverse, sizes = np.unique(least, return_inverse=True, return_counts=True)
             rank = np.lexsort((reps, sizes))
             self._classes = ClassTable(np.argsort(rank)[inverse], reps[rank], sizes[rank])

@@ -25,8 +25,8 @@ coprime-action splitting check has its own witness type since it
 quantifies over group actions rather than a single group.
 
 Each centralizer mask, coset labelling and composition series is computed
-once per group: Group memoises centralizer_mask_idx per element, the
-no-actor coset_labels per kernel and composition_series.  Class ids,
+once per group: Group memoises centralizer_mask_idx per element,
+coset_labels per kernel and actor list, and composition_series.  Class ids,
 representatives and sizes come from Group.class_table.  No lemma builds a
 quotient group.  G/K is read through Group.coset_labels: with no actors the
 labels name the cosets xK, and with G's generators as actors a label's
@@ -118,10 +118,6 @@ class LemmaResult:
             "detail": self.detail,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LemmaResult":
-        return cls(d["status"], d["checked"], d["mode"], d.get("detail", ""))
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -147,19 +143,6 @@ class Decomposition:
             "a_generators": list(self.a_generators),
             "b_generators": list(self.b_generators),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Decomposition":
-        return cls(
-            omega=frozenset(d["omega"]),
-            n=d["n"],
-            a_order=d["a_order"],
-            b_order=d["b_order"],
-            a_class_sizes=tuple(d["a_class_sizes"]),
-            b_class_sizes=tuple(d["b_class_sizes"]),
-            a_generators=tuple(d["a_generators"]),
-            b_generators=tuple(d["b_generators"]),
-        )
 
 
 @dataclass
@@ -191,33 +174,6 @@ class TheoremReport:
             },
             "timings": dict(self.timings),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TheoremReport":
-        css = ClassSizeSet(
-            sizes=frozenset(d["n_of_g"]["sizes"]),
-            multiplicities=tuple(
-                (int(s), int(c)) for s, c in d["n_of_g"]["multiplicities"]
-            ),
-        )
-        return cls(
-            group_name=d["group_name"],
-            group_order=d["group_order"],
-            n_of_g=css,
-            factorizations=tuple(
-                Factorization(omega=frozenset(f["omega"]), n=f["n"])
-                for f in d["factorizations"]
-            ),
-            decompositions=tuple(
-                Decomposition.from_dict(x) for x in d["decompositions"]
-            ),
-            verdict=d["verdict"],
-            lemma_results={
-                name: LemmaResult.from_dict(res)
-                for name, res in d["lemma_results"].items()
-            },
-            timings={k: int(v) for k, v in d["timings"].items()},
-        )
 
 
 def _now_ms() -> float:

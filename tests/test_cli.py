@@ -2,6 +2,7 @@
 
 import json
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,68 @@ def test_scan_starts_no_more_workers_than_groups(tmp_path, capsys, monkeypatch):
     outs = [run(capsys, "scan", "--corpus", str(corpus), "--jobs", jobs) for jobs in ("1", "2", "64")]
     assert made == [2, 2]
     assert outs[0] == outs[1] == outs[2] and outs[0][0] == EXIT_OK
+
+
+def test_interrupted_scan_leaves_a_prefix_of_the_full_output(tmp_path, capsys, monkeypatch):
+    real = cli._scan_one
+    seen = []
+
+    def interrupted(task):
+        seen.append(task[0])
+        if len(seen) == 5:
+            raise KeyboardInterrupt
+        return real(task)
+
+    monkeypatch.setattr(cli, "_scan_one", interrupted)
+    out_path = tmp_path / "scan.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        main(["scan", "--corpus", "builtin", "--out", str(out_path), "--lemma-samples", "300", "--jobs", "1"])
+    first_four = b"".join(GOLDEN_SCAN.read_bytes().splitlines(keepends=True)[:4])
+    assert out_path.read_bytes() == first_four
+
+
+def test_scan_unwritable_out_fails_before_any_build(tmp_path, capsys, monkeypatch):
+    built = []
+    real = cli.build
+
+    def counting(spec, cap=None):
+        built.append(spec.name)
+        return real(spec, cap=cap)
+
+    monkeypatch.setattr(cli, "build", counting)
+    out_path = tmp_path / "missing" / "deep.jsonl"
+    code, out, err = run(capsys, "scan", "--corpus", "builtin", "--out", str(out_path))
+    assert (code, out, built) == (EXIT_ERROR, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_keeps_its_records_when_the_pool_dies(tmp_path, capsys, monkeypatch):
+    # a stand-in pool yields the first record, then fails as a killed worker would
+    class DyingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            yield fn(next(iter(items)))
+            raise BrokenProcessPool("a process in the pool was terminated abruptly")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
+    corpus = write_dir_corpus(tmp_path)
+    out_path = tmp_path / "scan.jsonl"
+    argv = ["scan", "--corpus", str(corpus), "--no-lemmas", "--out", str(out_path)]
+    code, out, err = run(capsys, *argv, "--jobs", "2")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: worker pool died after 1 of 2 records were written")
+    assert err.count("\n") == 1
+    partial = out_path.read_bytes()
+    assert run(capsys, *argv, "--jobs", "1")[0] == EXIT_OK
+    assert out_path.read_bytes().splitlines(keepends=True)[0] == partial
 
 
 def _run_out_of_memory_on(monkeypatch, name):

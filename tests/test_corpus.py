@@ -7,16 +7,14 @@ import pytest
 import oracle
 from conjlab.arith import divisibility_digraph, weak_components
 from conjlab.corpus import (
-    ENGINE_VERSION,
     GroupSpec,
     ScanRecord,
     build,
     builtin_corpus,
     parse_spec,
-    read_records,
     record_to_line,
 )
-from conjlab.errors import CapExceeded, InvalidSpec, RecordFormatError
+from conjlab.errors import CapExceeded, InvalidSpec
 from conjlab.invariants import class_size_set
 from conjlab.theorem import verify_main_theorem
 
@@ -193,40 +191,3 @@ def test_scan_record_round_trip():
     rec = ScanRecord(spec="frobenius:5,4", report=report, timestamp="t0")
     line = record_to_line(rec)
     assert "\n" not in line
-    back = ScanRecord.from_dict(__import__("json").loads(line))
-    assert back.spec == rec.spec
-    assert back.engine_version == ENGINE_VERSION
-    assert back.report.to_dict() == report.to_dict()
-    assert back.error == ""
-
-
-def test_scan_record_error_round_trip():
-    rec = ScanRecord(spec="file:missing.grp", report=None, error="boom")
-    back = ScanRecord.from_dict(__import__("json").loads(record_to_line(rec)))
-    assert back.report is None and back.error == "boom"
-
-
-def test_write_read_records(tmp_path):
-    g = build(parse_spec("cyclic:6"))
-    records = [
-        ScanRecord(spec="cyclic:6", report=verify_main_theorem(g), timestamp="x"),
-        ScanRecord(spec="file:gone.grp", report=None, error="unreadable"),
-    ]
-    path = tmp_path / "out.jsonl"
-    path.write_text("".join(record_to_line(rec) + "\n" for rec in records))
-    text = path.read_text()
-    assert len(text.strip().splitlines()) == 2
-    back = read_records(path)
-    assert [r.spec for r in back] == ["cyclic:6", "file:gone.grp"]
-    assert back[0].report.verdict == "HypothesisNotMet"
-
-
-def test_read_records_reports_bad_line(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"spec": "cyclic:2"}\n')
-    with pytest.raises(RecordFormatError) as err:
-        read_records(path)
-    assert "bad.jsonl:1" in str(err.value)
-    path.write_text("not json\n")
-    with pytest.raises(RecordFormatError):
-        read_records(path)

@@ -181,6 +181,13 @@ def test_class_members_are_actual_classes():
         assert members == want
 
 
+def test_class_table_leaves_no_coset_labels():
+    # the class labelling is kept once, in the class table
+    g = build(parse_spec("direct:symmetric:4+heisenberg:3"))
+    g.class_table()
+    assert len(g._quotient_cache) == 0 and g._quotient_cache.nbytes == 0
+
+
 def test_centralizer_matches_oracle():
     g, elements = build_oracle_pair(oracle.symmetric_gens(4))
     for i in range(0, g.order, 3):
