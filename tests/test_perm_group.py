@@ -404,6 +404,8 @@ RECORDED_LATTICES = {
     "symmetric:5": "4db644120bd03bd7",
     "direct:alternating:5+cyclic:11": "6961ef0fc2705f99",
     "direct:frobenius:5,4+heisenberg:3": "f3fe414ac0e58754",
+    "direct:frobenius:5,4+heisenberg:7": "7c69e2153586560b",
+    "direct:alternating:5+heisenberg:7": "63ef35078895cd9c",
     "direct:cyclic:3+cyclic:3+cyclic:3": "68e3db71b6d32852",
 }
 
