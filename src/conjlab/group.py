@@ -17,8 +17,10 @@ order up to about 10^5.
 Composition convention (see perm.py): ``p * q`` applies p first, then q.
 Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 ``mult(x, s)`` for every row x at once is the fancy index ``s_row[rows]``,
-which is what the cached per-generator index maps are built from.  One
-BFS over such maps, Group._spread, builds subgroup closures; conjugacy
+which is what the cached per-generator index maps are built from.  Below
+_COSET_CLOSURE_ORDER, one BFS over such maps, Group._spread, builds
+subgroup closures; from there up, Group._coset_walk adds whole right
+cosets of the known subgroup (Dimino's method) and builds no map; conjugacy
 classes, cosets and the classes of a quotient come from coset_labels,
 which names each orbit by its least index through whole-array pointer
 doubling (_least_labels); a
@@ -93,6 +95,14 @@ _CELL_LIMIT = 50_000_000
 _MAP_CACHE_BYTES = 192_000_000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# from this group order up, _closed_mask walks right cosets of its seed and
+# builds no whole-group map: below it, a map costs about one lookup call, less
+# than the coset walk's per-level calls (a measured sweep; see CHANGES.md)
+_COSET_CLOSURE_ORDER = 10_000
+
+# base-image cells one coset lookup holds, unless one coset needs more
+_COSET_CELLS = 1 << 20
 
 
 def default_element_cap() -> int:
@@ -363,16 +373,19 @@ class Group:
         if self._orders is None:
             ids, reps, _ = self.class_table()
             orders = np.ones(len(reps), dtype=np.int64)
+            # the representatives' rows, gathered once and stepped through flat
+            flat = self._rows[reps].ravel()
             for b, col in zip(self._base, self._base_rows[reps].T):
                 alive = np.flatnonzero(col != b)
-                pts = col[alive]
+                offsets, pts = alive * self.degree, col[alive]
                 length = 1
                 while alive.size:
                     length += 1
-                    pts = self._rows[reps[alive], pts]
+                    pts = flat[offsets + pts]
                     back = pts == b
-                    orders[alive[back]] = np.lcm(orders[alive[back]], length)
-                    alive, pts = alive[~back], pts[~back]
+                    if back.any():
+                        orders[alive[back]] = np.lcm(orders[alive[back]], length)
+                        alive, offsets, pts = alive[~back], offsets[~back], pts[~back]
             self._orders = orders[ids]
         return self._orders
 
@@ -462,13 +475,82 @@ class Group:
         return levels
 
     def _closed_mask(self, gen_indices: Sequence[int], seed_mask: np.ndarray | None = None) -> np.ndarray:
-        """Member mask of <gens>, optionally seeded with a known subgroup of it."""
+        """Member mask of <gens>, optionally seeded with the subgroup that a
+        prefix of gens generates.
+
+        Below _COSET_CLOSURE_ORDER one BFS over the generators' cached
+        right-multiplication maps marks it; from there up, _coset_walk adds
+        right cosets of the seed and builds no map.
+        """
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
         if seed_mask is not None:
             mask |= seed_mask
-        self._spread([self._rmul_map(int(s)) for s in gen_indices], np.flatnonzero(mask), mask)
+        gens = [int(s) for s in gen_indices]
+        if self.order < _COSET_CLOSURE_ORDER:
+            self._spread([self._rmul_map(s) for s in gens], np.flatnonzero(mask), mask)
+        else:
+            self._coset_walk(gens, mask)
         return mask
+
+    def _coset_walk(self, gens: list[int], mask: np.ndarray) -> None:
+        """Grow mask, the subgroup that a prefix of gens generates, to <gens>.
+
+        Dimino's method: each generator s outside the subgroup H marked so
+        far is adjoined by adding right cosets Hy, first Hs, then, level by
+        level, the cosets of the new representatives times the generators
+        so far.  A union of cosets closed under right multiplication by the
+        generators is the group they generate.  When a level adds one coset
+        He, the cosets He^k follow at once, for 1 < k < the least k with
+        e^k marked: they are new and distinct, so a rotation reached only
+        as a product of two reflections takes one level, not one per power.
+        """
+        for i, s in enumerate(gens):
+            if mask[s]:
+                continue
+            sub = np.flatnonzero(mask)
+            fresh = self._add_power_cosets(sub, s, mask)
+            while fresh.size:
+                cand = self._indices_of_images(
+                    self._product_images(fresh, gens[: i + 1]).reshape(-1, len(self._base))
+                )
+                fresh = self._add_cosets(sub, cand, mask)
+                if fresh.size == 1:
+                    fresh = self._add_power_cosets(sub, int(fresh[0]), mask)
+
+    def _add_power_cosets(self, sub: np.ndarray, e: int, mask: np.ndarray) -> np.ndarray:
+        """Mark the right cosets (sub)e^k for 0 < k < the least k > 1 with e^k
+        marked, and return the e^k; sub is a subgroup, mask a union of its
+        cosets, and (sub)e may be marked already.
+        """
+        powers = self._indices_of_images(self._power_images(e))
+        hit = np.flatnonzero(mask[powers[2:]])
+        reps = powers[1 : 2 + int(hit[0]) if hit.size else len(powers)]
+        self._add_cosets(sub, reps, mask)
+        return reps
+
+    def _add_cosets(self, sub: np.ndarray, cand: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Mark the right cosets (sub)c of the unmarked candidates c in mask.
+
+        Each coset is found whole, in lookups of at most _COSET_CELLS base
+        images, and named by its least member; returns one candidate per
+        coset added.
+        """
+        per = max(1, _COSET_CELLS // max(1, len(sub) * len(self._base)))
+        added = []
+        for start in range(0, len(cand), per):
+            part = cand[start : start + per]
+            part = part[~mask[part]]
+            if part.size:
+                if len(sub) == 1:
+                    cosets = part[None, :]
+                else:
+                    images = self._product_images(sub, part).reshape(-1, len(self._base))
+                    cosets = self._indices_of_images(images).reshape(len(sub), len(part))
+                _, first = np.unique(cosets.min(axis=0), return_index=True)
+                mask[cosets[:, first]] = True
+                added.append(part[first])
+        return np.concatenate([np.empty(0, dtype=np.int64), *added])
 
     def _accumulate(self, candidates: Iterable[int]) -> tuple[list[int], np.ndarray]:
         """Generators and member mask of the subgroup the candidates generate.
@@ -651,19 +733,31 @@ class Group:
             gens.append(worst)
             mask = self._closed_mask(gens, seed_mask=mask)
 
+    def _power_images(self, i: int) -> np.ndarray:
+        """Base images of x^0, ..., x^(n-1), n = |x| for x = x_i.
+
+        They are built by doubling, x^(m + 2^j) sends b to x^(2^j)(x^m(b)),
+        until a power fixes the whole base: the first one to do so is x^n.
+        """
+        base = np.array(self._base, dtype=np.int64)
+        powers = base[None, :]
+        step = self._rows[i].astype(np.int64)
+        while True:
+            more = step[powers]
+            back = np.flatnonzero((more == base).all(axis=1))
+            if back.size:
+                return np.concatenate([powers, more[: back[0]]])
+            powers = np.concatenate([powers, more])
+            step = step[step]
+
     def _rational_class_ids(self, i: int) -> np.ndarray:
         """Ids of the classes of x^k for 1 <= k < |x| with gcd(k, |x|) = 1.
 
         Those powers generate the same cyclic group as x = x_i, so they have
-        the same normal closure.  The base images of x^0 .. x^(n-1) are built
-        by doubling: x^(m + 2^j) sends b to x^(2^j)(x^m(b)).
+        the same normal closure.
         """
-        n = self.order_of_idx(i)
-        powers = np.array(self._base, dtype=np.int64)[None, :]
-        step = self._rows[i].astype(np.int64)
-        while len(powers) < n:
-            powers = np.concatenate([powers, step[powers]])
-            step = step[step]
+        powers = self._power_images(i)
+        n = len(powers)
         coprime = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
         return np.unique(self.class_table().ids[self._indices_of_images(powers[coprime])])
 
@@ -754,7 +848,7 @@ class Group:
                 if any(k & both == both for k in by_order.get(target, ())):
                     continue  # NA is known already
                 gens = list(dict.fromkeys(ngens + agens))
-                jmask = self._closed_mask(gens, seed_mask=nmask | amask)
+                jmask = self._closed_mask(gens, seed_mask=nmask)
                 k, new = add(jmask, gens)
                 if new:
                     queue.append(k)
@@ -790,9 +884,9 @@ class Group:
         key = (k.indices.tobytes(), tuple(int(a) for a in actors))
         least = self._quotient_cache.get(key)
         if least is None:
-            # element_orders reads the classes, so the bounds come from the Perms
-            maps = [(self._rmul_map(s), self.element(s).order()) for s in k.ensure_gens()]
-            maps += [(self._conj_map(a), self.element(a).order()) for a in actors]
+            orders = self.element_orders()
+            maps = [(self._rmul_map(s), orders[s]) for s in k.ensure_gens()]
+            maps += [(self._conj_map(a), orders[a]) for a in actors]
             least = _least_labels(self.order, maps)
             least.flags.writeable = False
             _cache_put(self._quotient_cache, key, least)

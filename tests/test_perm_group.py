@@ -1,12 +1,14 @@
 """Permutation primitives and the group engine, cross-checked by the oracle."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 import oracle
 from conjlab import group as group_module
+from conjlab.arith import prime_divisors
 from conjlab.corpus import build, parse_spec
 from conjlab.errors import (
     BudgetExceeded,
@@ -442,6 +444,44 @@ def test_one_closure_per_rational_class_and_none_per_known_join(monkeypatch):
     assert closures == [[i] for i in starts]
 
 
+@pytest.mark.parametrize("spec", sorted(RECORDED_LATTICES) + ["dihedral:1000"])
+def test_coset_walk_and_map_bfs_give_the_same_closures(spec, monkeypatch):
+    # the crossover at 1 sends every closure through the coset walk, above
+    # every possible order through the map BFS; generators and members must agree
+    def answers(crossover):
+        monkeypatch.setattr(group_module, "_COSET_CLOSURE_ORDER", crossover)
+        g = build(parse_spec(spec))
+        subs = list(g.normal_subgroups())
+        subs += [g.sylow_subgroup(p) for p in sorted(prime_divisors(g.order))]
+        rng = random.Random(spec)
+        for size in (1, 2, 3):
+            subs.append(g.subgroup_generated([rng.randrange(g.order) for _ in range(size)]))
+        return [(s.indices.tolist(), s.ensure_gens()) for s in subs]
+
+    assert answers(1) == answers(group_module._CELL_LIMIT + 1)
+
+
+def test_coset_walk_adds_a_rotation_chain_in_one_level(monkeypatch):
+    # two reflections whose product is a rotation of order 1000 generate all
+    # of dihedral:1000; the walk adds that rotation's powers at once instead
+    # of one level per power
+    monkeypatch.setattr(group_module, "_COSET_CLOSURE_ORDER", 1)
+    g = build(parse_spec("dihedral:1000"))
+    reflections = [i for i in range(g.order) if g.class_size_of_idx(i) == 500]
+    x = reflections[0]
+    y = next(i for i in reflections if g.order_of_idx(g.mult_idx(x, i)) == 1000)
+    calls = []
+    real = Group._add_cosets
+
+    def spy(self, sub, cand, mask):
+        calls.append(len(cand))
+        return real(self, sub, cand, mask)
+
+    monkeypatch.setattr(Group, "_add_cosets", spy)
+    assert g._closed_mask([x, y]).all()
+    assert len(calls) <= 8
+
+
 # budgets at which the search stops, and the progress it reports there, from
 # the join phase that computed one meet per (subgroup, atom) pair; reading
 # all of a subgroup's meets at once must not move a spent node
@@ -475,6 +515,7 @@ def test_rational_class_ids_match_power_chain(spec):
                 want.add(g.class_id_of_idx(power))
             power = g.mult_idx(power, x)
         assert g._rational_class_ids(x).tolist() == sorted(want)
+        assert len(g._power_images(x)) == n
 
 
 def test_normal_subgroup_members_are_normal():
