@@ -373,11 +373,11 @@ class Group:
         if self._orders is None:
             ids, reps, _ = self.class_table()
             orders = np.ones(len(reps), dtype=np.int64)
-            # the representatives' rows, gathered once and stepped through flat
-            flat = self._rows[reps].ravel()
+            # x^m(b) is read off the table flat, at x's row offset plus x^(m-1)(b)
+            flat = self._rows.ravel()
             for b, col in zip(self._base, self._base_rows[reps].T):
                 alive = np.flatnonzero(col != b)
-                offsets, pts = alive * self.degree, col[alive]
+                offsets, pts = reps[alive] * self.degree, col[alive]
                 length = 1
                 while alive.size:
                     length += 1
@@ -542,11 +542,8 @@ class Group:
             part = cand[start : start + per]
             part = part[~mask[part]]
             if part.size:
-                if len(sub) == 1:
-                    cosets = part[None, :]
-                else:
-                    images = self._product_images(sub, part).reshape(-1, len(self._base))
-                    cosets = self._indices_of_images(images).reshape(len(sub), len(part))
+                images = self._product_images(sub, part).reshape(-1, len(self._base))
+                cosets = self._indices_of_images(images).reshape(len(sub), len(part))
                 _, first = np.unique(cosets.min(axis=0), return_index=True)
                 mask[cosets[:, first]] = True
                 added.append(part[first])
