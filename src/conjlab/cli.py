@@ -53,6 +53,7 @@ from .invariants import class_size_set, classify_p_parts, max_class_p_part
 from .theorem import (
     DEFAULT_LEMMA_SAMPLES,
     VERDICT_COUNTEREXAMPLE,
+    _jsonable,
     verify_main_theorem,
 )
 
@@ -76,7 +77,7 @@ def _positive_int(text: str) -> int:
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=None,
         help="element cap for enumeration (default 100000, env CONJLAB_CAP)",
     )
@@ -172,10 +173,7 @@ def cmd_analyze(args) -> int:
         "name": g.name,
         "order": g.order,
         "degree": g.degree,
-        "n_of_g": {
-            "sizes": sorted(css.sizes),
-            "multiplicities": [list(mc) for mc in css.multiplicities],
-        },
+        "n_of_g": _jsonable(css),
         "mu": sorted(max_elements(core)),
         "nu": sorted(min_elements(core)),
         "separated": is_separated(core),

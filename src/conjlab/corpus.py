@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import divisibility_digraph, is_disconnected, is_prime, prime_divisors
+from .arith import is_prime, prime_divisors
 from .errors import CapExceeded, InvalidSpec
 from .group import (
     _CELL_LIMIT,
@@ -38,7 +38,7 @@ from .group import (
 )
 from .grpio import load_grp
 from .perm import Perm
-from .theorem import TheoremReport
+from .theorem import TheoremReport, _jsonable
 
 ENGINE_VERSION = "0.1.0"
 
@@ -397,54 +397,38 @@ def build(spec: GroupSpec, cap: int | None = None) -> Group:
 
 # ----- the builtin corpus -----------------------------------------------------
 
-_PRODUCT_FIRST_FACTORS = ("frobenius:5,4", "frobenius:7,3", "alternating:5")
-_CYCLIC_PICKS = (2, 3, 7, 11)
-
-# class-size sets of the first factors, frozen from the engine and re-checked
-# by the test suite before use
-_FIRST_FACTOR_SIZES = {
-    "frobenius:5,4": frozenset({1, 4, 5}),
-    "frobenius:7,3": frozenset({1, 3, 7}),
-    "alternating:5": frozenset({1, 12, 15, 20}),
-}
-_FIRST_FACTOR_ORDERS = {
-    "frobenius:5,4": 20,
-    "frobenius:7,3": 21,
-    "alternating:5": 60,
-}
-
-
 def builtin_corpus() -> list[GroupSpec]:
     """The fixed spec list that scans and the acceptance suite run over.
 
     Small families cover cyclic and dihedral groups through order 40, the
     small symmetric/alternating groups, two extraspecial groups and four
-    Frobenius groups.  Products pair the nonabelian first factors with
-    second factors meeting the coprimality hypothesis: an extraspecial
-    group of order p^3 qualifies when p is coprime to every nontrivial
-    class size of the first factor (and those sizes are disconnected), and
-    cyclic picks qualify when their order is coprime to the factor's order.
+    Frobenius groups.  Products pair a nonabelian first factor with a second
+    factor meeting the coprimality hypothesis: an extraspecial group of
+    order p^3 qualifies when p is coprime to every nontrivial class size of
+    the first factor (and those sizes are disconnected), and a cyclic group
+    qualifies when its order is coprime to the first factor's order.
     """
-    specs = [parse_spec(f"cyclic:{n}") for n in range(1, 41)]
-    specs += [parse_spec(f"dihedral:{n}") for n in range(3, 21)]
-    specs += [parse_spec(s) for s in ("symmetric:3", "symmetric:4", "symmetric:5")]
-    specs += [parse_spec(s) for s in ("alternating:4", "alternating:5")]
-    specs += [parse_spec(s) for s in ("heisenberg:3", "heisenberg:7")]
+    specs = [f"cyclic:{n}" for n in range(1, 41)]
+    specs += [f"dihedral:{n}" for n in range(3, 21)]
+    specs += ["symmetric:3", "symmetric:4", "symmetric:5", "alternating:4", "alternating:5"]
+    specs += ["heisenberg:3", "heisenberg:7"]
+    specs += ["frobenius:5,4", "frobenius:7,3", "frobenius:7,6", "frobenius:13,3"]
     specs += [
-        parse_spec(s)
-        for s in ("frobenius:5,4", "frobenius:7,3", "frobenius:7,6", "frobenius:13,3")
+        # frobenius:5,4 has order 20 and class sizes {1, 4, 5}
+        "direct:frobenius:5,4+heisenberg:3",  # 3 is prime to 4 and 5
+        "direct:frobenius:5,4+heisenberg:7",  # 7 is prime to 4 and 5
+        "direct:frobenius:5,4+cyclic:3",  # 3 is prime to 20
+        "direct:frobenius:5,4+cyclic:7",  # 7 is prime to 20
+        "direct:frobenius:5,4+cyclic:11",  # 11 is prime to 20
+        # frobenius:7,3 has order 21 and class sizes {1, 3, 7}
+        "direct:frobenius:7,3+cyclic:2",  # 2 is prime to 21
+        "direct:frobenius:7,3+cyclic:11",  # 11 is prime to 21
+        # alternating:5 has order 60 and class sizes {1, 12, 15, 20}
+        "direct:alternating:5+heisenberg:7",  # 7 is prime to 12, 15 and 20
+        "direct:alternating:5+cyclic:7",  # 7 is prime to 60
+        "direct:alternating:5+cyclic:11",  # 11 is prime to 60
     ]
-    for first in _PRODUCT_FIRST_FACTORS:
-        sizes = _FIRST_FACTOR_SIZES[first] - {1}
-        for p in (3, 7):
-            if all(gcd(p, a) == 1 for a in sizes) and is_disconnected(
-                divisibility_digraph(sizes)
-            ):
-                specs.append(parse_spec(f"direct:{first}+heisenberg:{p}"))
-        for q in _CYCLIC_PICKS:
-            if gcd(q, _FIRST_FACTOR_ORDERS[first]) == 1:
-                specs.append(parse_spec(f"direct:{first}+cyclic:{q}"))
-    return specs
+    return [parse_spec(text) for text in specs]
 
 
 # ----- scan records ------------------------------------------------------------
@@ -461,13 +445,7 @@ class ScanRecord:
     error: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "report": self.report.to_dict() if self.report is not None else None,
-            "engine_version": self.engine_version,
-            "timestamp": self.timestamp,
-            "error": self.error,
-        }
+        return _jsonable(self)
 
 
 def record_to_line(rec: ScanRecord) -> str:

@@ -101,8 +101,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # than the coset walk's per-level calls (a measured sweep; see CHANGES.md)
 _COSET_CLOSURE_ORDER = 10_000
 
-# base-image cells one coset lookup holds, unless one coset needs more
-_COSET_CELLS = 1 << 20
+# base-image cells one batched lookup holds, unless one coset or case needs more
+_LOOKUP_CELLS = 1 << 20
 
 
 def default_element_cap() -> int:
@@ -532,11 +532,11 @@ class Group:
     def _add_cosets(self, sub: np.ndarray, cand: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Mark the right cosets (sub)c of the unmarked candidates c in mask.
 
-        Each coset is found whole, in lookups of at most _COSET_CELLS base
+        Each coset is found whole, in lookups of at most _LOOKUP_CELLS base
         images, and named by its least member; returns one candidate per
         coset added.
         """
-        per = max(1, _COSET_CELLS // max(1, len(sub) * len(self._base)))
+        per = max(1, _LOOKUP_CELLS // max(1, len(sub) * len(self._base)))
         added = []
         for start in range(0, len(cand), per):
             part = cand[start : start + per]
@@ -577,8 +577,8 @@ class Group:
     def class_table(self) -> ClassTable:
         """The conjugacy classes, computed once and numbered by (size, least member)."""
         if self._classes is None:
-            # element_orders reads the classes, so the bounds come from the Perms
-            maps = [(self._conj_map(a), self.element(a).order()) for a in self._gen_idx]
+            # element_orders reads the classes, so the bounds come from the powers
+            maps = [(self._conj_map(a), len(self._power_images(a))) for a in self._gen_idx]
             least = _least_labels(self.order, maps)
             reps, inverse, sizes = np.unique(least, return_inverse=True, return_counts=True)
             rank = np.lexsort((reps, sizes))
@@ -600,7 +600,7 @@ class Group:
         return int(self.class_table().sizes[self.class_id_of_idx(i)])
 
     def centralizer_mask_idx(self, i: int) -> np.ndarray:
-        """Read-only mask of the members commuting with x_i, computed once per i."""
+        """Read-only mask of members commuting with x_i, computed once while it stays cached."""
         mask = self._centralizer_cache.get(i)
         if mask is None:
             # y commutes with x iff the members x*y and y*x agree on the base
@@ -1013,13 +1013,12 @@ class Subgroup:
         for i in self.indices:
             yield self.parent.element(int(i))
 
-    def as_group(self, name: str | None = None) -> Group:
+    def as_group(self) -> Group:
         # the new table must be closed: its lookups rely on it
         self.parent._validate_subgroup(self)
         rows = self.parent._rows[self.indices]
         gen_rows = [self.parent._rows[i] for i in self.ensure_gens()]
-        label = name if name is not None else f"{self.parent.name}|sub{self.order}"
-        return Group(rows, gen_rows, label)
+        return Group(rows, gen_rows, f"{self.parent.name}|sub{self.order}")
 
     def __eq__(self, other) -> bool:
         return (

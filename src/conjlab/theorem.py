@@ -24,28 +24,29 @@ check_noncentral_misses_class reuses its lemma's predicate.  The
 coprime-action splitting check has its own witness type since it
 quantifies over group actions rather than a single group.
 
-Each centralizer mask, coset labelling and composition series is computed
-once per group: Group memoises centralizer_mask_idx per element,
-coset_labels per kernel and actor list, and composition_series.  Class ids,
-representatives and sizes come from Group.class_table.  No lemma builds a
-quotient group.  G/K is read through Group.coset_labels: with no actors the
-labels name the cosets xK, and with G's generators as actors a label's
-count over |K| is the class size of xK in G/K, kept per kernel by the lemma
-that reads it, for one run.  These memos sit below the functions a test may
-patch to break a fact, and never in a lemma body.  The mask memo is inside
-Group.centralizer_mask_idx, so a patch that wraps that method sees every
-call.  _misses_a_class reads its masks at class representatives inside the
-function itself, so a patch of _misses_a_class replaces the whole
-predicate.  class_size_divisibility reads |x^K| and the class size of xK
-from (kernel, class) tables (_ClassDivisors), which hold because both are
-class functions of x, and series_class_divisibility reads the factor class
-size at each position of a series step from one labelling per step, with
-the step's top as actors.  The two quotient-centralizer lemmas get no such
-table, though their predicates are class functions as well.  They read the
-mask of the element in each case, not of its class representative, so they
-also check centralizer_mask_idx at elements that no other lemma reads;
-C(xK) is decided coset by coset, with one lookup of y^-1 x y for each coset
-yK that C(x) meets.
+Each centralizer mask and coset labelling is computed once while it stays
+in its bounded cache, and each composition series once per group: Group
+memoises centralizer_mask_idx per element, coset_labels per kernel and
+actor list, and composition_series.  Class ids, representatives and sizes
+come from Group.class_table.  No lemma builds a quotient group.  G/K is
+read through Group.coset_labels: with no actors the labels name the cosets
+xK, and with G's generators as actors a label's count over |K| is the class
+size of xK in G/K, kept per kernel by the lemma that reads it, for one run.
+These memos sit below the functions a test may patch to break a fact, and
+never in a lemma body.  The mask memo is inside Group.centralizer_mask_idx,
+so a patch that wraps that method sees every call.  _misses_a_class reads
+its masks at class representatives inside the function itself, so a patch
+of _misses_a_class replaces the whole predicate.  class_size_divisibility
+reads |x^K| and the class size of xK from (kernel, class) tables
+(_ClassDivisors), which hold because both are class functions of x, and
+series_class_divisibility reads the factor class size at each position of a
+series step from one labelling per step, with the step's top as actors.
+The two quotient-centralizer lemmas get no such table, though their
+predicates are class functions as well.  They read the mask of the element
+in each case, not of its class representative, so they also check
+centralizer_mask_idx at elements that no other lemma reads; C(xK) is
+decided coset by coset, with one lookup of y^-1 x y for each coset yK that
+C(x) meets.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -69,6 +70,7 @@ from .errors import (
     NotCoprime,
 )
 from .group import (
+    _LOOKUP_CELLS,
     DEFAULT_NODE_BUDGET,
     Group,
     Subgroup,
@@ -103,6 +105,21 @@ MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
 
 
+def _jsonable(value):
+    """value as JSON data: a dataclass as the dict of its fields, a frozenset
+    as its sorted list, a list or tuple as a list, each part converted.
+    """
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    return value
+
+
 @dataclass(frozen=True)
 class LemmaResult:
     status: str
@@ -111,12 +128,7 @@ class LemmaResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "checked": self.checked,
-            "mode": self.mode,
-            "detail": self.detail,
-        }
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -133,16 +145,7 @@ class Decomposition:
     b_generators: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "omega": sorted(self.omega),
-            "n": self.n,
-            "a_order": self.a_order,
-            "b_order": self.b_order,
-            "a_class_sizes": list(self.a_class_sizes),
-            "b_class_sizes": list(self.b_class_sizes),
-            "a_generators": list(self.a_generators),
-            "b_generators": list(self.b_generators),
-        }
+        return _jsonable(self)
 
 
 @dataclass
@@ -157,23 +160,7 @@ class TheoremReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "group_name": self.group_name,
-            "group_order": self.group_order,
-            "n_of_g": {
-                "sizes": sorted(self.n_of_g.sizes),
-                "multiplicities": [list(mc) for mc in self.n_of_g.multiplicities],
-            },
-            "factorizations": [
-                {"omega": sorted(f.omega), "n": f.n} for f in self.factorizations
-            ],
-            "decompositions": [d.to_dict() for d in self.decompositions],
-            "verdict": self.verdict,
-            "lemma_results": {
-                name: res.to_dict() for name, res in self.lemma_results.items()
-            },
-            "timings": dict(self.timings),
-        }
+        return _jsonable(self)
 
 
 def _now_ms() -> float:
@@ -577,10 +564,6 @@ def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
         _centralizers_of_products_split(g),
         "x#{},y#{}",
     )
-
-
-# base-image cells one lookup of conjugates holds, unless one case needs more
-_LOOKUP_CELLS = 1 << 20
 
 
 def _quotient_centralizers(

@@ -103,6 +103,14 @@ def test_verify_budget_exit(capsys):
     assert "2 of 54 classes closed" in err
 
 
+def test_verify_lemma_budget_stop_is_skipped_not_an_error(capsys):
+    # the lemmas that read the lattice report skipped; the verdict needs none
+    code, out, _ = run(capsys, "verify", "symmetric:5", "--normal-budget", "3")
+    assert code == EXIT_OK
+    assert sum(line.endswith(": skipped (0 cases, exhaustive)") for line in out.splitlines()) == 6
+    assert "verdict HypothesisNotMet" in out
+
+
 def test_verify_cap_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("CONJLAB_CAP", "10")
     code, _, err = run(capsys, "verify", "symmetric:4", "--no-lemmas")
@@ -475,6 +483,8 @@ def test_scan_has_no_json_flag(capsys):
         ["scan", "--corpus", "builtin", "--lemma-samples", "0"],
         ["gamma", "--set", "0,3"],
         ["verify", "cyclic:4", "--normal-budget", "-5"],
+        ["analyze", "cyclic:4", "--cap", "0"],
+        ["scan", "--corpus", "builtin", "--cap", "-3"],
         ["analyze", "cyclic:99999999999999999999999"],
         ["analyze", "cyclic:200000"],
         ["analyze", "dihedral:100000"],
@@ -490,6 +500,8 @@ def test_scan_has_no_json_flag(capsys):
         "scan-samples",
         "gamma-zero",
         "negative-budget",
+        "zero-cap",
+        "negative-cap-scan",
         "huge-cyclic",
         "over-cap-cyclic",
         "over-cap-dihedral",

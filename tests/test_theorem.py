@@ -31,6 +31,9 @@ from conjlab.theorem import (
     LEMMA_NAMES,
     Decomposition,
     LemmaResult,
+    MODE_EXHAUSTIVE,
+    STATUS_PASS,
+    STATUS_SKIPPED,
     VERDICT_COUNTEREXAMPLE,
     VERDICT_HYPOTHESIS_NOT_MET,
     VERDICT_VERIFIED,
@@ -258,6 +261,29 @@ def test_lemma_suite_trivial_group_vacuous():
 def test_lemma_suite_rejects_bad_budget():
     with pytest.raises(ValueError):
         run_lemma_suite(make([(0,)], "point"), seed=0, sample_budget=0)
+
+
+def test_lemma_suite_budget_stop_skips_the_lattice_lemmas():
+    # a 3-node budget stops the normal-subgroup search before any class closes
+    results = run_lemma_suite(build(parse_spec("symmetric:5")), normal_budget=3)
+    lattice = {
+        "class_size_divisibility",
+        "series_class_divisibility",
+        "coprime_quotient_centralizer",
+        "centralizer_image_in_quotient",
+        "single_nonabelian_factor",
+        "split_sylow_centralizer",
+    }
+    detail = (
+        "normal_subgroups(symmetric:5): budget of 3 nodes exhausted; "
+        "0 of 6 classes closed, 1 normal subgroups found"
+    )
+    for name, res in results.items():
+        if name in lattice:
+            assert res == LemmaResult(STATUS_SKIPPED, 0, MODE_EXHAUSTIVE, detail), name
+        else:
+            assert res.status == STATUS_PASS, name
+    assert len(results) == 12
 
 
 def test_lemma_suite_subset_matches_full_run():
