@@ -151,101 +151,109 @@ def _load_group(text: str, cap: int | None) -> Group:
     return build(spec, cap=cap)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path, opened before any work so a bad path fails at once, or stdout."""
+    if path is None:
+        yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _emit(text: str, out) -> None:
+    out.write(text if text.endswith("\n") else text + "\n")
 
 
 # ----- analyze -----------------------------------------------------------------
 
 
 def cmd_analyze(args) -> int:
-    g = _load_group(args.group, args.cap)
-    css = class_size_set(g)
-    core = css.sizes - {1}
-    comps = weak_components(divisibility_digraph(core))
-    primes = sorted(prime_divisors(g.order))
-    patterns = {p: classify_p_parts(g, p) for p in primes}
-    data = {
-        "name": g.name,
-        "order": g.order,
-        "degree": g.degree,
-        "n_of_g": _jsonable(css),
-        "mu": sorted(max_elements(core)),
-        "nu": sorted(min_elements(core)),
-        "separated": is_separated(core),
-        "gamma_components": [sorted(c) for c in comps],
-        "max_class_p_parts": {str(p): max_class_p_part(g, p) for p in primes},
-        "p_part_patterns": {
-            str(p): {
-                "kind": c.kind,
-                "exponent": c.exponent,
-                "parts": list(c.parts),
-            }
-            for p, c in patterns.items()
-        },
-    }
-    if args.json:
-        _emit(json.dumps(data, indent=2, sort_keys=True), args.out)
+    with _output(args.out) as out:
+        g = _load_group(args.group, args.cap)
+        css = class_size_set(g)
+        core = css.sizes - {1}
+        comps = weak_components(divisibility_digraph(core))
+        primes = sorted(prime_divisors(g.order))
+        patterns = {p: classify_p_parts(g, p) for p in primes}
+        data = {
+            "name": g.name,
+            "order": g.order,
+            "degree": g.degree,
+            "n_of_g": _jsonable(css),
+            "mu": sorted(max_elements(core)),
+            "nu": sorted(min_elements(core)),
+            "separated": is_separated(core),
+            "gamma_components": [sorted(c) for c in comps],
+            "max_class_p_parts": {str(p): max_class_p_part(g, p) for p in primes},
+            "p_part_patterns": {
+                str(p): {
+                    "kind": c.kind,
+                    "exponent": c.exponent,
+                    "parts": list(c.parts),
+                }
+                for p, c in patterns.items()
+            },
+        }
+        if args.json:
+            _emit(json.dumps(data, indent=2, sort_keys=True), out)
+            return EXIT_OK
+        lines = [
+            f"group      {g.name} (order {g.order}, degree {g.degree})",
+            "class sizes "
+            + ", ".join(f"{s}x{c}" for s, c in css.multiplicities),
+            f"mu         {data['mu']}",
+            f"nu         {data['nu']}",
+            f"separated  {data['separated']}",
+            f"gamma      {len(comps)} component(s): "
+            + "; ".join(str(sorted(c)) for c in comps),
+        ]
+        for p in primes:
+            c = patterns[p]
+            expo = f", exponent {c.exponent}" if c.exponent is not None else ""
+            lines.append(
+                f"p={p:<8} max class part {data['max_class_p_parts'][str(p)]}, "
+                f"pattern {c.kind}{expo}"
+            )
+        _emit("\n".join(lines), out)
         return EXIT_OK
-    lines = [
-        f"group      {g.name} (order {g.order}, degree {g.degree})",
-        "class sizes "
-        + ", ".join(f"{s}x{c}" for s, c in css.multiplicities),
-        f"mu         {data['mu']}",
-        f"nu         {data['nu']}",
-        f"separated  {data['separated']}",
-        f"gamma      {len(comps)} component(s): "
-        + "; ".join(str(sorted(c)) for c in comps),
-    ]
-    for p in primes:
-        c = patterns[p]
-        expo = f", exponent {c.exponent}" if c.exponent is not None else ""
-        lines.append(
-            f"p={p:<8} max class part {data['max_class_p_parts'][str(p)]}, "
-            f"pattern {c.kind}{expo}"
-        )
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
 
 
 # ----- verify -------------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    g = _load_group(args.group, args.cap)
-    report = verify_main_theorem(
-        g,
-        normal_budget=args.normal_budget,
-        all_pairs=args.all_pairs,
-        lemma_seed=None if args.no_lemmas else args.seed,
-        lemma_samples=args.lemma_samples,
-    )
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    if args.out is not None:
-        _emit(payload, args.out)
-    if args.json:
-        _emit(payload, None)
-    else:
-        lines = [f"group   {report.group_name} (order {report.group_order})"]
-        lines.append(f"N(G)    {sorted(report.n_of_g.sizes)}")
-        for fac in report.factorizations:
-            lines.append(f"factorization omega={sorted(fac.omega)} n={fac.n}")
-        for dec in report.decompositions:
-            lines.append(
-                f"decomposition |A|={dec.a_order} N(A)={list(dec.a_class_sizes)} "
-                f"|B|={dec.b_order} N(B)={list(dec.b_class_sizes)}"
-            )
-        for name, res in report.lemma_results.items():
-            lines.append(
-                f"lemma {name}: {res.status} ({res.checked} cases, {res.mode})"
-            )
-        lines.append(f"verdict {report.verdict}")
-        _emit("\n".join(lines), None)
-    return EXIT_COUNTEREXAMPLE if report.verdict == VERDICT_COUNTEREXAMPLE else EXIT_OK
+    with _output(args.out) as out:
+        g = _load_group(args.group, args.cap)
+        report = verify_main_theorem(
+            g,
+            normal_budget=args.normal_budget,
+            all_pairs=args.all_pairs,
+            lemma_seed=None if args.no_lemmas else args.seed,
+            lemma_samples=args.lemma_samples,
+        )
+        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        if args.out is not None:
+            _emit(payload, out)
+        if args.json:
+            _emit(payload, sys.stdout)
+        else:
+            lines = [f"group   {report.group_name} (order {report.group_order})"]
+            lines.append(f"N(G)    {sorted(report.n_of_g.sizes)}")
+            for fac in report.factorizations:
+                lines.append(f"factorization omega={sorted(fac.omega)} n={fac.n}")
+            for dec in report.decompositions:
+                lines.append(
+                    f"decomposition |A|={dec.a_order} N(A)={list(dec.a_class_sizes)} "
+                    f"|B|={dec.b_order} N(B)={list(dec.b_class_sizes)}"
+                )
+            for name, res in report.lemma_results.items():
+                lines.append(
+                    f"lemma {name}: {res.status} ({res.checked} cases, {res.mode})"
+                )
+            lines.append(f"verdict {report.verdict}")
+            _emit("\n".join(lines), sys.stdout)
+        return EXIT_COUNTEREXAMPLE if report.verdict == VERDICT_COUNTEREXAMPLE else EXIT_OK
 
 
 # ----- scan ---------------------------------------------------------------------
@@ -306,10 +314,7 @@ def cmd_scan(args) -> int:
     counts: dict[str, int] = {}
     faults = 0
     with contextlib.ExitStack() as stack:
-        if args.out is None:
-            out = sys.stdout
-        else:
-            out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+        out = stack.enter_context(_output(args.out))
         # the pool starts all its workers at once, so it gets no more than tasks
         workers = min(args.jobs, len(tasks))
         if workers == 1:

@@ -20,12 +20,13 @@ Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 which is what the cached per-generator index maps are built from.  Below
 _COSET_CLOSURE_ORDER, one BFS over such maps, Group._spread, builds
 subgroup closures; from there up, Group._coset_walk adds whole right
-cosets of the known subgroup (Dimino's method) and builds no map; conjugacy
-classes, cosets and the classes of a quotient come from coset_labels,
-which names each orbit by its least index through whole-array pointer
-doubling (_least_labels); a
-conjugation map inverts only its generator's row, and element orders are
-walked at class representatives and read off per class.  Generating
+cosets of the known subgroup (Dimino's method) and builds no map.  Cosets,
+the classes of a quotient and conjugacy classes are orbits, each named by
+its least index through whole-array pointer doubling with a pointer jump
+after each pass (_least_labels); a direct product's classes are the pairs
+of its factors' classes, read off their tables.  A conjugation map inverts
+only its generator's row; element orders and p-element masks are worked
+out at class representatives and read off per class.  Generating
 sets come from one loop, Group._accumulate, that adjoins each candidate
 not yet in the closure, and orbits of index sets under conjugation
 (subgroup conjugates, Sylow centers) from Group._conjugate_sets.  Two
@@ -184,7 +185,8 @@ def _least_labels(n: int, maps: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
 
     Each map comes with a bound on its order.  Per map, the least label
     over i, m(i), m(m(i)), ... is taken by doubling the step m -> m(m);
-    the pass repeats over the maps until it changes nothing.
+    after each pass over the maps every label jumps to its own label, and
+    the pass repeats until it changes nothing.
     """
     least = np.arange(n, dtype=np.int64)
     while True:
@@ -193,6 +195,8 @@ def _least_labels(n: int, maps: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
             for _ in range(int(bound).bit_length()):
                 least = np.minimum(least, least[step])
                 step = step[step]
+        # least[i] lies in i's orbit, so its own label does too
+        least = least[least]
         if np.array_equal(prev, least):
             return least
 
@@ -229,6 +233,15 @@ class ClassTable(NamedTuple):
     ids: np.ndarray  # class id of each member
     reps: np.ndarray  # least member of each class
     sizes: np.ndarray  # size of each class
+
+
+def _class_table(inverse: np.ndarray, reps: np.ndarray, sizes: np.ndarray) -> ClassTable:
+    """Classes numbered by (size, least member); inverse indexes reps and sizes."""
+    rank = np.lexsort((reps, sizes))
+    table = ClassTable(np.argsort(rank)[inverse], reps[rank], sizes[rank])
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 class Group:
@@ -396,13 +409,15 @@ class Group:
         """Elements of p-power order (identity included)."""
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        stripped = self.element_orders().copy()
+        # element orders are class functions: strip p at the representatives
+        ids, reps, _ = self.class_table()
+        stripped = self.element_orders()[reps]
         while True:
             m = stripped % p == 0
             if not m.any():
                 break
             stripped[m] //= p
-        return stripped == 1
+        return (stripped == 1)[ids]
 
     def _product_images(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
         """Base images of x_i * x_j for all i in a and j in b, shape (|a|, |b|, |B|)."""
@@ -575,16 +590,14 @@ class Group:
     # ----- conjugacy classes --------------------------------------------------
 
     def class_table(self) -> ClassTable:
-        """The conjugacy classes, computed once and numbered by (size, least member)."""
+        """The conjugacy classes, numbered by (size, least member): computed once
+        from the conjugation maps, or handed to a direct product by its factors."""
         if self._classes is None:
             # element_orders reads the classes, so the bounds come from the powers
             maps = [(self._conj_map(a), len(self._power_images(a))) for a in self._gen_idx]
             least = _least_labels(self.order, maps)
             reps, inverse, sizes = np.unique(least, return_inverse=True, return_counts=True)
-            rank = np.lexsort((reps, sizes))
-            self._classes = ClassTable(np.argsort(rank)[inverse], reps[rank], sizes[rank])
-            for arr in self._classes:
-                arr.flags.writeable = False
+            self._classes = _class_table(inverse, reps, sizes)
         return self._classes
 
     def conjugacy_classes(self) -> list["ConjugacyClass"]:
@@ -1153,7 +1166,16 @@ def direct_product(a: Group, b: Group, cap: int | None = None, name: str | None 
         )
         gen_rows.append(row)
     label = name if name is not None else f"{a.name} x {b.name}"
-    return Group(rows, gen_rows, label)
+    g = Group(rows, gen_rows, label)
+    # the class of (x_i, y_j) is the pair of theirs: sizes multiply, and the
+    # least member is row repA * |b| + repB, as the table is kept in this order
+    (ids_a, reps_a, sizes_a), (ids_b, reps_b, sizes_b) = a.class_table(), b.class_table()
+    g._classes = _class_table(
+        (ids_a[:, None] * len(reps_b) + ids_b).ravel(),
+        (reps_a[:, None] * b.order + reps_b).ravel(),
+        (sizes_a[:, None] * sizes_b).ravel(),
+    )
+    return g
 
 
 def is_internal_direct_product(g: Group, a: Subgroup, b: Subgroup) -> bool:

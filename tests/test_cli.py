@@ -308,6 +308,16 @@ def test_scan_unwritable_out_fails_before_any_build(tmp_path, capsys, monkeypatc
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["analyze", "cyclic:4"], ["verify", "cyclic:4", "--no-lemmas"]])
+def test_unwritable_out_fails_before_any_build(tmp_path, capsys, monkeypatch, argv):
+    built = []
+    monkeypatch.setattr(cli, "build", lambda spec, cap=None: built.append(spec.name))
+    out_path = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out, built) == (EXIT_ERROR, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_scan_keeps_its_records_when_the_pool_dies(tmp_path, capsys, monkeypatch):
     # a stand-in pool yields the first record, then fails as a killed worker would
     class DyingPool:

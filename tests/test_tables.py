@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import oracle
 from conjlab import group as group_module
-from conjlab.arith import is_prime
+from conjlab.arith import is_prime, prime_divisors
 from conjlab.corpus import _BUILDERS, _TABLES, _order_up_to, build, builtin_corpus, parse_spec
 from conjlab.errors import CapExceeded, InvalidPermutation
-from conjlab.group import Group, group_from_generators
+from conjlab.group import Group, _least_labels, group_from_generators
 from conjlab.perm import Perm
 from conjlab.theorem import STATUS_PASS, VERDICT_COUNTEREXAMPLE, verify_main_theorem
 
@@ -413,6 +413,81 @@ def test_classes_match_the_per_class_spread(spec):
         assert cls.indices.dtype == np.int64
         assert np.array_equal(cls.indices, idx)
         assert all(g.class_id_of_idx(int(i)) == cid for i in idx)
+
+
+_PRODUCT_SPECS = [s.name for s in builtin_corpus() if s.kind == "direct"] + [
+    "direct:symmetric:5+heisenberg:7",
+    "direct:alternating:5+heisenberg:7+cyclic:4",
+    "direct:cyclic:1+frobenius:5,4",
+    "direct:symmetric:4+cyclic:1+dihedral:3",
+]
+
+
+@pytest.mark.parametrize("spec", _PRODUCT_SPECS)
+def test_product_class_table_matches_the_label_pass(spec):
+    g = build(parse_spec(spec))
+    got = g.class_table()
+    # the general path, numbered here: orbit minima under the conjugation maps
+    least = _least_labels(g.order, [(g._conj_map(a), g.order) for a in g._gen_idx])
+    reps, inverse, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    rank = np.lexsort((reps, sizes))
+    ref = (np.argsort(rank)[inverse], reps[rank], sizes[rank])
+    for arr, want in zip(got, ref):
+        assert arr.dtype == want.dtype and np.array_equal(arr, want)
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("spec", ["direct:frobenius:5,4+heisenberg:3", "direct:symmetric:5+heisenberg:7"])
+def test_a_built_product_has_its_classes_without_a_conjugation_map(spec):
+    g = build(parse_spec(spec))
+    assert g._classes is not None
+    assert not g._conj_cache
+
+
+def _orbit_minima(n, maps):
+    """Least member of each orbit, by union-find over the maps' edges."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for m in maps:
+        for i, j in enumerate(m.tolist()):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)  # the root stays the least member
+    return np.array([find(i) for i in range(n)], dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda n: st.lists(
+    st.tuples(st.permutations(range(n)), st.integers(1, 2 * n)), min_size=1, max_size=3)))
+def test_least_labels_are_orbit_minima(drawn):
+    maps = [(np.array(perm, dtype=np.int64), bound) for perm, bound in drawn]
+    n = len(maps[0][0])
+    assert np.array_equal(_least_labels(n, maps), _orbit_minima(n, [m for m, _ in maps]))
+
+
+@pytest.mark.parametrize("bound", [1, 1000])
+def test_least_labels_on_one_long_cycle(bound):
+    # one cycle through every index, in a scrambled order
+    order = np.random.default_rng(4).permutation(1000)
+    step = np.empty(1000, dtype=np.int64)
+    step[order] = np.roll(order, -1)
+    assert np.array_equal(_least_labels(1000, [(step, bound)]), np.zeros(1000, dtype=np.int64))
+
+
+@pytest.mark.parametrize("spec", _BENCHMARK_SPECS)
+def test_p_element_mask_matches_the_elementwise_strip(spec):
+    g = build(parse_spec(spec))
+    for p in prime_divisors(g.order):
+        stripped = g.element_orders().copy()
+        while np.any(stripped % p == 0):
+            stripped[stripped % p == 0] //= p
+        assert np.array_equal(g.p_element_mask(p), stripped == 1)
 
 
 def _spread_with_unique(maps, start, seen):
