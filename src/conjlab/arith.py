@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, NamedTuple
+from typing import AbstractSet, NamedTuple
 
 IntSet = frozenset
 
@@ -125,40 +125,14 @@ def divisibility_digraph(s: AbstractSet[int]) -> DivisibilityDigraph:
     return DivisibilityDigraph(vals, edges)
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[int]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def weak_components(dg: DivisibilityDigraph) -> list[frozenset]:
     """Weakly connected components, sorted by least vertex. Empty graph -> []."""
-    if not dg.vertices:
-        return []
-    uf = _UnionFind(dg.vertices)
+    comp = {v: frozenset({v}) for v in dg.vertices}
     for a, b in dg.edges:
-        uf.union(a, b)
-    comps: dict[int, set] = {}
-    for v in dg.vertices:
-        comps.setdefault(uf.find(v), set()).add(v)
-    return sorted((frozenset(c) for c in comps.values()), key=min)
-
-
-def is_disconnected(dg: DivisibilityDigraph) -> bool:
-    """True iff the digraph has at least two weak components."""
-    return len(weak_components(dg)) >= 2
+        if comp[a] is not comp[b]:
+            merged = comp[a] | comp[b]
+            comp.update(dict.fromkeys(merged, merged))
+    return sorted(set(comp.values()), key=min)
 
 
 def to_dot(dg: DivisibilityDigraph, name: str = "gamma") -> str:
@@ -208,7 +182,7 @@ def find_hypothesis_factorizations(sizes: AbstractSet[int]) -> list[Factorizatio
         prod = set_product(omega, frozenset({1, n}))
         if prod.values != vals or not prod.collision_free:
             continue
-        if not is_disconnected(divisibility_digraph(core)):
+        if len(weak_components(divisibility_digraph(core))) < 2:
             continue
         out.append(Factorization(omega, n))
     return out

@@ -28,8 +28,8 @@ of its factors' classes, read off their tables.  A conjugation map inverts
 only its generator's row; element orders and p-element masks are worked
 out at class representatives and read off per class.  Generating
 sets come from one loop, Group._accumulate, that adjoins each candidate
-not yet in the closure, and orbits of index sets under conjugation
-(subgroup conjugates, Sylow centers) from Group._conjugate_sets.  Two
+not yet in the closure, and conjugation orbits of index sets (subgroups
+with their generators, Sylow centers) from Group._conjugate_sets.  Two
 members commute iff their two products agree on the base below, which is
 how centralizers are computed.
 
@@ -710,10 +710,11 @@ class Group:
         return orbit
 
     def subgroup_conjugates(self, h: "Subgroup") -> list["Subgroup"]:
-        """Orbit of a subgroup under conjugation, in BFS discovery order."""
+        """Conjugates of h in BFS discovery order, each with h's generators conjugated."""
         if h.parent is not self:
             raise NotASubgroup("subgroup belongs to a different group")
-        return [Subgroup(self, idx) for idx, _ in self._conjugate_sets(h.indices)]
+        gens = np.asarray(h.ensure_gens(), dtype=np.int64)
+        return [Subgroup(self, idx, c.tolist()) for idx, c in self._conjugate_sets(h.indices, gens)]
 
     # ----- normal subgroups -----------------------------------------------------
 

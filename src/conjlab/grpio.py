@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import os
 
-from .errors import GrpFormatError, InvalidPermutation
+from . import group
+from .errors import CapExceeded, GrpFormatError, InvalidPermutation
 from .group import Group, group_from_generators
 from .perm import Perm
 
@@ -37,6 +38,9 @@ def parse_grp(text: str) -> tuple[int, str, list[Perm]]:
         raise GrpFormatError(f"degree is not an integer: {head[1]!r}") from None
     if degree < 1:
         raise GrpFormatError(f"degree must be positive, got {degree}")
+    # a table row holds degree cells: refused before a generator is parsed
+    if degree > group._CELL_LIMIT:
+        raise CapExceeded(f"degree {degree} passes the cell limit of {group._CELL_LIMIT}")
     name_line = lines[1].split(None, 1)
     if name_line[0] != "name":
         raise GrpFormatError(f"expected 'name <string>', got {lines[1]!r}")
@@ -55,5 +59,9 @@ def parse_grp(text: str) -> tuple[int, str, list[Perm]]:
 def load_grp(path: str | os.PathLike, cap: int | None = None) -> Group:
     """Load a .grp file and enumerate the group it generates."""
     with open(path, "r", encoding="utf-8") as fh:
-        degree, name, gens = parse_grp(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GrpFormatError(f"{os.fspath(path)}: not UTF-8 text: {exc}") from None
+    degree, name, gens = parse_grp(text)
     return group_from_generators(degree, gens, cap=cap, name=name)

@@ -125,12 +125,15 @@ def classify_p_parts(g: Group, p: int) -> PPartClassification:
 def sylow_center_orbit(g: Group, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(subgroup indices, center indices) for every Sylow p-subgroup.
 
-    One Sylow subgroup is computed directly; the rest are its conjugates,
-    and conjugation carries centers to centers.
+    One Sylow subgroup P is computed directly, with Z(P) read off G's
+    centralizer masks at P's generators; the rest are its conjugates, and
+    conjugation carries centers to centers.
     """
     syl = g.sylow_subgroup(p)
-    center_positions = syl.as_group().center().indices
-    return g._conjugate_sets(syl.indices, np.sort(syl.indices[center_positions]))
+    center = syl.mask()
+    for s in syl.ensure_gens():
+        center = center & g.centralizer_mask_idx(s)
+    return g._conjugate_sets(syl.indices, np.flatnonzero(center))
 
 
 # ----- commuting Sylow pairs --------------------------------------------------
@@ -141,8 +144,9 @@ def sylow_commute_criterion(g: Group, p: int, q: int) -> tuple[bool, bool]:
 
     class_side: no q-element has class size divisible by p and no p-element
     has class size divisible by q.  subgroup_side: some Sylow p-subgroup
-    commutes elementwise with some Sylow q-subgroup (scan over all conjugate
-    pairs).  The two are expected to coincide; callers assert it.
+    commutes elementwise with some Sylow q-subgroup, tested for one fixed P
+    against every Q: if P^x commutes with Q, P commutes with Q^(x^-1).  The
+    two sides are expected to coincide; callers assert it.
     """
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"p and q must be prime, got {p}, {q}")
@@ -154,10 +158,9 @@ def sylow_commute_criterion(g: Group, p: int, q: int) -> tuple[bool, bool]:
     class_side = not bool((sizes[q_elems] % p == 0).any()) and not bool(
         (sizes[p_elems] % q == 0).any()
     )
-    p_conjs = g.subgroup_conjugates(g.sylow_subgroup(p))
-    q_conjs = g.subgroup_conjugates(g.sylow_subgroup(q))
+    p_gens = g.sylow_subgroup(p).ensure_gens()
     # elementwise commuting follows from generator pairs commuting
     subgroup_side = any(
-        g._commute(a.ensure_gens(), b.ensure_gens()) for a in p_conjs for b in q_conjs
+        g._commute(p_gens, b.ensure_gens()) for b in g.subgroup_conjugates(g.sylow_subgroup(q))
     )
     return class_side, subgroup_side

@@ -167,26 +167,18 @@ def _now_ms() -> float:
     return time.perf_counter() * 1000.0
 
 
-def _sub_class_sizes(g: Group, sub: Subgroup, cache: dict) -> frozenset:
-    key = sub.indices.tobytes()
-    if key not in cache:
-        if sub.order == 1:
-            cache[key] = frozenset({1})
-        elif sub.order == g.order:
-            cache[key] = class_size_set(g).sizes
-        else:
-            cache[key] = class_size_set(sub.as_group()).sizes
-    return cache[key]
+def _class_sizes_on(sizes: np.ndarray, sub: Subgroup) -> frozenset:
+    return frozenset(np.unique(sizes[sub.indices]).tolist())
 
 
-def _describe(g: Group, fac: Factorization, a: Subgroup, b: Subgroup, cache: dict) -> Decomposition:
+def _describe(sizes: np.ndarray, fac: Factorization, a: Subgroup, b: Subgroup) -> Decomposition:
     return Decomposition(
         omega=fac.omega,
         n=fac.n,
         a_order=a.order,
         b_order=b.order,
-        a_class_sizes=tuple(sorted(_sub_class_sizes(g, a, cache))),
-        b_class_sizes=tuple(sorted(_sub_class_sizes(g, b, cache))),
+        a_class_sizes=tuple(sorted(_class_sizes_on(sizes, a))),
+        b_class_sizes=tuple(sorted(_class_sizes_on(sizes, b))),
         a_generators=tuple(p.cycle_string() for p in a.generators()),
         b_generators=tuple(p.cycle_string() for p in b.generators()),
     )
@@ -204,10 +196,11 @@ def verify_main_theorem(
     The decomposition search runs over the complete normal-subgroup list,
     candidate second factors ascending by order.  It first pairs each
     normal subgroup B with its normal complements A (|A||B| = |G| and
-    A & B = 1), by order, and builds a subgroup table to read class sizes
-    only for subgroups in such a pair.  By default the first realization
-    per factorization is reported, all of them with all_pairs.  The lemma
-    suite runs only when lemma_seed is given.
+    A & B = 1), by order.  Such a pair makes G = A x B, so N(A) and N(B)
+    are read off G's class table at their members; no subgroup table is
+    built.  By default the first realization per factorization is
+    reported, all of them with all_pairs.  The lemma suite runs only when
+    lemma_seed is given.
     """
     timings: dict = {}
     t = _now_ms()
@@ -227,9 +220,10 @@ def verify_main_theorem(
         timings["normal_subgroups"] = int(_now_ms() - t)
 
         t = _now_ms()
-        sizes_cache: dict = {}
-        # each b with its normal complements a, both in normals order: |a||b|
-        # is |G| and only the identity lies in both
+        # each b with its normal complements a, in normals order: |a||b| = |G|
+        # and a & b = 1, so [a, b] <= a & b = 1 and G = a x b; then x^G = x^a
+        # for x in a, and N(a) is G's class sizes read at a's members, as is N(b)
+        sizes = _class_size_per_element(g)
         by_order: dict[int, list[Subgroup]] = {}
         for a in normals:
             by_order.setdefault(a.order, []).append(a)
@@ -246,14 +240,14 @@ def verify_main_theorem(
             target_b = frozenset({1, fac.n})
             found: list[Decomposition] = []
             for b, complements in paired:
-                if _sub_class_sizes(g, b, sizes_cache) != target_b:
+                if _class_sizes_on(sizes, b) != target_b:
                     continue
                 for a in complements:
-                    if _sub_class_sizes(g, a, sizes_cache) != fac.omega:
+                    if _class_sizes_on(sizes, a) != fac.omega:
                         continue
                     if not is_internal_direct_product(g, a, b):
                         continue
-                    found.append(_describe(g, fac, a, b, sizes_cache))
+                    found.append(_describe(sizes, fac, a, b))
                     if not all_pairs:
                         break
                 if found and not all_pairs:
@@ -291,12 +285,6 @@ def verify_main_theorem(
 def check_noncentral_misses_class(g: Group) -> bool:
     """Every non-central element fails to commute into some whole class."""
     return bool(_misses_a_class(g, np.flatnonzero(~g.center().mask())).all())
-
-
-def _sylow_centers_central(g: Group, p: int) -> list[bool]:
-    """Per Sylow p-subgroup: is its center inside the center of g?"""
-    zmask = g.center().mask()
-    return [bool(zmask[cen].all()) for _, cen in sylow_center_orbit(g, p)]
 
 
 def _misses_a_class(g: Group, xs: np.ndarray) -> np.ndarray:
@@ -425,10 +413,11 @@ def _lemma_normal_p_complement(g, rng, samples, nbudget) -> LemmaResult:
 
 
 def _lemma_sylow_center_in_center(g, rng, samples, nbudget) -> LemmaResult:
+    zmask = g.center().mask()
     cases = (
-        (cls.p, central)
+        (cls.p, bool(zmask[cen].all()))
         for cls in _primes_of_kind(g, KIND_UNIFORM_ACTIVE)
-        for central in _sylow_centers_central(g, cls.p)
+        for _, cen in sylow_center_orbit(g, cls.p)
     )
     return _check_each(cases, lambda p, central: central, "p={}")
 

@@ -4,7 +4,7 @@ import itertools
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conjlab.arith import (
     DivisibilityDigraph,
@@ -126,6 +126,31 @@ def test_weak_components_pinned():
     comps = weak_components(divisibility_digraph({2, 4, 8}))
     assert [sorted(c) for c in comps] == [[2, 4, 8]]
     assert weak_components(DivisibilityDigraph(frozenset(), frozenset())) == []
+
+
+def _components_by_bfs(dg):
+    """Weak components by breadth-first search over the undirected edges."""
+    nbrs = {v: set() for v in dg.vertices}
+    for a, b in dg.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    comps, seen = [], set()
+    for v in sorted(dg.vertices):
+        if v not in seen:
+            comp, frontier = {v}, [v]
+            while frontier:
+                frontier = [w for u in frontier for w in nbrs[u] if w not in comp]
+                comp.update(frontier)
+            seen |= comp
+            comps.append(frozenset(comp))
+    return comps
+
+
+@given(st.frozensets(st.integers(min_value=1, max_value=200), max_size=20))
+@example(frozenset())
+def test_weak_components_match_bfs(s):
+    dg = divisibility_digraph(s)
+    assert weak_components(dg) == _components_by_bfs(dg)
 
 
 @given(small_sets)

@@ -251,6 +251,21 @@ def test_scan_records_per_group_errors(tmp_path, capsys):
     assert "error=1" in out
 
 
+def test_scan_records_a_grp_file_that_is_not_utf8(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.grp").write_bytes(b"\xff\xfe")
+    (corpus / "s3.grp").write_text("degree 3\nname s3\n(0 1)\n(0 1 2)\n")
+    out_path = tmp_path / "scan.jsonl"
+    code, out, _ = run(capsys, "scan", "--corpus", str(corpus), "--out", str(out_path), "--no-lemmas")
+    assert code == EXIT_OK  # as for any other recorded build error
+    bad, good = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert bad["report"] is None and bad["error"].startswith("GrpFormatError: ")
+    assert str(corpus / "bad.grp") in bad["error"]
+    assert good["report"]["group_order"] == 6
+    assert "error=1" in out
+
+
 def test_scan_starts_no_more_workers_than_groups(tmp_path, capsys, monkeypatch):
     # a stand-in pool records max_workers and maps in-process: no worker starts
     made = []
@@ -504,6 +519,7 @@ def test_scan_has_no_json_flag(capsys):
         ["analyze", "direct:heisenberg:13+cyclic:40"],
         ["analyze", "big.grp"],
         ["analyze", "groups/missing.grp"],
+        ["analyze", "latin1.grp"],
     ],
     ids=[
         "verify-samples",
@@ -521,6 +537,7 @@ def test_scan_has_no_json_flag(capsys):
         "over-cell-limit-product",
         "over-cell-limit-grp",
         "missing-grp",
+        "not-utf8-grp",
     ],
 )
 def test_bad_values_exit_two_with_one_error_line(capsys, tmp_path, argv):
@@ -529,6 +546,9 @@ def test_bad_values_exit_two_with_one_error_line(capsys, tmp_path, argv):
         cycle = " ".join(map(str, range(60000)))
         argv = ["analyze", str(tmp_path / "big.grp")]
         Path(argv[-1]).write_text(f"degree 60000\nname big\n({cycle})\n")
+    if argv[-1] == "latin1.grp":
+        argv = ["analyze", str(tmp_path / "latin1.grp")]
+        Path(argv[-1]).write_bytes(b"\xff\xfe")
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     # each value is refused before any group is built or primality tested,
@@ -538,7 +558,7 @@ def test_bad_values_exit_two_with_one_error_line(capsys, tmp_path, argv):
     assert out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
-    if argv[-1] == "groups/missing.grp":
+    if argv[-1].endswith(("groups/missing.grp", "latin1.grp")):
         assert argv[-1] in err  # the read names the file
 
 

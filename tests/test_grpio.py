@@ -1,7 +1,10 @@
 """The .grp text format: parsing and loading."""
 
+import re
+
 import pytest
 
+from conjlab import group as group_module
 from conjlab.errors import CapExceeded, GrpFormatError
 from conjlab.grpio import load_grp, parse_grp
 from conjlab.perm import Perm
@@ -70,3 +73,24 @@ def test_load_respects_cap(tmp_path):
     with pytest.raises(CapExceeded):
         load_grp(path, cap=30)
     assert load_grp(path).order == 120
+
+
+@pytest.mark.parametrize("gens", ["(0 1)\n", ""], ids=["one-generator", "no-generators"])
+def test_degree_over_the_cell_limit_is_refused_before_any_generator(monkeypatch, gens):
+    # each table row holds degree cells: a degree over the limit is refused
+    # before a generator line is turned into a degree-sized permutation
+    def parse_nothing(*args, **kwargs):
+        raise AssertionError("a generator line was parsed")
+
+    monkeypatch.setattr(group_module, "_CELL_LIMIT", 1000)
+    monkeypatch.setattr(Perm, "from_cycle_string", parse_nothing)
+    with pytest.raises(CapExceeded, match="degree 2000 passes the cell limit of 1000"):
+        parse_grp(f"degree 2000\nname big\n{gens}")
+    assert parse_grp("degree 1000\nname edge\n")[0] == 1000
+
+
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.grp"
+    path.write_bytes(b"degree 2\nname caf\xe9\n")
+    with pytest.raises(GrpFormatError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_grp(path)

@@ -1,9 +1,13 @@
 """Class-size invariants: size sets, p-part patterns, Sylow centers, criteria."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import oracle
+from conjlab.arith import prime_divisors
+from conjlab.corpus import build, builtin_corpus, parse_spec
 from conjlab.group import group_from_generators
 from conjlab.invariants import (
     KIND_MIXED,
@@ -137,6 +141,68 @@ def test_sylow_commute_criterion_rejects():
         sylow_commute_criterion(S4, 3, 3)
     with pytest.raises(ValueError):
         sylow_commute_criterion(S4, 2, 4)
+
+
+# F(7,6) acting on the 14 cosets of one of its C3s: the first Sylow 2- and
+# 3-subgroups found do not commute, though other pairs of conjugates do
+F76_ON_COSETS = group_from_generators(
+    14,
+    [
+        Perm.from_cycle_string(c, 14)
+        for c in ["(0 13 12 2 7 1 5)(3 9 10 4 11 8 6)", "(0 11)(1 8 2 6 5 9)(3 12 4 7 10 13)"]
+    ],
+    name="f76-on-14",
+)
+SYLOW_GROUPS = [s.name for s in builtin_corpus()] + ["f76-on-14"]
+
+
+def sylow_group(spec):
+    return F76_ON_COSETS if spec == "f76-on-14" else build(parse_spec(spec))
+
+
+def test_first_sylow_pair_of_f76_on_cosets_does_not_commute():
+    g = F76_ON_COSETS
+    p_gens, q_gens = g.sylow_subgroup(2).ensure_gens(), g.sylow_subgroup(3).ensure_gens()
+    assert g.order == 42 and not g._commute(p_gens, q_gens)
+    assert sylow_commute_criterion(g, 2, 3) == (True, True)
+
+
+@pytest.mark.parametrize("spec", SYLOW_GROUPS)
+def test_sylow_center_orbit_matches_the_subgroup_table(spec):
+    # the slow path: Z(P) from P's own table, mapped back to G's indices
+    g = sylow_group(spec)
+    for p in sorted(prime_divisors(g.order)):
+        syl = g.sylow_subgroup(p)
+        center = np.sort(syl.indices[syl.as_group().center().indices])
+        want = g._conjugate_sets(syl.indices, center)
+        got = sylow_center_orbit(g, p)
+        assert len(got) == len(want)
+        for (sub, cen), (want_sub, want_cen) in zip(got, want):
+            assert np.array_equal(sub, want_sub) and np.array_equal(cen, want_cen)
+
+
+@pytest.mark.parametrize("spec", SYLOW_GROUPS)
+def test_sylow_commute_criterion_matches_the_every_pair_scan(spec):
+    # the slow path: every (P', Q') pair of conjugates, each conjugate's
+    # generators found by a closure of its own members
+    g = sylow_group(spec)
+
+    def conjugate_gens(p):
+        syl = g.sylow_subgroup(p)
+        return [g._accumulate(idx)[0] for idx, _ in g._conjugate_sets(syl.indices)]
+
+    gens = {p: conjugate_gens(p) for p in prime_divisors(g.order)}
+    for p, q in itertools.permutations(sorted(gens), 2):
+        want = any(g._commute(a, b) for a in gens[p] for b in gens[q])
+        assert sylow_commute_criterion(g, p, q)[1] == want, (p, q)
+
+
+@pytest.mark.parametrize("spec", SYLOW_GROUPS)
+def test_subgroup_conjugates_carry_generators_of_their_members(spec):
+    g = sylow_group(spec)
+    for p in sorted(prime_divisors(g.order)):
+        for conj in g.subgroup_conjugates(g.sylow_subgroup(p)):
+            assert np.array_equal(np.flatnonzero(g._closed_mask(conj.ensure_gens())), conj.indices)
 
 
 def test_orbit_stabilizer_products():

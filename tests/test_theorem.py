@@ -184,21 +184,24 @@ def test_decomposition_search_matches_every_pair_reference(spec, all_pairs):
 
 
 @pytest.mark.parametrize("spec", POSITIVE_PRODUCTS)
-def test_decomposition_search_builds_tables_only_for_complements(spec, monkeypatch):
-    # class sizes are read only for subgroups with a normal complement: here
-    # the two factors, where every pair of normals made 10, 24 and 11 tables
+def test_decomposition_search_builds_no_subgroup_table(spec, monkeypatch):
+    # each factor's class sizes are read off G's class table, where every pair
+    # of normals once made 10, 24 and 11 subgroup tables
     g = build(parse_spec(spec))
     g.normal_subgroups()
     tables = []
-    real = Subgroup.as_group
+    real = Group.__init__
 
-    def spy(self, *args, **kwargs):
-        tables.append(self.order)
-        return real(self, *args, **kwargs)
+    def spy(self, rows, *args, **kwargs):
+        tables.append(len(rows))
+        real(self, rows, *args, **kwargs)
 
-    monkeypatch.setattr(Subgroup, "as_group", spy)
+    monkeypatch.setattr(Group, "__init__", spy)
     (dec,) = verify_main_theorem(g).decompositions
-    assert sorted(tables) == sorted([dec.a_order, dec.b_order])
+    assert tables == []
+    # the spy sees a table that is built
+    g.center().as_group()
+    assert tables == [g.center().order]
 
 
 def test_report_round_trip_and_field_names():
