@@ -276,7 +276,7 @@ def _scan_one(task: tuple) -> str:
         )
         report.timings = {}
         rec = ScanRecord(spec=spec_name, report=report, timestamp=_CANON_TIMESTAMP)
-    except (ConjlabError, MemoryError) as exc:
+    except (ConjlabError, OSError, MemoryError) as exc:  # an unreadable .grp too
         rec = ScanRecord(
             spec=spec_name,
             report=None,

@@ -3,14 +3,16 @@
 A GroupSpec names a constructible group: a parametrized family member
 (cyclic:12, frobenius:5,4), a disjoint-support product of such
 (direct:frobenius:5,4+heisenberg:3), or a .grp file (file:groups/x.grp).
-The canonical name of a spec is exactly its spec string, so parse and name
-round-trip.  builtin_corpus() fixes the group list that scans and the
-acceptance suite run over.
+A GroupSpec checks itself when it is made, so one that exists can be
+built; parse_spec only splits the text.  The canonical name of a spec is
+exactly its spec string, so parse and name round-trip.  builtin_corpus()
+fixes the group list that scans and the acceptance suite run over.
 
-build() writes each family's element table in closed form, already in
-table order, and gives it to group_from_generators with the family's
-generators, which keeps it in place of an enumeration; only .grp files
-are enumerated.
+Each builtin family is one _FAMILIES entry: its arity, its parameter
+check, its order, its generators and its element table.  build() writes
+the table in closed form, already in table order, and gives it to
+group_from_generators with the family's generators, which keeps it in
+place of an enumeration; only .grp files are enumerated.
 
 ScanRecord pairs a spec with its verification report, and record_to_line
 writes it as one JSONL line with sorted keys.  Scans only write records;
@@ -20,8 +22,11 @@ nothing in the package reads them back.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from functools import partial
 from math import prod
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,14 +51,9 @@ ENGINE_VERSION = "0.1.0"
 # 2**33, far beyond any element table conjlab can hold
 _MAX_PRIME_PARAM = 2**32
 
-_SIMPLE_KINDS = {
-    "cyclic": 1,
-    "dihedral": 1,
-    "symmetric": 1,
-    "alternating": 1,
-    "heisenberg": 1,
-    "frobenius": 2,
-}
+# int() also takes signs, spaces, underscores and leading zeros, whose
+# names would not reproduce the text
+_PARAM = re.compile(r"[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,27 @@ class GroupSpec:
     params: tuple = ()
     parts: tuple = ()
     path: str = ""
+
+    def __post_init__(self):
+        if self.kind == "direct":
+            if len(self.parts) < 2:
+                raise InvalidSpec("direct product needs at least two parts")
+            if not all(isinstance(p, GroupSpec) and p.kind != "direct" for p in self.parts):
+                raise InvalidSpec("direct product parts are family or file GroupSpecs")
+            return  # each part was checked when it was made
+        if self.kind == "file":
+            if not self.path:
+                raise InvalidSpec("file spec needs a path")
+            return
+        family = _FAMILIES.get(self.kind)
+        if family is None:
+            raise InvalidSpec(f"unknown group kind {self.kind!r}")
+        if len(self.params) != family.arity:
+            raise InvalidSpec(f"{self.name}: {self.kind} takes {family.arity} parameter(s)")
+        if any(type(v) is not int or v < 1 for v in self.params):
+            raise InvalidSpec(f"{self.name}: parameters must be positive integers")
+        if not family.valid(*self.params):
+            raise InvalidSpec(f"{self.name}: {self.kind} needs {family.needs}")
 
     @property
     def name(self) -> str:
@@ -75,82 +96,32 @@ class GroupSpec:
         return self.name
 
 
-def _validate(spec: GroupSpec) -> None:
-    kind, params = spec.kind, spec.params
-    if kind == "direct":
-        if len(spec.parts) < 2:
-            raise InvalidSpec("direct product needs at least two parts")
-        for part in spec.parts:
-            _validate(part)
-        return
-    if kind == "file":
-        if not spec.path:
-            raise InvalidSpec("file spec needs a path")
-        return
-    if kind not in _SIMPLE_KINDS:
-        raise InvalidSpec(f"unknown group kind {kind!r}")
-    if len(params) != _SIMPLE_KINDS[kind]:
-        raise InvalidSpec(
-            f"{kind} takes {_SIMPLE_KINDS[kind]} parameter(s), got {len(params)}"
-        )
-    if any(v < 1 for v in params):
-        raise InvalidSpec(f"{spec.name}: parameters must be positive")
-    if kind == "dihedral" and params[0] < 3:
-        raise InvalidSpec("dihedral needs n >= 3")
-    if kind in ("heisenberg", "frobenius") and params[0] > _MAX_PRIME_PARAM:
-        # refused before the trial-division primality test, which would spin
-        raise InvalidSpec(f"{kind} needs p <= 2**32, got {params[0]}")
-    if kind == "heisenberg":
-        p = params[0]
-        if p == 2 or not is_prime(p):
-            raise InvalidSpec("heisenberg needs an odd prime")
-    if kind == "frobenius":
-        p, q = params
-        if not is_prime(p):
-            raise InvalidSpec("frobenius needs p prime")
-        if q < 2 or (p - 1) % q != 0:
-            raise InvalidSpec("frobenius needs q >= 2 dividing p - 1")
-
-
 def parse_spec(text: str) -> GroupSpec:
-    """Parse a spec string; the result's name reproduces the input."""
-    text = text.strip()
+    """Split a spec string into a GroupSpec, which checks it; the result's
+    name reproduces the input."""
     if not text:
         raise InvalidSpec("empty group spec")
     kind, _, rest = text.partition(":")
     if kind == "file":
-        spec = GroupSpec("file", path=rest)
-        _validate(spec)
-        return spec
+        return GroupSpec("file", path=rest)
     if kind == "direct":
-        if not rest:
-            raise InvalidSpec("direct product needs parts")
-        parts = []
-        for chunk in rest.split("+"):
-            part = parse_spec(chunk)
-            if part.kind == "direct":
-                raise InvalidSpec("direct products do not nest")
-            parts.append(part)
-        spec = GroupSpec("direct", parts=tuple(parts))
-        _validate(spec)
-        return spec
-    if kind not in _SIMPLE_KINDS:
-        raise InvalidSpec(f"unknown group kind {kind!r}")
-    if not rest:
-        raise InvalidSpec(f"{kind} needs parameters")
+        return GroupSpec("direct", parts=tuple(parse_spec(c) for c in rest.split("+")))
+    values = rest.split(",")
     try:
-        params = tuple(int(v) for v in rest.split(","))
-    except ValueError:
-        raise InvalidSpec(f"non-integer parameter in {text!r}") from None
-    spec = GroupSpec(kind, params=params)
-    _validate(spec)
-    return spec
+        if all(_PARAM.fullmatch(v) for v in values):
+            return GroupSpec(kind, params=tuple(int(v) for v in values))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise InvalidSpec(f"{text!r}: parameters are positive integers in decimal digits")
 
 
 # ----- constructors ---------------------------------------------------------
 #
-# Each family has a generator function, giving the degree and the generator
-# Perms from the parameters alone, and a table function, writing the whole
+# Each family is one _FAMILIES entry.  Its check takes parameters that are
+# positive integers of the right arity and says whether they name a group.
+# Its order function gives the group order from the parameters alone, and
+# may stop once the order passes the cap.  Its generator function gives the
+# degree and the generator Perms, and its table function writes the whole
 # element table in closed form: every row in the image dtype of its degree,
 # the rows in table (lexicographic) order, and no temporary larger than the
 # table beyond arrays of one entry per row.
@@ -305,77 +276,78 @@ def _frobenius_table(p: int, q: int) -> np.ndarray:
     return out
 
 
-def _order_up_to(spec: GroupSpec, cap: int) -> int | None:
-    """Order of the group a family spec names, or None for a .grp file.
-
-    A factorial stops growing once it passes the cap, so a huge symmetric
-    or alternating degree costs nothing; any returned value above the cap
-    is then only a lower bound.
-    """
-    if spec.kind == "file":
-        return None
-    if spec.kind == "direct":
-        orders = [_order_up_to(part, cap) for part in spec.parts]
-        return None if None in orders else prod(orders)
-    if spec.kind in ("cyclic", "frobenius"):
-        return prod(spec.params)
-    n = spec.params[0]
-    if spec.kind == "dihedral":
-        return 2 * n
-    if spec.kind == "heisenberg":
-        return n**3
-    # n! for symmetric, n!/2 = 3 * 4 * ... * n for alternating (1 below n = 2)
-    order, k = 1, 2 if spec.kind == "symmetric" else 3
-    while k <= n and order <= cap:
-        order *= k
-        k += 1
-    return order
+def _product_up_to(start: int, n: int, cap: int) -> int:
+    """start * (start + 1) * ... * n (1 if start > n), stopped once it passes
+    the cap: a huge n costs nothing, and a value past the cap is a lower bound."""
+    out, k = 1, start
+    while k <= n and out <= cap:
+        out, k = out * k, k + 1
+    return out
 
 
-_BUILDERS = {
-    "cyclic": _cyclic_gens,
-    "dihedral": _dihedral_gens,
-    "symmetric": _symmetric_gens,
-    "alternating": _alternating_gens,
-    "heisenberg": _heisenberg_gens,
-    "frobenius": _frobenius_gens,
-}
+class _Family(NamedTuple):
+    """A builtin family.  order(*params, cap) may stop once it passes the
+    cap; valid(*params) is what positive parameters must meet besides."""
 
-_TABLES = {
-    "cyclic": _cyclic_table,
-    "dihedral": _dihedral_table,
-    "symmetric": lambda n: _permutation_table(n, even=False),
-    "alternating": lambda n: _permutation_table(n, even=True),
-    "heisenberg": _heisenberg_table,
-    "frobenius": _frobenius_table,
+    arity: int
+    order: Callable[..., int]
+    gens: Callable[..., tuple[int, list[Perm]]]
+    table: Callable[..., np.ndarray]
+    valid: Callable[..., bool] = lambda *params: True
+    needs: str = ""
+
+
+_FAMILIES = {
+    "cyclic": _Family(1, lambda n, cap: n, _cyclic_gens, _cyclic_table),
+    "dihedral": _Family(
+        1, lambda n, cap: 2 * n, _dihedral_gens, _dihedral_table, lambda n: n >= 3, "n >= 3"
+    ),
+    # n! and n!/2 = 3 * 4 * ... * n
+    "symmetric": _Family(
+        1, partial(_product_up_to, 2), _symmetric_gens, partial(_permutation_table, even=False)
+    ),
+    "alternating": _Family(
+        1, partial(_product_up_to, 3), _alternating_gens, partial(_permutation_table, even=True)
+    ),
+    # a prime past _MAX_PRIME_PARAM is refused before the trial-division
+    # primality test, which would spin
+    "heisenberg": _Family(
+        1, lambda p, cap: p**3, _heisenberg_gens, _heisenberg_table,
+        lambda p: p <= _MAX_PRIME_PARAM and p != 2 and is_prime(p), "an odd prime p <= 2**32",
+    ),
+    "frobenius": _Family(
+        2, lambda p, q, cap: p * q, _frobenius_gens, _frobenius_table,
+        lambda p, q: p <= _MAX_PRIME_PARAM and is_prime(p) and q >= 2 and (p - 1) % q == 0,
+        "a prime p <= 2**32 and q >= 2 dividing p - 1",
+    ),
 }
 
 
 def build(spec: GroupSpec, cap: int | None = None) -> Group:
     """Construct the group a spec names, within the cap.
 
-    A family's table is written in closed form (_TABLES) and handed to
-    group_from_generators with the family's generators, which keeps it;
-    only a .grp file is enumerated.
+    A family's table is written in closed form (its _FAMILIES entry) and
+    handed to group_from_generators with the family's generators, which
+    keeps it; only a .grp file is enumerated.
     A family whose order, known from its parameters, passes the cap is
     refused before any permutation is made, and one whose order x degree
     table passes _CELL_LIMIT as soon as its generators give the degree,
     before any table is built.  A direct product is measured whole: the
     product of its part orders times the sum of their degrees.
     """
-    _validate(spec)
     if cap is None:
         cap = default_element_cap()
-    order = _order_up_to(spec, cap)
-    if order is not None and order > cap:
-        raise CapExceeded(f"{spec.name}: group order passes the element cap of {cap}")
     if spec.kind == "file":
         return load_grp(spec.path, cap=cap)
-    if order is None:  # a direct product with a .grp part, measured part by part
-        factors = [build(part, cap=cap) for part in spec.parts]
+    parts = spec.parts if spec.kind == "direct" else (spec,)
+    if any(part.kind == "file" for part in parts):  # measured part by part
+        factors = [build(part, cap=cap) for part in parts]
     else:
-        parts = spec.parts if spec.kind == "direct" else (spec,)
-        made = [_BUILDERS[part.kind](*part.params) for part in parts]
+        families = [_FAMILIES[part.kind] for part in parts]
+        order = prod(f.order(*part.params, cap) for f, part in zip(families, parts))
+        if order > cap:
+            raise CapExceeded(f"{spec.name}: group order passes the element cap of {cap}")
+        made = [f.gens(*part.params) for f, part in zip(families, parts)]
         degree = sum(d for d, _ in made)
         if order * degree > _CELL_LIMIT:
             raise CapExceeded(
@@ -383,10 +355,8 @@ def build(spec: GroupSpec, cap: int | None = None) -> Group:
                 f"limit of {_CELL_LIMIT}"
             )
         factors = [
-            group_from_generators(
-                d, gens, cap=cap, name=part.name, table=_TABLES[part.kind](*part.params)
-            )
-            for part, (d, gens) in zip(parts, made)
+            group_from_generators(d, gens, cap=cap, name=part.name, table=f.table(*part.params))
+            for f, part, (d, gens) in zip(families, parts, made)
         ]
     g = factors[0]
     for h in factors[1:]:

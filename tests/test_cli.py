@@ -266,6 +266,26 @@ def test_scan_records_a_grp_file_that_is_not_utf8(tmp_path, capsys):
     assert "error=1" in out
 
 
+@pytest.mark.parametrize("entry", ["directory", "dangling-symlink"])
+def test_scan_records_a_grp_entry_that_cannot_be_read(tmp_path, capsys, entry):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a.grp", "c.grp"):
+        (corpus / name).write_text("degree 3\nname s3\n(0 1)\n(0 1 2)\n")
+    if entry == "directory":
+        (corpus / "b.grp").mkdir()
+    else:
+        (corpus / "b.grp").symlink_to(tmp_path / "missing.grp")
+    out_path = tmp_path / "scan.jsonl"
+    code, out, err = run(capsys, "scan", "--corpus", str(corpus), "--out", str(out_path), "--no-lemmas")
+    assert code == EXIT_OK and err == ""  # the scan goes on past b.grp
+    a, b, c = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert a["report"]["group_order"] == c["report"]["group_order"] == 6
+    assert b["report"] is None and str(corpus / "b.grp") in b["error"]
+    assert b["error"].startswith(("IsADirectoryError: ", "FileNotFoundError: "))
+    assert "error=1" in out
+
+
 def test_scan_starts_no_more_workers_than_groups(tmp_path, capsys, monkeypatch):
     # a stand-in pool records max_workers and maps in-process: no worker starts
     made = []
@@ -568,7 +588,8 @@ def test_over_cell_limit_is_refused_before_enumeration(capsys, monkeypatch, spec
     def build_nothing(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(corpus, "_TABLES", dict.fromkeys(corpus._TABLES, build_nothing))
+    families = {kind: f._replace(table=build_nothing) for kind, f in corpus._FAMILIES.items()}
+    monkeypatch.setattr(corpus, "_FAMILIES", families)
     code, out, err = run(capsys, "analyze", spec)
     assert code == EXIT_ERROR and out == ""
     (line,) = err.splitlines()

@@ -1,5 +1,6 @@
 """Group spec parsing, builders, the builtin corpus, and JSONL records."""
 
+import time
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import oracle
 from conjlab.arith import divisibility_digraph, weak_components
 from conjlab.corpus import (
+    _FAMILIES,
     GroupSpec,
     ScanRecord,
     build,
@@ -54,11 +56,51 @@ def test_parse_round_trip():
         "direct:cyclic:3",
         "direct:cyclic:3+direct:cyclic:5+cyclic:7",
         "file:",
+        # read leniently, each would name a spec whose name is not the text
+        "cyclic:1_0",
+        "cyclic:+5",
+        "cyclic: 7",
+        "cyclic:03",
+        " cyclic:7",
+        "direct:cyclic:3+ cyclic:5",
     ],
 )
 def test_parse_rejects(text):
     with pytest.raises(InvalidSpec):
         parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("cyclic", (0,)),
+        ("cyclic", (3.0,)),
+        ("cyclic", (True,)),
+        ("cyclic", (3, 4)),
+        ("martian", (3,)),
+        ("dihedral", (2,)),
+        ("heisenberg", (10**13,)),
+        ("frobenius", (7, 4)),
+        ("direct", (), (GroupSpec("cyclic", (3,)),)),
+        ("direct", (), ("cyclic:3", "cyclic:5")),
+        ("direct", (), (GroupSpec("cyclic", (3,)), parse_spec("direct:cyclic:5+cyclic:7"))),
+        ("file",),
+    ],
+)
+def test_hand_made_spec_is_checked_when_made(args):
+    start = time.perf_counter()
+    with pytest.raises(InvalidSpec):
+        GroupSpec(*args)
+    assert time.perf_counter() - start < 1.0  # a huge prime is not trial-divided
+
+
+def test_huge_factorial_is_refused_at_once():
+    start = time.perf_counter()
+    made = [GroupSpec("symmetric", (10**6,)), GroupSpec("alternating", (10**6,))]
+    for spec in [parse_spec("symmetric:1000000"), *made]:
+        with pytest.raises(CapExceeded, match="element cap"):
+            build(spec)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_frobenius_composite_q_allowed():
@@ -97,13 +139,20 @@ def test_build_direct_name_and_order():
 @pytest.mark.parametrize(
     "text",
     [
+        "cyclic:1",
         "cyclic:7",
+        "dihedral:3",
         "dihedral:9",
+        "symmetric:1",
         "symmetric:2",
         "symmetric:5",
+        "alternating:2",
+        "alternating:3",
         "alternating:4",
         "alternating:6",
+        "heisenberg:3",
         "heisenberg:5",
+        "frobenius:3,2",
         "frobenius:13,4",
         "direct:symmetric:4+frobenius:7,3",
     ],
@@ -112,6 +161,9 @@ def test_cap_refusal_is_exact(text):
     # orders computed from the parameters must agree with the built tables
     spec = parse_spec(text)
     order = build(spec).order
+    for part in spec.parts or (spec,):
+        for cap in (order, 10**9):
+            assert _FAMILIES[part.kind].order(*part.params, cap) == build(part).order, part
     assert build(spec, cap=order).order == order
     with pytest.raises(CapExceeded):
         build(spec, cap=order - 1)

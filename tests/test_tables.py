@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracle
 from conjlab import group as group_module
 from conjlab.arith import is_prime, prime_divisors
-from conjlab.corpus import _BUILDERS, _TABLES, _order_up_to, build, builtin_corpus, parse_spec
+from conjlab.corpus import _FAMILIES, build, builtin_corpus, parse_spec
 from conjlab.errors import CapExceeded, InvalidPermutation
 from conjlab.group import Group, _least_labels, group_from_generators
 from conjlab.perm import Perm
@@ -176,8 +176,9 @@ def _check_closed_form(text):
     """A family's closed-form table is its sorted enumerated table, and the
     Group kept on it has the same base and generator indices."""
     spec = parse_spec(text)
-    degree, gens = _BUILDERS[spec.kind](*spec.params)
-    rows = _TABLES[spec.kind](*spec.params)
+    family = _FAMILIES[spec.kind]
+    degree, gens = family.gens(*spec.params)
+    rows = family.table(*spec.params)
     ref = group_from_generators(degree, gens, name=text)
     assert rows.dtype == ref._rows.dtype
     assert np.array_equal(rows, ref._rows)
@@ -398,7 +399,7 @@ def _classes_by_spread(g):
     return raw
 
 
-_CLASS_SPECS = [s.name for s in builtin_corpus() if _order_up_to(s, 1000) <= 1000] + [
+_CLASS_SPECS = [s.name for s in builtin_corpus() if build(s, cap=10**5).order <= 1000] + [
     "direct:frobenius:5,4+heisenberg:7"
 ]
 
