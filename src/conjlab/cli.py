@@ -28,8 +28,6 @@ import json
 import os
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from .arith import (
     divisibility_digraph,
@@ -317,9 +315,15 @@ def cmd_scan(args) -> int:
         out = stack.enter_context(_output(args.out))
         # the pool starts all its workers at once, so it gets no more than tasks
         workers = min(args.jobs, len(tasks))
+        pool_died = ()  # an empty tuple catches nothing
         if workers == 1:
             lines = map(_scan_one, tasks)
         else:
+            # imported here: the pool's modules take about 20 ms to import
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            pool_died = (BrokenProcessPool,)
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             lines = pool.map(_scan_one, tasks)
         try:
@@ -331,7 +335,7 @@ def cmd_scan(args) -> int:
                 key = rec["report"]["verdict"] if rec["report"] else "error"
                 counts[key] = counts.get(key, 0) + 1
                 faults += rec["error"].startswith("EngineFault:")
-        except BrokenProcessPool as exc:
+        except pool_died as exc:
             written = sum(counts.values())
             raise ConjlabError(
                 f"worker pool died after {written} of {len(tasks)} records were written: {exc}"

@@ -358,9 +358,7 @@ def build(spec: GroupSpec, cap: int | None = None) -> Group:
             group_from_generators(d, gens, cap=cap, name=part.name, table=f.table(*part.params))
             for f, part, (d, gens) in zip(families, parts, made)
         ]
-    g = factors[0]
-    for h in factors[1:]:
-        g = direct_product(g, h, cap=cap)
+    g = direct_product(*factors, cap=cap) if len(factors) > 1 else factors[0]
     g.name = spec.name
     return g
 

@@ -17,8 +17,18 @@ order up to about 10^5.
 Composition convention (see perm.py): ``p * q`` applies p first, then q.
 Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 ``mult(x, s)`` for every row x at once is the fancy index ``s_row[rows]``,
-which is what the cached per-generator index maps are built from.  Below
-_COSET_CLOSURE_ORDER, one BFS over such maps, Group._spread, builds
+which is what the cached per-generator index maps are built from.
+
+A direct product keeps its leaf factors, never a partial product, and
+does its index arithmetic in them: member i is the mixed-radix number of
+its factors' indices, so x * s is a_i * s_a in A and b_j * s_b in B.  Its
+maps, inverses and power chains are broadcasts of the factors' own,
+looked up in the factors; its closures are one BFS, Group._spread, that
+steps each frontier through the factors' maps (_FactorStep) at every
+order and builds no map of the product's order.  That walk starts from
+the generators' power chains and steps by the powers x^(2^j) of long
+elements, so a long power chain costs log2 |x| levels.  In any other
+group, below _COSET_CLOSURE_ORDER one BFS over cached maps builds
 subgroup closures; from there up, Group._coset_walk adds whole right
 cosets of the known subgroup (Dimino's method) and builds no map.  Cosets,
 the classes of a quotient and conjugacy classes are orbits, each named by
@@ -49,9 +59,10 @@ tests, the constructor's generators) are found by base images and then
 compared in full.
 
 Every class reader goes through one ClassTable of arrays.  A Group caches
-arrays and index lists only, never an object that points back at it, so
-its last reference frees it at once; Subgroups and ConjugacyClasses are
-views, made anew on each call that returns them.
+arrays and index lists only, and a product its factors too, which keep
+nothing of it: nothing a Group holds points back at it, so its last
+reference frees it at once; Subgroups and ConjugacyClasses are views, made
+anew on each call that returns them.
 
 Normal subgroups are unions of conjugacy classes, so normal_subgroups keys
 each one by its set of class ids, held as an int bitset, and runs a closure
@@ -68,6 +79,8 @@ ids laid end to end.
 from __future__ import annotations
 
 import os
+from functools import reduce
+from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -104,6 +117,15 @@ _COSET_CLOSURE_ORDER = 10_000
 
 # base-image cells one batched lookup holds, unless one coset or case needs more
 _LOOKUP_CELLS = 1 << 20
+
+# a table whose sort prefix is at most this wide is checked column by column
+_WALKED_COLUMNS = 16
+
+# a direct product's closure also steps by the powers x^(2^j) of a generator x
+# of more than this order, so that a long power chain takes log2 |x| BFS levels;
+# from depth _DEEP_WALK on, it does the same for a long member of a level
+_LONG_CHAIN_ORDER = 64
+_DEEP_WALK = 8
 
 
 def default_element_cap() -> int:
@@ -202,14 +224,30 @@ def _least_labels(n: int, maps: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
 
 
 def _ascending(rows: np.ndarray) -> bool:
-    """True iff the rows strictly ascend in lexicographic order."""
-    tied = np.ones(len(rows) - 1, dtype=bool)  # adjacent pairs equal so far
-    for col in rows.T:
-        lo, hi = col[:-1][tied], col[1:][tied]
-        if np.any(hi < lo):
+    """True iff the rows strictly ascend in lexicographic order.
+
+    Up to _WALKED_COLUMNS columns are walked one by one, over the adjacent
+    pairs still tied.  A wider table (a product's sort prefix runs through
+    every factor before the last) is compared along rows instead, in
+    blocks of about _LOOKUP_CELLS cells, at the first column where adjacent
+    rows differ: a column walk would read cells a row apart, once per column.
+    """
+    if rows.shape[1] <= _WALKED_COLUMNS:
+        tied = np.ones(len(rows) - 1, dtype=bool)  # adjacent pairs equal so far
+        for col in rows.T:
+            lo, hi = col[:-1][tied], col[1:][tied]
+            if np.any(hi < lo):
+                return False
+            tied[tied] = hi == lo
+        return not tied.any()
+    step = max(1, _LOOKUP_CELLS // rows.shape[1])
+    for start in range(0, len(rows) - 1, step):
+        block = rows[start : start + step + 1]
+        lo, hi = block[:-1], block[1:]
+        first = (lo != hi).argmax(axis=1)[:, None]
+        if not np.all(np.take_along_axis(hi, first, 1) > np.take_along_axis(lo, first, 1)):
             return False
-        tied[tied] = hi == lo
-    return not tied.any()
+    return True
 
 
 class _Cache(dict):
@@ -291,8 +329,13 @@ class Group:
         self._conj_cache: _Cache = _Cache()
         self._centralizer_cache: _Cache = _Cache()
         self._quotient_cache: _Cache = _Cache()  # (kernel index bytes, actors) -> coset labels
+        self._chain_cache: _Cache = _Cache()  # i -> indices of x_i^0, ..., x_i^(|x_i| - 1)
         self._normals: list[tuple[np.ndarray, list[int]]] | None = None
         self._series: list[tuple[np.ndarray, list[int]]] | None = None
+        self._sylows: dict[int, tuple[np.ndarray, list[int]]] = {}
+        # a direct product's leaf factors (direct_product sets them): member
+        # i is the mixed-radix number, in their orders, of its factors' indices
+        self._factors: tuple[Group, ...] = ()
 
     # ----- basic accessors -------------------------------------------------
 
@@ -358,7 +401,23 @@ class Group:
         images = self._rows[j][self._base_rows[i]]
         return int(self._indices_of_images(images[None, :])[0])
 
+    def _digits(self, i: int) -> list[int]:
+        """Each leaf factor's index of member i of a direct product."""
+        digits = []
+        for f in reversed(self._factors):
+            i, d = divmod(i, f.order)
+            digits.append(d)
+        return digits[::-1]
+
+    def _from_factors(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """Indices of the members whose factor indices run over parts[0] x
+        parts[1] x ..., in row order: a direct product's map from its
+        factors' maps, one per factor."""
+        return np.ravel_multi_index(np.ix_(*parts), [f.order for f in self._factors]).ravel()
+
     def inverse_indices(self) -> np.ndarray:
+        if self._inv_idx is None and self._factors:
+            self._inv_idx = self._from_factors([f.inverse_indices() for f in self._factors])
         if self._inv_idx is None:
             # x^-1 sends b to the point x sends to b, one of column b's values
             images = np.empty_like(self._base_rows)
@@ -373,8 +432,18 @@ class Group:
 
     def commutator_idx(self, i: int, j: int) -> int:
         """Index of x_i^-1 * x_j^-1 * x_i * x_j."""
-        a = self.mult_idx(self.inv_idx(i), self.inv_idx(j))
-        return self.mult_idx(self.mult_idx(a, i), j)
+        return int(self._commutators([i], [j])[0])
+
+    def _commutators(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+        """Indices of x_i^-1 * x_j^-1 * x_i * x_j for every i in a and j in b,
+        row-major over (i, j), in one lookup of their base images."""
+        i, j = (m.ravel() for m in np.meshgrid(a, b, indexing="ij"))
+        inv = self.inverse_indices()
+        # a base point goes through x_i^-1, x_j^-1, x_i and x_j in turn
+        images = self._base_rows[inv[i]]
+        for step in (inv[j], i, j):
+            images = self._rows[step[:, None], images]
+        return self._indices_of_images(images)
 
     def element_orders(self) -> np.ndarray:
         """Order of every element: the lcm of its cycle lengths through the base.
@@ -445,7 +514,11 @@ class Group:
         """Map i -> index of (x_i * s), for all i at once."""
         cached = self._rmul_cache.get(s)
         if cached is None:
-            cached = self._indices_of_images(self._rows[s][self._base_rows])
+            if self._factors:
+                parts = [f._rmul_map(d) for f, d in zip(self._factors, self._digits(s))]
+                cached = self._from_factors(parts)
+            else:
+                cached = self._indices_of_images(self._rows[s][self._base_rows])
             _cache_put(self._rmul_cache, s, cached)
         return cached
 
@@ -453,15 +526,21 @@ class Group:
         """Map i -> index of g^-1 * x_i * g, for all i at once."""
         cached = self._conj_cache.get(g)
         if cached is None:
-            ginv_base = np.argsort(self._rows[g])[self._base]
-            cached = self._indices_of_images(self._rows[g][self._rows[:, ginv_base]])
+            if self._factors:
+                parts = [f._conj_map(d) for f, d in zip(self._factors, self._digits(g))]
+                cached = self._from_factors(parts)
+            else:
+                ginv_base = np.argsort(self._rows[g])[self._base]
+                cached = self._indices_of_images(self._rows[g][self._rows[:, ginv_base]])
             _cache_put(self._conj_cache, g, cached)
         return cached
 
     # ----- closures ----------------------------------------------------------
 
     @staticmethod
-    def _spread(maps: Sequence[np.ndarray], start, seen: np.ndarray) -> list[np.ndarray]:
+    def _spread(
+        maps: Sequence[np.ndarray], start, seen: np.ndarray, deeper: Callable | None = None
+    ) -> list[np.ndarray]:
         """Mark start, and everything it reaches under the index maps, in seen.
 
         The walk stops at indices seen already holds, so one seen mask can
@@ -471,7 +550,13 @@ class Group:
         m[frontier] repeats none either, and marking each map's images in
         seen before the next map reads it keeps the maps of one level, and
         the levels, from sharing an index: no level needs a dedupe.
+
+        deeper, if given, is called with the depth and members of each new
+        level, and returns more maps for the levels after it: maps by
+        members of the group the maps generate, which leave the closure as
+        it is and only make it shallower.
         """
+        maps = list(maps)
         frontier = np.asarray(start, dtype=np.int64)
         seen[frontier] = True
         levels = [frontier]
@@ -487,13 +572,19 @@ class Group:
                 np.concatenate(fresh_parts) if fresh_parts else np.empty(0, dtype=np.int64)
             )
             levels.append(frontier)
+            if deeper is not None and frontier.size:
+                maps += deeper(len(levels) - 1, frontier)
         return levels
 
     def _closed_mask(self, gen_indices: Sequence[int], seed_mask: np.ndarray | None = None) -> np.ndarray:
         """Member mask of <gens>, optionally seeded with the subgroup that a
         prefix of gens generates.
 
-        Below _COSET_CLOSURE_ORDER one BFS over the generators' cached
+        A direct product's BFS starts from the generators' power chains and
+        steps through its factors' maps (_FactorStep), at any order, building
+        no map of its own order; a generator of order above
+        _LONG_CHAIN_ORDER also steps by its powers x^(2^j).  In any other
+        group, below _COSET_CLOSURE_ORDER one BFS over the generators' cached
         right-multiplication maps marks it; from there up, _coset_walk adds
         right cosets of the seed and builds no map.
         """
@@ -502,7 +593,39 @@ class Group:
         if seed_mask is not None:
             mask |= seed_mask
         gens = [int(s) for s in gen_indices]
-        if self.order < _COSET_CLOSURE_ORDER:
+        if self._factors:
+
+            def doubling(x: int) -> list[_FactorStep]:
+                # steps by x^(2^j), 2^j < |x|, for a long power chain
+                chain = self._power_indices(x)
+                if len(chain) <= _LONG_CHAIN_ORDER:
+                    return []
+                exps = 1 << np.arange((len(chain) - 1).bit_length())
+                return [_FactorStep(self, int(y)) for y in chain[exps]]
+
+            due = _DEEP_WALK
+
+            def deeper(depth: int, frontier: np.ndarray) -> list[_FactorStep]:
+                # from depth _DEEP_WALK on, when a level's first member has a
+                # long power chain, step by its powers too; again each time
+                # the depth doubles
+                nonlocal due
+                if depth < due:
+                    return []
+                steps = doubling(int(frontier[0]))
+                if steps:
+                    due = 2 * depth
+                return steps
+
+            # the walk starts from every generator's power chain, and a
+            # cyclic group is that chain alone
+            for s in gens:
+                mask[self._power_indices(s)] = True
+            if seed_mask is None and len(gens) == 1:
+                return mask
+            steps = [t for s in gens for t in doubling(s) or [_FactorStep(self, s)]]
+            self._spread(steps, np.flatnonzero(mask), mask, deeper)
+        elif self.order < _COSET_CLOSURE_ORDER:
             self._spread([self._rmul_map(s) for s in gens], np.flatnonzero(mask), mask)
         else:
             self._coset_walk(gens, mask)
@@ -538,7 +661,7 @@ class Group:
         marked, and return the e^k; sub is a subgroup, mask a union of its
         cosets, and (sub)e may be marked already.
         """
-        powers = self._indices_of_images(self._power_images(e))
+        powers = self._power_indices(e)
         hit = np.flatnonzero(mask[powers[2:]])
         reps = powers[1 : 2 + int(hit[0]) if hit.size else len(powers)]
         self._add_cosets(sub, reps, mask)
@@ -643,12 +766,20 @@ class Group:
         return Subgroup(self, np.flatnonzero(mask), gens)
 
     def sylow_subgroup(self, p: int) -> "Subgroup":
-        """Sylow p-subgroup grown from the first p-element by normalizer steps."""
+        """Sylow p-subgroup grown from the first p-element by normalizer steps,
+        computed once per p; each call returns a new Subgroup."""
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
+        if p not in self._sylows:
+            self._sylows[p] = self._sylow_data(p)
+        indices, gens = self._sylows[p]
+        return Subgroup(self, indices, list(gens))
+
+    def _sylow_data(self, p: int) -> tuple[np.ndarray, list[int]]:
+        """(indices, generators) of sylow_subgroup(p)."""
         target = p_part(self.order, p)
         if target == 1:
-            return Subgroup(self, np.array([0], dtype=np.int64), [])
+            return np.array([0], dtype=np.int64), []
         cand = self.p_element_mask(p) & (self.element_orders() > 1)
         first = int(np.flatnonzero(cand)[0])
         gens = [first]
@@ -664,7 +795,7 @@ class Group:
             raise NotASubgroup(
                 f"sylow construction produced order {members.size}, wanted {target}"
             )
-        return Subgroup(self, members, gens)
+        return members, gens
 
     def _normalizer_mask(self, sub_gens: Sequence[int], sub_mask: np.ndarray) -> np.ndarray:
         """Mask of y with y^-1 s y in the subgroup for each subgroup generator s."""
@@ -744,6 +875,26 @@ class Group:
             gens.append(worst)
             mask = self._closed_mask(gens, seed_mask=mask)
 
+    def _power_indices(self, i: int) -> np.ndarray:
+        """Indices of x^0, ..., x^(n-1), n = |x| for x = x_i.
+
+        A direct product reads them off its factors' chains, as
+        (a, b)^e = (a^e, b^e); any other group looks up _power_images.
+        The chain is computed once while it stays cached.
+        """
+        chain = self._chain_cache.get(i)
+        if chain is None:
+            if self._factors:
+                parts = [f._power_indices(d) for f, d in zip(self._factors, self._digits(i))]
+                k = np.arange(reduce(np.lcm, [len(c) for c in parts]))
+                chain = np.ravel_multi_index(
+                    [c[k % len(c)] for c in parts], [f.order for f in self._factors]
+                )
+            else:
+                chain = self._indices_of_images(self._power_images(i))
+            _cache_put(self._chain_cache, i, chain)
+        return chain
+
     def _power_images(self, i: int) -> np.ndarray:
         """Base images of x^0, ..., x^(n-1), n = |x| for x = x_i.
 
@@ -767,10 +918,10 @@ class Group:
         Those powers generate the same cyclic group as x = x_i, so they have
         the same normal closure.
         """
-        powers = self._power_images(i)
+        powers = self._power_indices(i)
         n = len(powers)
         coprime = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-        return np.unique(self.class_table().ids[self._indices_of_images(powers[coprime])])
+        return np.unique(self.class_table().ids[powers[coprime]])
 
     def normal_subgroups(self, budget: int = DEFAULT_NODE_BUDGET) -> list["Subgroup"]:
         """All normal subgroups, ordered by (order, element index list).
@@ -864,7 +1015,10 @@ class Group:
                 if new:
                     queue.append(k)
 
-        subs = [(np.flatnonzero(mask), gens) for mask, gens, _ in entries.values()]
+        subs = []
+        for k in list(entries):
+            mask, gens, _ = entries.pop(k)  # each mask is freed once read
+            subs.append((np.flatnonzero(mask), gens))
         # equal orders give equal lengths, so big-endian bytes sort like tuples
         subs.sort(key=lambda s: (len(s[0]), s[0].astype(">i8").tobytes()))
         return subs
@@ -943,8 +1097,8 @@ class Group:
         series = self.composition_series(budget)
         factors = []
         for low, high in zip(series, series[1:]):
-            lmask, gens = low.mask(), high.ensure_gens()
-            abelian = all(lmask[self.commutator_idx(a, b)] for a in gens for b in gens)
+            gens = high.ensure_gens()
+            abelian = bool(low.mask()[self._commutators(gens, gens)].all())
             factors.append((high.order // low.order, abelian))
         return factors
 
@@ -968,6 +1122,37 @@ class Group:
                 ]
             self._series = below + [(np.arange(self.order, dtype=np.int64), list(self._gen_idx))]
         return [Subgroup(self, idx, list(gens)) for idx, gens in self._series]
+
+
+class _FactorStep:
+    """Right multiplication by one member s of a direct product, applied to
+    an index array through the factors' right-multiplication maps.
+
+    Only the factors where s is not the identity move a member's digits, so
+    a factor's generator costs one factor-sized shift array and no
+    product-order map.
+    """
+
+    __slots__ = ("moves",)
+
+    def __init__(self, g: Group, s: int):
+        # per factor moved: the stride of its digit, its order unless it
+        # leads (its digit needs no modulus then), and the index shift
+        self.moves = []
+        stride = g.order
+        for f, d in zip(g._factors, g._digits(s)):
+            modulus = f.order if stride < g.order else 0
+            stride //= f.order
+            if d:
+                shift = (f._rmul_map(d) - np.arange(f.order)) * stride
+                self.moves.append((stride, modulus, shift))
+
+    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
+        out = idx
+        for stride, modulus, shift in self.moves:
+            digit = idx // stride if stride > 1 else idx
+            out = out + shift[digit % modulus if modulus else digit]
+        return out
 
 
 class ConjugacyClass:
@@ -1136,47 +1321,60 @@ def group_from_generators(
     return Group(rows, gen_rows, name)
 
 
-def direct_product(a: Group, b: Group, cap: int | None = None, name: str | None = None) -> Group:
-    """External direct product acting on the disjoint union of the point sets."""
+def direct_product(*groups: Group, cap: int | None = None, name: str | None = None) -> Group:
+    """External direct product of two or more groups, acting on the disjoint
+    union of their point sets.
+
+    Row i_1 ... i_k, the mixed-radix number in the groups' orders, is
+    (x_1, ..., x_k): the table is built once, in table order, and no partial
+    product is built.  The product keeps the leaf factors (a product among
+    the groups gives its own leaves), which never point back at it.
+    """
+    if len(groups) < 2:
+        raise ValueError("a direct product needs at least two groups")
     if cap is None:
         cap = default_element_cap()
-    order = a.order * b.order
+    order = prod(g.order for g in groups)
     if order > cap:
         raise CapExceeded(f"direct product order {order} passes the element cap {cap}")
-    degree = a.degree + b.degree
+    degree = sum(g.degree for g in groups)
     if order * degree > _CELL_LIMIT:
         raise CapExceeded(
             f"direct product table of {order} x {degree} cells passes the cell "
             f"limit of {_CELL_LIMIT}"
         )
     dtype = _images_dtype(degree)
-    # row i * |b| + j is (x_i, y_j); cast b first, as the shift may pass its dtype
-    rows = np.empty((a.order, b.order, degree), dtype=dtype)
-    rows[:, :, : a.degree] = a._rows[:, None, :]
-    rows[:, :, a.degree :] = b._rows.astype(dtype) + a.degree
-    rows = rows.reshape(order, degree)
+    rows = np.empty([g.order for g in groups] + [degree], dtype=dtype)
     gen_rows = []
-    for g in a._gen_idx:
-        row = np.concatenate(
-            [a._rows[g].astype(dtype), np.arange(a.degree, degree, dtype=dtype)]
-        )
-        gen_rows.append(row)
-    for g in b._gen_idx:
-        row = np.concatenate(
-            [np.arange(a.degree, dtype=dtype), b._rows[g].astype(dtype) + a.degree]
-        )
-        gen_rows.append(row)
-    label = name if name is not None else f"{a.name} x {b.name}"
-    g = Group(rows, gen_rows, label)
-    # the class of (x_i, y_j) is the pair of theirs: sizes multiply, and the
-    # least member is row repA * |b| + repB, as the table is kept in this order
-    (ids_a, reps_a, sizes_a), (ids_b, reps_b, sizes_b) = a.class_table(), b.class_table()
-    g._classes = _class_table(
-        (ids_a[:, None] * len(reps_b) + ids_b).ravel(),
-        (reps_a[:, None] * b.order + reps_b).ravel(),
-        (sizes_a[:, None] * sizes_b).ravel(),
-    )
-    return g
+    offset = 0
+    for axis, g in enumerate(groups):
+        # cast first, as the shift may pass the group's dtype
+        images = g._rows.astype(dtype, copy=False)
+        if offset:
+            images = images + offset
+        shape = [1] * len(groups) + [g.degree]
+        shape[axis] = g.order
+        rows[..., offset : offset + g.degree] = images.reshape(shape)
+        for i in g._gen_idx:
+            row = np.arange(degree, dtype=dtype)
+            row[offset : offset + g.degree] = images[i]
+            gen_rows.append(row)
+        offset += g.degree
+    label = name if name is not None else " x ".join(g.name for g in groups)
+    product = Group(rows.reshape(order, degree), gen_rows, label)
+    product._factors = tuple(f for g in groups for f in g._factors or (g,))
+    # the class of (x_1, ..., x_k) is the tuple of theirs: sizes multiply,
+    # and the least member is the row of the least members, as the table is
+    # kept in this order
+    ids = reps = np.zeros(1, dtype=np.int64)
+    sizes = np.ones(1, dtype=np.int64)
+    for g in groups:
+        ids_g, reps_g, sizes_g = g.class_table()
+        ids = (ids[:, None] * len(reps_g) + ids_g).ravel()
+        reps = (reps[:, None] * g.order + reps_g).ravel()
+        sizes = (sizes[:, None] * sizes_g).ravel()
+    product._classes = _class_table(ids, reps, sizes)
+    return product
 
 
 def is_internal_direct_product(g: Group, a: Subgroup, b: Subgroup) -> bool:

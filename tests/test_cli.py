@@ -1,6 +1,9 @@
 """Command-line behavior: outputs, exit codes, file handling, determinism."""
 
+import concurrent.futures
 import json
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -303,7 +306,7 @@ def test_scan_starts_no_more_workers_than_groups(tmp_path, capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     corpus = write_dir_corpus(tmp_path)
     outs = [run(capsys, "scan", "--corpus", str(corpus), "--jobs", jobs) for jobs in ("1", "2", "64")]
     assert made == [2, 2]
@@ -369,7 +372,7 @@ def test_scan_keeps_its_records_when_the_pool_dies(tmp_path, capsys, monkeypatch
             yield fn(next(iter(items)))
             raise BrokenProcessPool("a process in the pool was terminated abruptly")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
     corpus = write_dir_corpus(tmp_path)
     out_path = tmp_path / "scan.jsonl"
     argv = ["scan", "--corpus", str(corpus), "--no-lemmas", "--out", str(out_path)]
@@ -380,6 +383,13 @@ def test_scan_keeps_its_records_when_the_pool_dies(tmp_path, capsys, monkeypatch
     partial = out_path.read_bytes()
     assert run(capsys, *argv, "--jobs", "1")[0] == EXIT_OK
     assert out_path.read_bytes().splitlines(keepends=True)[0] == partial
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # only scan --jobs above 1 imports the pool's modules
+    code = "import sys, conjlab.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def _run_out_of_memory_on(monkeypatch, name):

@@ -8,7 +8,7 @@ import pytest
 import oracle
 from conjlab.arith import prime_divisors
 from conjlab.corpus import build, builtin_corpus, parse_spec
-from conjlab.group import group_from_generators
+from conjlab.group import Group, group_from_generators
 from conjlab.invariants import (
     KIND_MIXED,
     KIND_UNIFORM_ACTIVE,
@@ -165,6 +165,26 @@ def test_first_sylow_pair_of_f76_on_cosets_does_not_commute():
     p_gens, q_gens = g.sylow_subgroup(2).ensure_gens(), g.sylow_subgroup(3).ensure_gens()
     assert g.order == 42 and not g._commute(p_gens, q_gens)
     assert sylow_commute_criterion(g, 2, 3) == (True, True)
+
+
+def test_each_sylow_subgroup_is_built_once(monkeypatch):
+    # the criterion asks for both Sylow subgroups of every prime pair; each is
+    # built once per prime, and every call returns a new, equal view
+    built = []
+    real = Group._sylow_data
+
+    def spy(self, p):
+        built.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(Group, "_sylow_data", spy)
+    g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
+    primes = sorted(prime_divisors(g.order))
+    for p, q in itertools.permutations(primes, 2):
+        sylow_commute_criterion(g, p, q)
+    assert built == primes
+    a, b = g.sylow_subgroup(5), g.sylow_subgroup(5)
+    assert a == b and a is not b and a.ensure_gens() is not b.ensure_gens()
 
 
 @pytest.mark.parametrize("spec", SYLOW_GROUPS)

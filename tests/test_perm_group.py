@@ -9,7 +9,7 @@ import pytest
 import oracle
 from conjlab import group as group_module
 from conjlab.arith import prime_divisors
-from conjlab.corpus import build, parse_spec
+from conjlab.corpus import build, builtin_corpus, parse_spec
 from conjlab.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -444,13 +444,23 @@ def test_one_closure_per_rational_class_and_none_per_known_join(monkeypatch):
     assert closures == [[i] for i in starts]
 
 
+def _without_factors(g):
+    """g's table as a group that keeps no factors, so that it looks every
+    product up by base images."""
+    return Group(g._rows, [g._rows[i] for i in g._gen_idx], g.name)
+
+
 @pytest.mark.parametrize("spec", sorted(RECORDED_LATTICES) + ["dihedral:1000"])
 def test_coset_walk_and_map_bfs_give_the_same_closures(spec, monkeypatch):
-    # the crossover at 1 sends every closure through the coset walk, above
-    # every possible order through the map BFS; generators and members must agree
-    def answers(crossover):
+    # the crossover at 1 sends every closure of a group without factors
+    # through the coset walk, above every possible order through the map BFS;
+    # a direct product steps through its factors at any order, so its table
+    # also runs without factors, and generators and members must all agree
+    def answers(crossover, factors):
         monkeypatch.setattr(group_module, "_COSET_CLOSURE_ORDER", crossover)
         g = build(parse_spec(spec))
+        if not factors:
+            g = _without_factors(g)
         subs = list(g.normal_subgroups())
         subs += [g.sylow_subgroup(p) for p in sorted(prime_divisors(g.order))]
         rng = random.Random(spec)
@@ -458,7 +468,70 @@ def test_coset_walk_and_map_bfs_give_the_same_closures(spec, monkeypatch):
             subs.append(g.subgroup_generated([rng.randrange(g.order) for _ in range(size)]))
         return [(s.indices.tolist(), s.ensure_gens()) for s in subs]
 
-    assert answers(1) == answers(group_module._CELL_LIMIT + 1)
+    want = answers(group_module._CELL_LIMIT + 1, factors=False)
+    assert answers(1, factors=False) == want
+    assert answers(1, factors=True) == want
+
+
+PRODUCTS = [s.name for s in builtin_corpus() if s.kind == "direct"] + ["direct:dihedral:2000+cyclic:3"]
+
+
+def _factor_path_matches_lookups(g, sample):
+    ref = _without_factors(g)
+    assert g._factors and not ref._factors
+    assert np.array_equal(g.inverse_indices(), ref.inverse_indices())
+    for x in sample:
+        assert np.array_equal(g._rmul_map(x), ref._rmul_map(x))
+        assert np.array_equal(g._conj_map(x), ref._conj_map(x))
+        assert np.array_equal(g._power_indices(x), ref._power_indices(x))
+    rng = random.Random(g.order)
+    for size in (1, 2, 3):
+        seed = [rng.choice(sample) for _ in range(size)]
+        assert g.subgroup_generated(seed) == Subgroup(g, ref.subgroup_generated(seed).indices)
+    return ref
+
+
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_a_product_multiplies_through_its_factors_as_lookups_do(spec):
+    # maps, inverses, power chains and closures read off the factors must
+    # equal those of the same table looked up by base images; so must every
+    # normal subgroup, with its generators, and the classes of the label pass
+    g = build(parse_spec(spec))
+    rng = np.random.default_rng(3)
+    sample = list(g._gen_idx) + rng.integers(1, g.order, size=6).tolist()
+    ref = _factor_path_matches_lookups(g, sample)
+    lattice = [(s.indices.tolist(), s.ensure_gens()) for s in g.normal_subgroups()]
+    assert lattice == [(s.indices.tolist(), s.ensure_gens()) for s in ref.normal_subgroups()]
+    assert all(np.array_equal(a, b) for a, b in zip(g.class_table(), ref.class_table()))
+
+
+def test_a_sample_of_the_largest_product_multiplies_as_lookups_do():
+    g = build(parse_spec("direct:alternating:5+heisenberg:7+cyclic:4"))
+    assert [f.name for f in g._factors] == ["alternating:5", "heisenberg:7", "cyclic:4"]
+    rng = np.random.default_rng(4)
+    _factor_path_matches_lookups(g, list(g._gen_idx) + rng.integers(1, g.order, size=3).tolist())
+
+
+def test_a_product_closure_takes_few_levels_on_long_chains(monkeypatch):
+    # two reflections of dihedral:2000 whose product is a rotation of order
+    # 1000 generate a dihedral group of order 2000 inside the product; the
+    # walk adds the powers of a long element once it runs deep, instead of
+    # one level per power
+    g = build(parse_spec("direct:dihedral:2000+cyclic:3"))
+    orders = g.element_orders()
+    x = int(np.flatnonzero(orders == 2)[0])
+    y = next(int(i) for i in np.flatnonzero(orders == 2) if orders[g.mult_idx(x, int(i))] == 1000)
+    depths = []
+    real = Group._spread
+
+    def spy(maps, start, seen, deeper=None):
+        levels = real(maps, start, seen, deeper)
+        depths.append(len(levels))
+        return levels
+
+    monkeypatch.setattr(Group, "_spread", staticmethod(spy))
+    assert int(g._closed_mask([x, y]).sum()) == 2000
+    assert depths and max(depths) <= 40
 
 
 def test_coset_walk_adds_a_rotation_chain_in_one_level(monkeypatch):
@@ -583,6 +656,29 @@ def test_quotient_rejects_non_normal():
     rot = g.subgroup_generated([Perm.from_cycles([(0, 1, 2, 3)], 4)])
     with pytest.raises(NotNormal):
         g.quotient(rot)
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric:5", "direct:alternating:5+cyclic:11", "direct:frobenius:5,4+heisenberg:3"]
+)
+def test_batched_commutators_match_the_scalar_loop(spec):
+    # the scalar loop composition_factors ran before: two lookups per step
+    g = build(parse_spec(spec))
+
+    def scalar(i, j):
+        a = g.mult_idx(g.inv_idx(i), g.inv_idx(j))
+        return g.mult_idx(g.mult_idx(a, i), j)
+
+    series = g.composition_series()
+    want = []
+    for low, high in zip(series, series[1:]):
+        gens = high.ensure_gens()
+        pairs = [scalar(a, b) for a in gens for b in gens]
+        assert g._commutators(gens, gens).tolist() == pairs
+        want.append((high.order // low.order, all(low.mask()[pairs])))
+    assert g.composition_factors() == want
+    for i, j in np.random.default_rng(5).integers(0, g.order, size=(20, 2)).tolist():
+        assert g.commutator_idx(i, j) == scalar(i, j)
 
 
 def test_composition_factors():

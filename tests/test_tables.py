@@ -102,6 +102,31 @@ def test_ordered_tables_are_kept_and_made_read_only(monkeypatch, case):
         rows[0, 0] = 1  # the caller's array is the table, so it is read-only too
 
 
+def _ascending_by_columns(rows):
+    """The column walk, which the order check runs on narrow tables."""
+    tied = np.ones(len(rows) - 1, dtype=bool)  # adjacent pairs equal so far
+    for col in rows.T:
+        lo, hi = col[:-1][tied], col[1:][tied]
+        if np.any(hi < lo):
+            return False
+        tied[tied] = hi == lo
+    return not tied.any()
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 20])
+def test_order_check_by_row_blocks_matches_the_column_walk(monkeypatch, cells):
+    # every table goes to the row blocks, and small blocks split it, so
+    # pairs that straddle two blocks count too
+    monkeypatch.setattr(group_module, "_WALKED_COLUMNS", 0)
+    monkeypatch.setattr(group_module, "_LOOKUP_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    for _ in range(300):
+        rows = rng.integers(0, 3, size=(int(rng.integers(1, 30)), int(rng.integers(1, 5))))
+        if rng.random() < 0.6:
+            rows = np.unique(rows, axis=0) if rng.random() < 0.5 else rows[np.lexsort(rows.T[::-1])]
+        assert group_module._ascending(rows) == _ascending_by_columns(rows)
+
+
 @pytest.mark.parametrize("extra", [0, 5, 17])
 def test_duplicate_rows_are_refused(extra):
     # a second identity row is fixed by every point and still terminates
@@ -325,6 +350,20 @@ def test_direct_product_matches_the_stacked_table(monkeypatch, spec):
         assert rows.dtype == ref.dtype
         assert np.array_equal(rows, ref)
         assert np.array_equal(g._rows, _fully_sorted(ref))
+
+
+def test_a_product_of_three_is_the_nested_product_and_keeps_leaves():
+    # one table in mixed radix, with the classes and generators of the
+    # product built pair by pair; both keep the three leaves, not A x B
+    a, b, c = (build(parse_spec(s)) for s in ("symmetric:3", "cyclic:4", "dihedral:5"))
+    flat = group_module.direct_product(a, b, c)
+    nested = group_module.direct_product(group_module.direct_product(a, b), c)
+    assert np.array_equal(flat._rows, nested._rows)
+    assert (flat.name, flat._gen_idx) == (nested.name, nested._gen_idx)
+    assert all(np.array_equal(x, y) for x, y in zip(flat.class_table(), nested.class_table()))
+    assert flat._factors == nested._factors == (a, b, c)
+    with pytest.raises(ValueError):
+        group_module.direct_product(a)
 
 
 def test_direct_product_past_the_int16_range():

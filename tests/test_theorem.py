@@ -528,17 +528,19 @@ def test_lemma_suite_labels_each_kernel_once(monkeypatch):
 
 def test_a_group_is_freed_without_the_cycle_collector():
     # a Group caches arrays only, never an object that points back at it, so
-    # its last reference frees it and its table at once
+    # its last reference frees it and its table at once; a product keeps its
+    # factors, which keep nothing of it, so they go with it
     g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
     g.conjugacy_classes()
     g.normal_subgroups()
     g.composition_series()
     run_lemma_suite(g, sample_budget=50)
-    alive = weakref.ref(g)
+    alive = [weakref.ref(h) for h in (g, *g._factors)]
+    assert len(alive) == 3
     gc.disable()
     try:
         del g
-        assert alive() is None
+        assert [ref() for ref in alive] == [None] * 3
     finally:
         gc.enable()
 
