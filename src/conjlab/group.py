@@ -105,7 +105,8 @@ CAP_ENV_VAR = "CONJLAB_CAP"
 _CELL_LIMIT = 50_000_000
 
 # cap, in bytes, on each of a group's caches: right-multiplication maps,
-# conjugation maps, centralizer masks and coset labels, each bounded separately
+# conjugation maps, centralizer masks, coset labels and (a direct product's
+# only) power chains, each bounded separately
 _MAP_CACHE_BYTES = 192_000_000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -117,9 +118,6 @@ _COSET_CLOSURE_ORDER = 10_000
 
 # base-image cells one batched lookup holds, unless one coset or case needs more
 _LOOKUP_CELLS = 1 << 20
-
-# a table whose sort prefix is at most this wide is checked column by column
-_WALKED_COLUMNS = 16
 
 # a direct product's closure also steps by the powers x^(2^j) of a generator x
 # of more than this order, so that a long power chain takes log2 |x| BFS levels;
@@ -224,30 +222,14 @@ def _least_labels(n: int, maps: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
 
 
 def _ascending(rows: np.ndarray) -> bool:
-    """True iff the rows strictly ascend in lexicographic order.
-
-    Up to _WALKED_COLUMNS columns are walked one by one, over the adjacent
-    pairs still tied.  A wider table (a product's sort prefix runs through
-    every factor before the last) is compared along rows instead, in
-    blocks of about _LOOKUP_CELLS cells, at the first column where adjacent
-    rows differ: a column walk would read cells a row apart, once per column.
-    """
-    if rows.shape[1] <= _WALKED_COLUMNS:
-        tied = np.ones(len(rows) - 1, dtype=bool)  # adjacent pairs equal so far
-        for col in rows.T:
-            lo, hi = col[:-1][tied], col[1:][tied]
-            if np.any(hi < lo):
-                return False
-            tied[tied] = hi == lo
-        return not tied.any()
-    step = max(1, _LOOKUP_CELLS // rows.shape[1])
-    for start in range(0, len(rows) - 1, step):
-        block = rows[start : start + step + 1]
-        lo, hi = block[:-1], block[1:]
-        first = (lo != hi).argmax(axis=1)[:, None]
-        if not np.all(np.take_along_axis(hi, first, 1) > np.take_along_axis(lo, first, 1)):
+    """True iff the rows strictly ascend in lexicographic order."""
+    tied = np.ones(len(rows) - 1, dtype=bool)  # adjacent pairs equal so far
+    for col in rows.T:
+        lo, hi = col[:-1][tied], col[1:][tied]
+        if np.any(hi < lo):
             return False
-    return True
+        tied[tied] = hi == lo
+    return not tied.any()
 
 
 class _Cache(dict):
@@ -329,7 +311,7 @@ class Group:
         self._conj_cache: _Cache = _Cache()
         self._centralizer_cache: _Cache = _Cache()
         self._quotient_cache: _Cache = _Cache()  # (kernel index bytes, actors) -> coset labels
-        self._chain_cache: _Cache = _Cache()  # i -> indices of x_i^0, ..., x_i^(|x_i| - 1)
+        self._chain_cache: _Cache = _Cache()  # a direct product's power chains, and its factors'
         self._normals: list[tuple[np.ndarray, list[int]]] | None = None
         self._series: list[tuple[np.ndarray, list[int]]] | None = None
         self._sylows: dict[int, tuple[np.ndarray, list[int]]] = {}
@@ -878,20 +860,27 @@ class Group:
     def _power_indices(self, i: int) -> np.ndarray:
         """Indices of x^0, ..., x^(n-1), n = |x| for x = x_i.
 
-        A direct product reads them off its factors' chains, as
-        (a, b)^e = (a^e, b^e); any other group looks up _power_images.
-        The chain is computed once while it stays cached.
+        Any group but a direct product looks up _power_images.  A product
+        reads them off its factors' chains, as (a, b)^e = (a^e, b^e), and
+        keeps both in _chain_cache, its own by i and a factor's by (factor
+        position, index): its closures and rational classes ask for the
+        same chains again and again.
         """
+        if not self._factors:
+            return self._indices_of_images(self._power_images(i))
         chain = self._chain_cache.get(i)
         if chain is None:
-            if self._factors:
-                parts = [f._power_indices(d) for f, d in zip(self._factors, self._digits(i))]
-                k = np.arange(reduce(np.lcm, [len(c) for c in parts]))
-                chain = np.ravel_multi_index(
-                    [c[k % len(c)] for c in parts], [f.order for f in self._factors]
-                )
-            else:
-                chain = self._indices_of_images(self._power_images(i))
+            parts = []
+            for key in enumerate(self._digits(i)):
+                part = self._chain_cache.get(key)
+                if part is None:
+                    part = self._factors[key[0]]._power_indices(key[1])
+                    _cache_put(self._chain_cache, key, part)
+                parts.append(part)
+            k = np.arange(reduce(np.lcm, [len(c) for c in parts]))
+            chain = np.ravel_multi_index(
+                [c[k % len(c)] for c in parts], [f.order for f in self._factors]
+            )
             _cache_put(self._chain_cache, i, chain)
         return chain
 
@@ -1332,6 +1321,12 @@ def direct_product(*groups: Group, cap: int | None = None, name: str | None = No
     """
     if len(groups) < 2:
         raise ValueError("a direct product needs at least two groups")
+    for g in groups:
+        if not isinstance(g, Group):
+            raise TypeError(
+                f"direct_product takes Groups, not {type(g).__name__}; "
+                "the element cap is the keyword-only argument cap="
+            )
     if cap is None:
         cap = default_element_cap()
     order = prod(g.order for g in groups)
