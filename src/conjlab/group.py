@@ -23,14 +23,12 @@ A direct product keeps its leaf factors, never a partial product, and
 does its index arithmetic in them: member i is the mixed-radix number of
 its factors' indices, so x * s is a_i * s_a in A and b_j * s_b in B.  Its
 maps, inverses and power chains are broadcasts of the factors' own,
-looked up in the factors; its closures are one BFS, Group._spread, that
-steps each frontier through the factors' maps (_FactorStep) at every
-order and builds no map of the product's order.  That walk starts from
-the generators' power chains and steps by the powers x^(2^j) of long
-elements, so a long power chain costs log2 |x| levels.  In any other
-group, below _COSET_CLOSURE_ORDER one BFS over cached maps builds
-subgroup closures; from there up, Group._coset_walk adds whole right
-cosets of the known subgroup (Dimino's method) and builds no map.  Cosets,
+looked up in the factors.  Every group closes subgroups the same way: one
+BFS, Group._spread, that starts from the generators' power chains and
+steps each frontier by right multiplication, through the factors' maps in
+a direct product (_FactorStep, no map of the product's order) and through
+cached maps in any other group.  It also steps by the powers x^(2^j) of
+long elements, so a long power chain costs log2 |x| levels.  Cosets,
 the classes of a quotient and conjugacy classes are orbits, each named by
 its least index through whole-array pointer doubling with a pointer jump
 after each pass (_least_labels); a direct product's classes are the pairs
@@ -104,24 +102,17 @@ CAP_ENV_VAR = "CONJLAB_CAP"
 # whatever the element cap: enumeration, direct_product and quotient check it
 _CELL_LIMIT = 50_000_000
 
-# cap, in bytes, on each of a group's caches: right-multiplication maps,
-# conjugation maps, centralizer masks, coset labels and (a direct product's
-# only) power chains, each bounded separately
+# cap, in bytes, on each of a group's five caches: right-multiplication maps,
+# conjugation maps, centralizer masks, coset labels and power chains, each
+# bounded separately
 _MAP_CACHE_BYTES = 192_000_000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# from this group order up, _closed_mask walks right cosets of its seed and
-# builds no whole-group map: below it, a map costs about one lookup call, less
-# than the coset walk's per-level calls (a measured sweep; see CHANGES.md)
-_COSET_CLOSURE_ORDER = 10_000
-
-# base-image cells one batched lookup holds, unless one coset or case needs more
-_LOOKUP_CELLS = 1 << 20
-
-# a direct product's closure also steps by the powers x^(2^j) of a generator x
-# of more than this order, so that a long power chain takes log2 |x| BFS levels;
-# from depth _DEEP_WALK on, it does the same for a long member of a level
+# a closure also steps by the powers x^(2^j) of a generator x of more than
+# this order, so that a long power chain takes log2 |x| BFS levels; from depth
+# _DEEP_WALK on (or a short generator's order, if more), it does the same for
+# a long member of a level
 _LONG_CHAIN_ORDER = 64
 _DEEP_WALK = 8
 
@@ -191,7 +182,7 @@ def _key_plan(base_rows: np.ndarray, degree: int) -> tuple[list, np.ndarray]:
     for col in base_rows.T:
         prefixes = None
         if bound * degree - 1 > _INT64_MAX:
-            prefixes = np.unique(key)
+            prefixes = _distinct(key)
             key = np.searchsorted(prefixes, key)
             bound = len(prefixes)
         plan.append(prefixes)
@@ -230,6 +221,19 @@ def _ascending(rows: np.ndarray) -> bool:
             return False
         tied[tied] = hi == lo
     return not tied.any()
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending.
+
+    np.unique gives the same, but asked for no return_* array it imports
+    numpy.ma on its first call in a process, a module load that costs more
+    than the calls here.
+    """
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
 
 class _Cache(dict):
@@ -311,7 +315,7 @@ class Group:
         self._conj_cache: _Cache = _Cache()
         self._centralizer_cache: _Cache = _Cache()
         self._quotient_cache: _Cache = _Cache()  # (kernel index bytes, actors) -> coset labels
-        self._chain_cache: _Cache = _Cache()  # a direct product's power chains, and its factors'
+        self._chain_cache: _Cache = _Cache()  # member index -> its power chain
         self._normals: list[tuple[np.ndarray, list[int]]] | None = None
         self._series: list[tuple[np.ndarray, list[int]]] | None = None
         self._sylows: dict[int, tuple[np.ndarray, list[int]]] = {}
@@ -562,112 +566,61 @@ class Group:
         """Member mask of <gens>, optionally seeded with the subgroup that a
         prefix of gens generates.
 
-        A direct product's BFS starts from the generators' power chains and
-        steps through its factors' maps (_FactorStep), at any order, building
-        no map of its own order; a generator of order above
-        _LONG_CHAIN_ORDER also steps by its powers x^(2^j).  In any other
-        group, below _COSET_CLOSURE_ORDER one BFS over the generators' cached
-        right-multiplication maps marks it; from there up, _coset_walk adds
-        right cosets of the seed and builds no map.
+        One BFS marks it, starting from the generators' power chains, so a
+        cyclic group is its chain alone.  It steps by right multiplication:
+        through the factors' maps in a direct product (_FactorStep), building
+        no map of the product's order, and through the cached
+        right-multiplication maps in any other group.  A generator of order
+        above _LONG_CHAIN_ORDER steps by its powers x^(2^j) instead, and so,
+        once the walk runs deeper than _DEEP_WALK and every short
+        generator's chain, does a long member it reached.
         """
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
         if seed_mask is not None:
             mask |= seed_mask
         gens = [int(s) for s in gen_indices]
-        if self._factors:
+        chains = [self._power_indices(s) for s in gens]
+        for chain in chains:
+            mask[chain] = True
+        if seed_mask is None and len(gens) == 1:
+            return mask
 
-            def doubling(x: int) -> list[_FactorStep]:
-                # steps by x^(2^j), 2^j < |x|, for a long power chain
-                chain = self._power_indices(x)
-                if len(chain) <= _LONG_CHAIN_ORDER:
-                    return []
-                exps = 1 << np.arange((len(chain) - 1).bit_length())
+        def doubling(x: int) -> list:
+            # steps by x^(2^j), 2^j < |x|, for a long power chain
+            chain = self._power_indices(x)
+            if len(chain) <= _LONG_CHAIN_ORDER:
+                return []
+            exps = 1 << np.arange((len(chain) - 1).bit_length())
+            if self._factors:
                 return [_FactorStep(self, int(y)) for y in chain[exps]]
+            # x^(2^(j+1)) is x^(2^j) twice: square the map, look nothing up
+            maps = [self._rmul_map(x)]
+            for _ in exps[1:]:
+                maps.append(maps[-1][maps[-1]])
+            return maps
 
-            due = _DEEP_WALK
+        # a walk with no long member runs as deep as a short generator's
+        # chain, so it looks for one no sooner
+        due = max([_DEEP_WALK] + [len(c) for c in chains if len(c) <= _LONG_CHAIN_ORDER])
 
-            def deeper(depth: int, frontier: np.ndarray) -> list[_FactorStep]:
-                # from depth _DEEP_WALK on, when a level's first member has a
-                # long power chain, step by its powers too; again each time
-                # the depth doubles
-                nonlocal due
-                if depth < due:
-                    return []
-                steps = doubling(int(frontier[0]))
-                if steps:
-                    due = 2 * depth
-                return steps
+        def deeper(depth: int, frontier: np.ndarray) -> list:
+            # from depth due on, when a level's first member has a long
+            # power chain, step by its powers too; again each time the depth
+            # doubles
+            nonlocal due
+            if depth < due:
+                return []
+            steps = doubling(int(frontier[0]))
+            if steps:
+                due = 2 * depth
+            return steps
 
-            # the walk starts from every generator's power chain, and a
-            # cyclic group is that chain alone
-            for s in gens:
-                mask[self._power_indices(s)] = True
-            if seed_mask is None and len(gens) == 1:
-                return mask
-            steps = [t for s in gens for t in doubling(s) or [_FactorStep(self, s)]]
-            self._spread(steps, np.flatnonzero(mask), mask, deeper)
-        elif self.order < _COSET_CLOSURE_ORDER:
-            self._spread([self._rmul_map(s) for s in gens], np.flatnonzero(mask), mask)
-        else:
-            self._coset_walk(gens, mask)
+        steps = []
+        for s in gens:
+            steps += doubling(s) or [_FactorStep(self, s) if self._factors else self._rmul_map(s)]
+        self._spread(steps, np.flatnonzero(mask), mask, deeper)
         return mask
-
-    def _coset_walk(self, gens: list[int], mask: np.ndarray) -> None:
-        """Grow mask, the subgroup that a prefix of gens generates, to <gens>.
-
-        Dimino's method: each generator s outside the subgroup H marked so
-        far is adjoined by adding right cosets Hy, first Hs, then, level by
-        level, the cosets of the new representatives times the generators
-        so far.  A union of cosets closed under right multiplication by the
-        generators is the group they generate.  When a level adds one coset
-        He, the cosets He^k follow at once, for 1 < k < the least k with
-        e^k marked: they are new and distinct, so a rotation reached only
-        as a product of two reflections takes one level, not one per power.
-        """
-        for i, s in enumerate(gens):
-            if mask[s]:
-                continue
-            sub = np.flatnonzero(mask)
-            fresh = self._add_power_cosets(sub, s, mask)
-            while fresh.size:
-                cand = self._indices_of_images(
-                    self._product_images(fresh, gens[: i + 1]).reshape(-1, len(self._base))
-                )
-                fresh = self._add_cosets(sub, cand, mask)
-                if fresh.size == 1:
-                    fresh = self._add_power_cosets(sub, int(fresh[0]), mask)
-
-    def _add_power_cosets(self, sub: np.ndarray, e: int, mask: np.ndarray) -> np.ndarray:
-        """Mark the right cosets (sub)e^k for 0 < k < the least k > 1 with e^k
-        marked, and return the e^k; sub is a subgroup, mask a union of its
-        cosets, and (sub)e may be marked already.
-        """
-        powers = self._power_indices(e)
-        hit = np.flatnonzero(mask[powers[2:]])
-        reps = powers[1 : 2 + int(hit[0]) if hit.size else len(powers)]
-        self._add_cosets(sub, reps, mask)
-        return reps
-
-    def _add_cosets(self, sub: np.ndarray, cand: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Mark the right cosets (sub)c of the unmarked candidates c in mask.
-
-        Each coset is found whole, in lookups of at most _LOOKUP_CELLS base
-        images, and named by its least member; returns one candidate per
-        coset added.
-        """
-        per = max(1, _LOOKUP_CELLS // max(1, len(sub) * len(self._base)))
-        added = []
-        for start in range(0, len(cand), per):
-            part = cand[start : start + per]
-            part = part[~mask[part]]
-            if part.size:
-                images = self._product_images(sub, part).reshape(-1, len(self._base))
-                cosets = self._indices_of_images(images).reshape(len(sub), len(part))
-                _, first = np.unique(cosets.min(axis=0), return_index=True)
-                mask[cosets[:, first]] = True
-                added.append(part[first])
-        return np.concatenate([np.empty(0, dtype=np.int64), *added])
 
     def _accumulate(self, candidates: Iterable[int]) -> tuple[list[int], np.ndarray]:
         """Generators and member mask of the subgroup the candidates generate.
@@ -858,29 +811,23 @@ class Group:
             mask = self._closed_mask(gens, seed_mask=mask)
 
     def _power_indices(self, i: int) -> np.ndarray:
-        """Indices of x^0, ..., x^(n-1), n = |x| for x = x_i.
+        """Indices of x^0, ..., x^(n-1), n = |x| for x = x_i, kept in
+        _chain_cache: closures and rational classes ask for the same chains
+        again and again.
 
-        Any group but a direct product looks up _power_images.  A product
-        reads them off its factors' chains, as (a, b)^e = (a^e, b^e), and
-        keeps both in _chain_cache, its own by i and a factor's by (factor
-        position, index): its closures and rational classes ask for the
-        same chains again and again.
+        A direct product reads them off its factors' chains, as (a, b)^e =
+        (a^e, b^e); any other group looks up _power_images.
         """
-        if not self._factors:
-            return self._indices_of_images(self._power_images(i))
         chain = self._chain_cache.get(i)
         if chain is None:
-            parts = []
-            for key in enumerate(self._digits(i)):
-                part = self._chain_cache.get(key)
-                if part is None:
-                    part = self._factors[key[0]]._power_indices(key[1])
-                    _cache_put(self._chain_cache, key, part)
-                parts.append(part)
-            k = np.arange(reduce(np.lcm, [len(c) for c in parts]))
-            chain = np.ravel_multi_index(
-                [c[k % len(c)] for c in parts], [f.order for f in self._factors]
-            )
+            if self._factors:
+                parts = [f._power_indices(d) for f, d in zip(self._factors, self._digits(i))]
+                k = np.arange(reduce(np.lcm, [len(c) for c in parts]))
+                chain = np.ravel_multi_index(
+                    [c[k % len(c)] for c in parts], [f.order for f in self._factors]
+                )
+            else:
+                chain = self._indices_of_images(self._power_images(i))
             _cache_put(self._chain_cache, i, chain)
         return chain
 
@@ -910,7 +857,7 @@ class Group:
         powers = self._power_indices(i)
         n = len(powers)
         coprime = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-        return np.unique(self.class_table().ids[powers[coprime]])
+        return _distinct(self.class_table().ids[powers[coprime]])
 
     def normal_subgroups(self, budget: int = DEFAULT_NODE_BUDGET) -> list["Subgroup"]:
         """All normal subgroups, ordered by (order, element index list).
@@ -1384,7 +1331,7 @@ def is_internal_direct_product(g: Group, a: Subgroup, b: Subgroup) -> bool:
             raise NotASubgroup("subgroup belongs to a different group")
     if a.order * b.order != g.order:
         return False
-    if len(np.intersect1d(a.indices, b.indices)) != 1:
+    if len(np.intersect1d(a.indices, b.indices, assume_unique=True)) != 1:
         return False
     if not (g.is_normal(a) and g.is_normal(b)):
         return False

@@ -70,10 +70,10 @@ from .errors import (
     NotCoprime,
 )
 from .group import (
-    _LOOKUP_CELLS,
     DEFAULT_NODE_BUDGET,
     Group,
     Subgroup,
+    _distinct,
     group_from_generators,
     is_internal_direct_product,
 )
@@ -168,7 +168,7 @@ def _now_ms() -> float:
 
 
 def _class_sizes_on(sizes: np.ndarray, sub: Subgroup) -> frozenset:
-    return frozenset(np.unique(sizes[sub.indices]).tolist())
+    return frozenset(_distinct(sizes[sub.indices]).tolist())
 
 
 def _describe(sizes: np.ndarray, fac: Factorization, a: Subgroup, b: Subgroup) -> Decomposition:
@@ -297,7 +297,7 @@ def _misses_a_class(g: Group, xs: np.ndarray) -> np.ndarray:
     ids, reps, _ = g.class_table()
     cids = ids[xs]
     misses = np.zeros(len(reps), dtype=bool)
-    for c in np.unique(cids).tolist():
+    for c in _distinct(cids).tolist():
         hits = np.bincount(ids[g.centralizer_mask_idx(int(reps[c]))], minlength=len(reps))
         misses[c] = (hits == 0).any()
     return misses[cids]
@@ -308,6 +308,9 @@ def _misses_a_class(g: Group, xs: np.ndarray) -> np.ndarray:
 # cases decided at a time; the sampled path holds no more draws than this,
 # so memory stays bounded for any sample budget
 _CHUNK = 4096
+
+# base-image cells one batched lookup holds
+_LOOKUP_CELLS = 1 << 20
 
 
 def _check(
@@ -458,8 +461,11 @@ class _ClassDivisors:
         live = np.flatnonzero(~_degenerate(g, self.normals, cases))
         k, x = cases[live].T
         c = self.ids[x]
-        unread = np.column_stack([k, c])[self.in_kernel[k, c] == 0]
-        for kk, cc in np.unique(unread, axis=0).tolist():
+        n = len(self.reps)
+        # (kernel, class) pairs as kk * n + cc, so that they sort as pairs
+        unread = (k * n + c)[self.in_kernel[k, c] == 0]
+        for pair in _distinct(unread).tolist():
+            kk, cc = divmod(pair, n)
             self.in_kernel[kk, cc] = centralizer_index(g, self.normals[kk], int(self.reps[cc]))
         ok = sizes[x] % self.in_kernel[k, c] == 0
         passed = k[ok]
@@ -572,7 +578,7 @@ def _quotient_centralizers(
     def holds(cases: np.ndarray) -> np.ndarray:
         out = np.ones(len(cases), dtype=bool)  # degenerate: an isomorphism or a point
         live = np.flatnonzero(~_degenerate(g, normals, cases))
-        for k in np.unique(cases[live, 0]).tolist():
+        for k in _distinct(cases[live, 0]).tolist():
             rows, labels = live[cases[live, 0] == k], g.coset_labels(normals[k])
             step = max(1, _LOOKUP_CELLS * normals[k].order // (g.order * len(g._base)))
             for chunk in np.split(rows, range(step, len(rows), step)):
@@ -695,7 +701,7 @@ def _lemma_split_sylow_centralizer(g, rng, samples, nbudget) -> LemmaResult:
             for b in inside[i:]:
                 if a.order * b.order != target:
                     continue
-                if len(np.intersect1d(a.indices, b.indices)) != 1:
+                if len(np.intersect1d(a.indices, b.indices, assume_unique=True)) != 1:
                     continue
                 cases.append((a, b))
     if not cases:

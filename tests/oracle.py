@@ -3,12 +3,16 @@
 Everything here is deliberately naive pure Python: tuple permutations,
 multiplication by composition, closure by repeated products, and class
 sizes obtained by counting centralizer orders directly.  No imports from
-the package under test.
+the package under test.  The one exception to pure Python is the plain
+map BFS, map_bfs_closed_mask, which takes a Group and gathers through its
+index maps, as the reference its subgroup closures are held to.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+import numpy as np
 
 
 def compose(p: tuple, q: tuple) -> tuple:
@@ -41,6 +45,28 @@ def closure(gens: list[tuple]) -> list[tuple]:
                     nxt.append(q)
         frontier = nxt
     return sorted(seen)
+
+
+def map_bfs_closed_mask(g, gen_indices, seed_mask=None) -> np.ndarray:
+    """Member mask of the subgroup of Group g that the indexed members
+    generate, with the signature of Group._closed_mask.
+
+    The plain BFS: mark the identity and the seed, then gather each
+    frontier through every generator's right-multiplication map
+    (g._rmul_map) until a level marks nothing new.  No power chains, no
+    steps by powers.
+    """
+    mask = np.zeros(g.order, dtype=bool)
+    mask[0] = True
+    if seed_mask is not None:
+        mask |= seed_mask
+    maps = [g._rmul_map(int(s)) for s in gen_indices]
+    frontier = np.flatnonzero(mask)
+    while frontier.size:
+        reached = np.concatenate([frontier[:0]] + [m[frontier] for m in maps])
+        frontier = np.unique(reached[~mask[reached]])
+        mask[frontier] = True
+    return mask
 
 
 def centralizer_order(elements: list[tuple], x: tuple) -> int:

@@ -392,6 +392,21 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
     assert out.stdout == "False\n"
 
 
+def test_verify_and_scan_leave_numpy_ma_unimported():
+    # np.unique and np.intersect1d, unless told the input is unique or asked
+    # for an index array, import numpy.ma on their first call in a process
+    code = (
+        "import contextlib, io, sys\n"
+        "from conjlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', 'direct:frobenius:5,4+heisenberg:3']),\n"
+        "             main(['scan', '--corpus', 'builtin', '--no-lemmas'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[0, 0] False\n"
+
+
 def _run_out_of_memory_on(monkeypatch, name):
     real = cli.build
 

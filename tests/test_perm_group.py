@@ -450,14 +450,12 @@ def _without_factors(g):
     return Group(g._rows, [g._rows[i] for i in g._gen_idx], g.name)
 
 
-@pytest.mark.parametrize("spec", sorted(RECORDED_LATTICES) + ["dihedral:1000"])
-def test_coset_walk_and_map_bfs_give_the_same_closures(spec, monkeypatch):
-    # the crossover at 1 sends every closure of a group without factors
-    # through the coset walk, above every possible order through the map BFS;
-    # a direct product steps through its factors at any order, so its table
-    # also runs without factors, and generators and members must all agree
-    def answers(crossover, factors):
-        monkeypatch.setattr(group_module, "_COSET_CLOSURE_ORDER", crossover)
+@pytest.mark.parametrize("spec", sorted(RECORDED_LATTICES) + ["dihedral:1000", "cyclic:2000"])
+def test_closures_match_the_map_bfs(spec, monkeypatch):
+    # every closure, as built and on the same table without factors, must
+    # give the members and generators that the plain map BFS of the oracle
+    # gives
+    def answers(factors):
         g = build(parse_spec(spec))
         if not factors:
             g = _without_factors(g)
@@ -468,9 +466,10 @@ def test_coset_walk_and_map_bfs_give_the_same_closures(spec, monkeypatch):
             subs.append(g.subgroup_generated([rng.randrange(g.order) for _ in range(size)]))
         return [(s.indices.tolist(), s.ensure_gens()) for s in subs]
 
-    want = answers(group_module._CELL_LIMIT + 1, factors=False)
-    assert answers(1, factors=False) == want
-    assert answers(1, factors=True) == want
+    got = [answers(factors=True), answers(factors=False)]
+    monkeypatch.setattr(Group, "_closed_mask", oracle.map_bfs_closed_mask)
+    want = answers(factors=False)
+    assert got == [want, want]
 
 
 PRODUCTS = [s.name for s in builtin_corpus() if s.kind == "direct"] + ["direct:dihedral:2000+cyclic:3"]
@@ -512,12 +511,12 @@ def test_a_sample_of_the_largest_product_multiplies_as_lookups_do():
     _factor_path_matches_lookups(g, list(g._gen_idx) + rng.integers(1, g.order, size=3).tolist())
 
 
-def test_a_product_closure_takes_few_levels_on_long_chains(monkeypatch):
-    # two reflections of dihedral:2000 whose product is a rotation of order
-    # 1000 generate a dihedral group of order 2000 inside the product; the
-    # walk adds the powers of a long element once it runs deep, instead of
-    # one level per power
-    g = build(parse_spec("direct:dihedral:2000+cyclic:3"))
+@pytest.mark.parametrize("spec", ["direct:dihedral:2000+cyclic:3", "dihedral:1000"])
+def test_a_closure_takes_few_levels_on_long_chains(spec, monkeypatch):
+    # two reflections whose product is a rotation of order 1000 generate a
+    # dihedral group of order 2000; the walk adds the powers of a long
+    # element once it runs deep, instead of one level per power
+    g = build(parse_spec(spec))
     orders = g.element_orders()
     x = int(np.flatnonzero(orders == 2)[0])
     y = next(int(i) for i in np.flatnonzero(orders == 2) if orders[g.mult_idx(x, int(i))] == 1000)
@@ -532,27 +531,6 @@ def test_a_product_closure_takes_few_levels_on_long_chains(monkeypatch):
     monkeypatch.setattr(Group, "_spread", staticmethod(spy))
     assert int(g._closed_mask([x, y]).sum()) == 2000
     assert depths and max(depths) <= 40
-
-
-def test_coset_walk_adds_a_rotation_chain_in_one_level(monkeypatch):
-    # two reflections whose product is a rotation of order 1000 generate all
-    # of dihedral:1000; the walk adds that rotation's powers at once instead
-    # of one level per power
-    monkeypatch.setattr(group_module, "_COSET_CLOSURE_ORDER", 1)
-    g = build(parse_spec("dihedral:1000"))
-    reflections = [i for i in range(g.order) if g.class_size_of_idx(i) == 500]
-    x = reflections[0]
-    y = next(i for i in reflections if g.order_of_idx(g.mult_idx(x, i)) == 1000)
-    calls = []
-    real = Group._add_cosets
-
-    def spy(self, sub, cand, mask):
-        calls.append(len(cand))
-        return real(self, sub, cand, mask)
-
-    monkeypatch.setattr(Group, "_add_cosets", spy)
-    assert g._closed_mask([x, y]).all()
-    assert len(calls) <= 8
 
 
 # budgets at which the search stops, and the progress it reports there, from
