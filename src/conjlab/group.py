@@ -24,14 +24,13 @@ does its index arithmetic in them: member i is the mixed-radix number of
 its factors' indices, so x * s is a_i * s_a in A and b_j * s_b in B.  Its
 maps, inverses and power chains are broadcasts of the factors' own,
 looked up in the factors.  Every group closes subgroups the same way: one
-BFS, Group._spread, that starts from the generators' power chains and
-steps each frontier by right multiplication, through the factors' maps in
-a direct product (_FactorStep, no map of the product's order) and through
-cached maps in any other group.  It also steps by the powers x^(2^j) of
-long elements, so a long power chain costs log2 |x| levels.  Cosets,
+plain BFS, Group._spread, that starts from the generators' power chains and
+steps each frontier by right multiplication by each generator, through
+the factors' maps in a direct product (_FactorStep, no map of the
+product's order) and through cached maps in any other group.  Cosets,
 the classes of a quotient and conjugacy classes are orbits, each named by
-its least index through whole-array pointer doubling with a pointer jump
-after each pass (_least_labels); a direct product's classes are the pairs
+its least index by squaring whole index maps, with a pointer jump after
+each pass (_least_labels); a direct product's classes are the pairs
 of its factors' classes, read off their tables.  A conjugation map inverts
 only its generator's row; element orders and p-element masks are worked
 out at class representatives and read off per class.  Generating
@@ -108,13 +107,6 @@ _CELL_LIMIT = 50_000_000
 _MAP_CACHE_BYTES = 192_000_000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-# a closure also steps by the powers x^(2^j) of a generator x of more than
-# this order, so that a long power chain takes log2 |x| BFS levels; from depth
-# _DEEP_WALK on (or a short generator's order, if more), it does the same for
-# a long member of a level
-_LONG_CHAIN_ORDER = 64
-_DEEP_WALK = 8
 
 
 def default_element_cap() -> int:
@@ -195,7 +187,7 @@ def _least_labels(n: int, maps: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
     """Least index in the orbit of each of 0..n-1 under the index maps.
 
     Each map comes with a bound on its order.  Per map, the least label
-    over i, m(i), m(m(i)), ... is taken by doubling the step m -> m(m);
+    over i, m(i), m(m(i)), ... is taken by squaring the step, m -> m(m);
     after each pass over the maps every label jumps to its own label, and
     the pass repeats until it changes nothing.
     """
@@ -524,9 +516,7 @@ class Group:
     # ----- closures ----------------------------------------------------------
 
     @staticmethod
-    def _spread(
-        maps: Sequence[np.ndarray], start, seen: np.ndarray, deeper: Callable | None = None
-    ) -> list[np.ndarray]:
+    def _spread(maps: Sequence, start, seen: np.ndarray) -> list[np.ndarray]:
         """Mark start, and everything it reaches under the index maps, in seen.
 
         The walk stops at indices seen already holds, so one seen mask can
@@ -536,13 +526,7 @@ class Group:
         m[frontier] repeats none either, and marking each map's images in
         seen before the next map reads it keeps the maps of one level, and
         the levels, from sharing an index: no level needs a dedupe.
-
-        deeper, if given, is called with the depth and members of each new
-        level, and returns more maps for the levels after it: maps by
-        members of the group the maps generate, which leave the closure as
-        it is and only make it shallower.
         """
-        maps = list(maps)
         frontier = np.asarray(start, dtype=np.int64)
         seen[frontier] = True
         levels = [frontier]
@@ -558,68 +542,29 @@ class Group:
                 np.concatenate(fresh_parts) if fresh_parts else np.empty(0, dtype=np.int64)
             )
             levels.append(frontier)
-            if deeper is not None and frontier.size:
-                maps += deeper(len(levels) - 1, frontier)
         return levels
 
     def _closed_mask(self, gen_indices: Sequence[int], seed_mask: np.ndarray | None = None) -> np.ndarray:
         """Member mask of <gens>, optionally seeded with the subgroup that a
         prefix of gens generates.
 
-        One BFS marks it, starting from the generators' power chains, so a
-        cyclic group is its chain alone.  It steps by right multiplication:
-        through the factors' maps in a direct product (_FactorStep), building
-        no map of the product's order, and through the cached
-        right-multiplication maps in any other group.  A generator of order
-        above _LONG_CHAIN_ORDER steps by its powers x^(2^j) instead, and so,
-        once the walk runs deeper than _DEEP_WALK and every short
-        generator's chain, does a long member it reached.
+        One plain BFS marks it, starting from the generators' power chains,
+        so a cyclic group is its chain alone.  Each level steps by right
+        multiplication by each generator: through the factors' maps in a
+        direct product (_FactorStep), building no map of the product's order,
+        and through the cached right-multiplication maps in any other group.
         """
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
         if seed_mask is not None:
             mask |= seed_mask
         gens = [int(s) for s in gen_indices]
-        chains = [self._power_indices(s) for s in gens]
-        for chain in chains:
-            mask[chain] = True
+        for s in gens:
+            mask[self._power_indices(s)] = True
         if seed_mask is None and len(gens) == 1:
             return mask
-
-        def doubling(x: int) -> list:
-            # steps by x^(2^j), 2^j < |x|, for a long power chain
-            chain = self._power_indices(x)
-            if len(chain) <= _LONG_CHAIN_ORDER:
-                return []
-            exps = 1 << np.arange((len(chain) - 1).bit_length())
-            if self._factors:
-                return [_FactorStep(self, int(y)) for y in chain[exps]]
-            # x^(2^(j+1)) is x^(2^j) twice: square the map, look nothing up
-            maps = [self._rmul_map(x)]
-            for _ in exps[1:]:
-                maps.append(maps[-1][maps[-1]])
-            return maps
-
-        # a walk with no long member runs as deep as a short generator's
-        # chain, so it looks for one no sooner
-        due = max([_DEEP_WALK] + [len(c) for c in chains if len(c) <= _LONG_CHAIN_ORDER])
-
-        def deeper(depth: int, frontier: np.ndarray) -> list:
-            # from depth due on, when a level's first member has a long
-            # power chain, step by its powers too; again each time the depth
-            # doubles
-            nonlocal due
-            if depth < due:
-                return []
-            steps = doubling(int(frontier[0]))
-            if steps:
-                due = 2 * depth
-            return steps
-
-        steps = []
-        for s in gens:
-            steps += doubling(s) or [_FactorStep(self, s) if self._factors else self._rmul_map(s)]
-        self._spread(steps, np.flatnonzero(mask), mask, deeper)
+        steps = [_FactorStep(self, s) if self._factors else self._rmul_map(s) for s in gens]
+        self._spread(steps, np.flatnonzero(mask), mask)
         return mask
 
     def _accumulate(self, candidates: Iterable[int]) -> tuple[list[int], np.ndarray]:
@@ -684,7 +629,7 @@ class Group:
         return mask
 
     def centralizer(self, x) -> "Subgroup":
-        i = x if isinstance(x, int) else self.index_of(x)
+        i = int(x) if isinstance(x, (int, np.integer)) else self.index_of(x)
         mask = self.centralizer_mask_idx(i)
         return Subgroup(self, np.flatnonzero(mask))
 
@@ -696,7 +641,7 @@ class Group:
 
     def subgroup_generated(self, seed: Iterable) -> "Subgroup":
         """Smallest subgroup containing the seed elements (Perms or indices)."""
-        seed_idx = [s if isinstance(s, int) else self.index_of(s) for s in seed]
+        seed_idx = [int(s) if isinstance(s, (int, np.integer)) else self.index_of(s) for s in seed]
         gens, mask = self._accumulate(seed_idx)
         return Subgroup(self, np.flatnonzero(mask), gens)
 
@@ -834,7 +779,7 @@ class Group:
     def _power_images(self, i: int) -> np.ndarray:
         """Base images of x^0, ..., x^(n-1), n = |x| for x = x_i.
 
-        They are built by doubling, x^(m + 2^j) sends b to x^(2^j)(x^m(b)),
+        Each round doubles their count, x^(m + 2^j) sending b to x^(2^j)(x^m(b)),
         until a power fixes the whole base: the first one to do so is x^n.
         """
         base = np.array(self._base, dtype=np.int64)
@@ -982,6 +927,8 @@ class Group:
         label over |K| is that class size.  The labels are computed once per
         kernel and actor list.  The array is read-only.
         """
+        if k.parent is not self:
+            raise NotASubgroup("subgroup belongs to a different group")
         key = (k.indices.tobytes(), tuple(int(a) for a in actors))
         least = self._quotient_cache.get(key)
         if least is None:

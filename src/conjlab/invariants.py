@@ -68,7 +68,7 @@ def centralizer_index(g: Group, within: Subgroup | None, x) -> int:
     By orbit-stabilizer this is the size of x's orbit under conjugation by
     N.  x must lie in g but not necessarily in N.
     """
-    i = x if isinstance(x, int) else g.index_of(x)
+    i = int(x) if isinstance(x, (int, np.integer)) else g.index_of(x)
     cmask = g.centralizer_mask_idx(i)
     if within is None:
         total, hits = g.order, int(cmask.sum())

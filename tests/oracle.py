@@ -53,8 +53,7 @@ def map_bfs_closed_mask(g, gen_indices, seed_mask=None) -> np.ndarray:
 
     The plain BFS: mark the identity and the seed, then gather each
     frontier through every generator's right-multiplication map
-    (g._rmul_map) until a level marks nothing new.  No power chains, no
-    steps by powers.
+    (g._rmul_map) until a level marks nothing new.  No power chains.
     """
     mask = np.zeros(g.order, dtype=bool)
     mask[0] = True
