@@ -70,7 +70,8 @@ cyclic group.  A join NA of two known normal subgroups has order
 shared classes, so a known subgroup of that order holding both is NA and
 no closure runs for it.  The meets of one N with every atom A (the normal
 closure of one class) come from one np.add.reduceat over the atoms' class
-ids laid end to end.
+ids laid end to end.  composition_series runs the same search on each
+lower level of the series in these tables, given its classes and generators.
 """
 
 from __future__ import annotations
@@ -594,14 +595,21 @@ class Group:
 
     def class_table(self) -> ClassTable:
         """The conjugacy classes, numbered by (size, least member): computed once
-        from the conjugation maps, or handed to a direct product by its factors."""
+        by the label pass, or handed to a direct product by its factors."""
         if self._classes is None:
-            # element_orders reads the classes, so the bounds come from the powers
-            maps = [(self._conj_map(a), len(self._power_images(a))) for a in self._gen_idx]
-            least = _least_labels(self.order, maps)
-            reps, inverse, sizes = np.unique(least, return_inverse=True, return_counts=True)
-            self._classes = _class_table(inverse, reps, sizes)
+            self._classes = self._class_pass(self._gen_idx)
         return self._classes
+
+    def _class_pass(self, gens: Sequence[int], members=slice(None)) -> ClassTable:
+        """Classes of <gens>, given its member indices, from one label pass over
+        the whole table; ids reads 0, the identity's class, off the members."""
+        # element_orders reads the classes, so the bounds come from the powers
+        maps = [(self._conj_map(a), len(self._power_images(a))) for a in gens]
+        least = _least_labels(self.order, maps)
+        reps, inverse, sizes = np.unique(least[members], return_inverse=True, return_counts=True)
+        least.fill(0)  # the labels are read: their array takes the ids
+        least[members] = inverse
+        return _class_table(least, reps, sizes)
 
     def conjugacy_classes(self) -> list["ConjugacyClass"]:
         """Classes in class_table order, as views made on each call."""
@@ -730,16 +738,16 @@ class Group:
     # ----- normal subgroups -----------------------------------------------------
 
     def _normal_closure_data(
-        self, start: int, budget: _Budget
+        self, start: int, budget: _Budget, gens_h: Sequence[int]
     ) -> tuple[np.ndarray, list[int]]:
-        """Mask and generators of the normal closure of one element.
+        """Mask and generators of the normal closure of one element in <gens_h>.
 
         Grows <gens> and, while some conjugate of a member escapes, adjoins the
         least escaping conjugate; the generator list stays logarithmic.
         """
         gens = [int(start)]
         mask = self._closed_mask(gens)
-        cmaps = [self._conj_map(g) for g in self._gen_idx]
+        cmaps = [self._conj_map(g) for g in gens_h]
         while True:
             members = np.flatnonzero(mask)
             worst = None
@@ -793,8 +801,8 @@ class Group:
             powers = np.concatenate([powers, more])
             step = step[step]
 
-    def _rational_class_ids(self, i: int) -> np.ndarray:
-        """Ids of the classes of x^k for 1 <= k < |x| with gcd(k, |x|) = 1.
+    def _rational_class_ids(self, i: int, ids: np.ndarray) -> np.ndarray:
+        """Class ids, read in ids, of x^k for 1 <= k < |x| with gcd(k, |x|) = 1.
 
         Those powers generate the same cyclic group as x = x_i, so they have
         the same normal closure.
@@ -802,7 +810,7 @@ class Group:
         powers = self._power_indices(i)
         n = len(powers)
         coprime = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-        return _distinct(self.class_table().ids[powers[coprime]])
+        return _distinct(ids[powers[coprime]])
 
     def normal_subgroups(self, budget: int = DEFAULT_NODE_BUDGET) -> list["Subgroup"]:
         """All normal subgroups, ordered by (order, element index list).
@@ -823,18 +831,18 @@ class Group:
         Exhaustion raises BudgetExceeded, never truncates.
         """
         if self._normals is None:
-            self._normals = self._normal_search(budget)
+            self._normals = self._normal_search(budget, self.class_table(), self._gen_idx, self.name)
         return [Subgroup(self, idx, list(gens)) for idx, gens in self._normals]
 
-    def _normal_search(self, budget: int) -> list[tuple[np.ndarray, list[int]]]:
-        """(indices, generators) of every normal subgroup, in normal_subgroups order."""
-        ids, reps, sizes = self.class_table()
+    def _normal_search(self, budget: int, classes: ClassTable, gens_h: Sequence[int], name: str):
+        """(indices, gens) of each normal subgroup of <gens_h>, in normal_subgroups order."""
+        ids, reps, sizes = classes
         closed = 0  # non-identity classes whose normal closure is known
         # subgroup key (class-id bitset) -> (mask, generators, class mask)
         entries: dict[int, tuple[np.ndarray, list[int], np.ndarray]] = {}
         counter = _Budget(
             budget,
-            f"normal_subgroups({self.name})",
+            f"normal_subgroups({name})",
             lambda: f"; {closed} of {len(sizes) - 1} classes closed, "
             f"{len(entries)} normal subgroups found",
         )
@@ -861,11 +869,11 @@ class Group:
                 continue
             counter.spend()
             if cid not in known:
-                mask, gens = self._normal_closure_data(rep, counter)
+                mask, gens = self._normal_closure_data(rep, counter, gens_h)
                 k, _ = add(mask, gens)
                 if k not in atom_keys:
                     atom_keys.append(k)
-                known.update(self._rational_class_ids(rep).tolist())
+                known.update(self._rational_class_ids(rep, ids).tolist())
             closed += 1
 
         # the atoms' class ids end to end (none for a trivial group); no
@@ -988,22 +996,22 @@ class Group:
     def composition_series(self, budget: int = DEFAULT_NODE_BUDGET) -> list["Subgroup"]:
         """Subgroup chain from trivial to the whole group with simple steps.
 
-        Recurses through a maximal proper normal subgroup, chosen as the
-        largest order with ties broken by least element index list.  Members
-        of the recursive series, with their generators, are mapped back
-        through the subgroup's sorted-index correspondence.  The series is
-        computed once per group; each call returns new Subgroups.
+        Below each level comes the first of its largest proper normal
+        subgroups in normal_subgroups order, found by _normal_search on the
+        level's classes and generators in this group's own tables.  Computed
+        once per group; each call returns new Subgroups.
         """
         if self._series is None:
-            below = []
-            if self.order > 1:
-                proper = [s for s in self.normal_subgroups(budget) if s.order < self.order]
-                m = min(proper, key=lambda s: (-s.order, s.indices.astype(">i8").tobytes()))
-                below = [
-                    (m.indices[s.indices], [int(m.indices[i]) for i in s.ensure_gens()])
-                    for s in m.as_group().composition_series(budget)
-                ]
-            self._series = below + [(np.arange(self.order, dtype=np.int64), list(self._gen_idx))]
+            self.normal_subgroups(budget)
+            idx, gens = np.arange(self.order, dtype=np.int64), list(self._gen_idx)
+            series, name, normals = [(idx, gens)], self.name, self._normals
+            while len(idx) > 1:
+                idx, gens = next(s for s in normals if len(s[0]) == len(normals[-2][0]))
+                series.append((idx, gens))
+                if len(idx) > 1:
+                    name = f"{name}|sub{len(idx)}"
+                    normals = self._normal_search(budget, self._class_pass(gens, idx), gens, name)
+            self._series = series[::-1]
         return [Subgroup(self, idx, list(gens)) for idx, gens in self._series]
 
 

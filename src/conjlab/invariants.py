@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import IntSet, is_prime, p_part
-from .errors import EngineFault
+from .errors import EngineFault, NotASubgroup
 from .group import Group, Subgroup
 
 # How the p-parts of the class sizes behave:
@@ -68,6 +68,8 @@ def centralizer_index(g: Group, within: Subgroup | None, x) -> int:
     By orbit-stabilizer this is the size of x's orbit under conjugation by
     N.  x must lie in g but not necessarily in N.
     """
+    if within is not None and within.parent is not g:
+        raise NotASubgroup("subgroup belongs to a different group")
     i = int(x) if isinstance(x, (int, np.integer)) else g.index_of(x)
     cmask = g.centralizer_mask_idx(i)
     if within is None:

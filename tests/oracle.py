@@ -3,9 +3,10 @@
 Everything here is deliberately naive pure Python: tuple permutations,
 multiplication by composition, closure by repeated products, and class
 sizes obtained by counting centralizer orders directly.  No imports from
-the package under test.  The one exception to pure Python is the plain
-map BFS, map_bfs_closed_mask, which takes a Group and gathers through its
-index maps, as the reference its subgroup closures are held to.
+the package under test.  Two functions take a Group, as references that
+its own methods are held to: the plain map BFS, map_bfs_closed_mask, which
+gathers through its index maps, and composition_series_by_recursion, which
+rebuilds each level of the series as a Group.
 """
 
 from __future__ import annotations
@@ -66,6 +67,33 @@ def map_bfs_closed_mask(g, gen_indices, seed_mask=None) -> np.ndarray:
         frontier = np.unique(reached[~mask[reached]])
         mask[frontier] = True
     return mask
+
+
+def composition_series_by_recursion(g, budget: int) -> tuple[list, list]:
+    """Composition series of Group g, bottom up, as (indices, generators)
+    pairs, and its factors as (order, is_abelian) pairs.
+
+    The series recurses: the largest proper normal subgroup M, ties broken
+    by least index list, is rebuilt as a Group with Subgroup.as_group, its
+    own series is found, and members and generators are mapped back through
+    M's sorted indices.  G/M is abelian iff M holds the commutator of every
+    pair of g's generators, composed here as tuples and found by index_of.
+    """
+    top = (np.arange(g.order, dtype=np.int64), list(g._gen_idx))
+    if g.order == 1:
+        return [top], []
+    proper = [s for s in g.normal_subgroups(budget) if s.order < g.order]
+    m = min(proper, key=lambda s: (-s.order, s.indices.tolist()))
+    below, factors = composition_series_by_recursion(m.as_group(), budget)
+    series = [(m.indices[idx], [int(m.indices[i]) for i in gens]) for idx, gens in below]
+    gens = [g.element(i).images for i in top[1]]
+    mask = m.mask()
+    abelian = all(
+        mask[g.index_of(np.array(compose(compose(compose(inverse(x), inverse(y)), x), y)))]
+        for x in gens
+        for y in gens
+    )
+    return series + [top], factors + [(g.order // m.order, abelian)]
 
 
 def centralizer_order(elements: list[tuple], x: tuple) -> int:

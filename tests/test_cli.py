@@ -114,6 +114,22 @@ def test_verify_lemma_budget_stop_is_skipped_not_an_error(capsys):
     assert "verdict HypothesisNotMet" in out
 
 
+def test_a_series_level_out_of_budget_is_named_in_the_skipped_lemmas(capsys):
+    # the lattice of G fits 24 nodes, but the search at the series level of
+    # order 31 does not; both lemmas that read the series say which level
+    code, out, _ = run(
+        capsys, "verify", "frobenius:31,6", "--normal-budget", "24", "--lemma-samples", "300", "--json"
+    )
+    assert code == EXIT_OK
+    results = json.loads(out)["lemma_results"]
+    want = (
+        "normal_subgroups(frobenius:31,6|sub93|sub31): budget of 24 nodes exhausted; "
+        "24 of 30 classes closed, 2 normal subgroups found"
+    )
+    for name in ("series_class_divisibility", "single_nonabelian_factor"):
+        assert results[name]["status"] == "skipped" and results[name]["detail"] == want
+
+
 def test_verify_cap_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("CONJLAB_CAP", "10")
     code, _, err = run(capsys, "verify", "symmetric:4", "--no-lemmas")

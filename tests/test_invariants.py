@@ -8,6 +8,7 @@ import pytest
 import oracle
 from conjlab.arith import prime_divisors
 from conjlab.corpus import build, builtin_corpus, parse_spec
+from conjlab.errors import NotASubgroup
 from conjlab.group import Group, group_from_generators
 from conjlab.invariants import (
     KIND_MIXED,
@@ -93,6 +94,15 @@ def test_centralizer_index():
     assert centralizer_index(S3, a3, transposition) == 3
     rotation = S3.index_of(Perm((1, 2, 0)))
     assert centralizer_index(S3, a3, rotation) == 1
+
+
+def test_centralizer_index_refuses_a_subgroup_of_another_group():
+    # the indices of an order-12 subgroup of cyclic:24 name other members in
+    # symmetric:4, so reading them there would give a wrong index
+    g = build(parse_spec("symmetric:4"))
+    other = next(s for s in build(parse_spec("cyclic:24")).normal_subgroups() if s.order == 12)
+    with pytest.raises(NotASubgroup):
+        centralizer_index(g, other, 5)
 
 
 @pytest.mark.parametrize("g", [S4, make(oracle.dihedral_gens(6), "d6")], ids=["s4", "d6"])

@@ -452,9 +452,9 @@ def test_one_closure_per_rational_class_and_none_per_known_join(monkeypatch):
     Group = group_module.Group
     real_normal, real_closed = Group._normal_closure_data, Group._closed_mask
 
-    def spy_normal(self, start, budget):
+    def spy_normal(self, start, budget, gens_h):
         starts.append(start)
-        return real_normal(self, start, budget)
+        return real_normal(self, start, budget, gens_h)
 
     def spy_closed(self, gens, seed_mask=None):
         closures.append(list(gens))
@@ -583,7 +583,7 @@ def test_rational_class_ids_match_power_chain(spec):
             if np.gcd(k, n) == 1:
                 want.add(g.class_id_of_idx(power))
             power = g.mult_idx(power, x)
-        assert g._rational_class_ids(x).tolist() == sorted(want)
+        assert g._rational_class_ids(x, g.class_table().ids).tolist() == sorted(want)
         assert len(g._power_images(x)) == n
 
 
@@ -700,9 +700,58 @@ def test_composition_series_orders(monkeypatch):
         assert set(low.indices) <= set(high.indices)
     # computed once: a second call runs no search and makes new, equal Subgroups
     monkeypatch.setattr(Group, "normal_subgroups", _never_called)
-    monkeypatch.setattr(Subgroup, "as_group", _never_called)
+    monkeypatch.setattr(Group, "_normal_search", _never_called)
     again = s4.composition_series()
     assert again == series and all(a is not b for a, b in zip(again, series))
+
+
+SERIES_SPECS = sorted(
+    {s.name for s in builtin_corpus()}
+    | {
+        "frobenius:31,6",
+        "symmetric:7",
+        "direct:frobenius:5,4+heisenberg:7",
+        "direct:alternating:5+heisenberg:7+cyclic:4",
+    }
+)
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS)
+def test_composition_series_matches_the_recursion_through_subgroup_groups(spec):
+    # each level read off g's own tables must give the members, generators
+    # and factors of the recursion that rebuilds every level as a Group
+    g = build(parse_spec(spec))
+    got = [(s.indices.tolist(), s.ensure_gens()) for s in g.composition_series()]
+    want, factors = oracle.composition_series_by_recursion(g, group_module.DEFAULT_NODE_BUDGET)
+    assert got == [(idx.tolist(), gens) for idx, gens in want]
+    assert g.composition_factors() == factors
+
+
+@pytest.mark.parametrize("spec", ["frobenius:31,6", "direct:frobenius:5,4+heisenberg:3"])
+def test_composition_series_builds_no_group(spec, monkeypatch):
+    g = build(parse_spec(spec))
+    monkeypatch.setattr(Group, "__init__", _never_called)
+    monkeypatch.setattr(Subgroup, "as_group", _never_called)
+    assert len(g.composition_series()) > 2 and g.composition_factors()
+
+
+# budgets at which the search of a level below the whole group runs out:
+# the message names that level by its nesting, as Subgroup.as_group would
+RECORDED_SERIES_BUDGET_STOPS = [
+    ("frobenius:31,6", 24, "frobenius:31,6|sub93|sub31", "24 of 30 classes closed, 2 normal subgroups found"),
+    ("frobenius:13,3", 10, "frobenius:13,3|sub13", "10 of 12 classes closed, 2 normal subgroups found"),
+]
+
+
+@pytest.mark.parametrize("spec,budget,level,progress", RECORDED_SERIES_BUDGET_STOPS)
+def test_a_series_level_out_of_budget_is_named_by_its_nesting(spec, budget, level, progress):
+    g = build(parse_spec(spec))
+    g.normal_subgroups(budget)  # the whole group's search fits the budget
+    with pytest.raises(BudgetExceeded) as stop:
+        g.composition_series(budget)
+    assert str(stop.value) == (
+        f"normal_subgroups({level}): budget of {budget} nodes exhausted; {progress}"
+    )
 
 
 # ----- products --------------------------------------------------------------------
