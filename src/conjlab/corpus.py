@@ -335,6 +335,8 @@ def build(spec: GroupSpec, cap: int | None = None) -> Group:
     before any table is built.  A direct product is measured whole: the
     product of its part orders times the sum of their degrees.
     """
+    if not isinstance(spec, GroupSpec):
+        raise TypeError(f"build takes a GroupSpec, not {type(spec).__name__}; parse_spec makes one")
     if cap is None:
         cap = default_element_cap()
     if spec.kind == "file":

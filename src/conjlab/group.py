@@ -6,39 +6,39 @@ identity is row identity and row 0 is always the group identity.  The sort
 reads only the first k columns, k the fewest leading points that only the
 identity fixes all of: distinct members already differ there.  A table
 that already comes in that order (a builtin family's closed form from
-corpus.build, a direct product, a subgroup's rows) is kept as given,
-without a sort or a copy, and every table is read-only.  Every
-query — conjugacy classes, centralizers, Sylow subgroups, normalizers,
-normal subgroups, quotients, composition factors — is answered by direct,
-reproducible search over that table.  This trades memory for the ability
-to verify structural claims exhaustively; the intended scale is group
-order up to about 10^5.
+corpus.build, a subgroup's rows) is kept as given, without a sort or a
+copy; a direct product builds its own, in that order, on first read; and
+every table is read-only.  Every query — conjugacy classes, centralizers,
+Sylow subgroups, normalizers, normal subgroups, quotients, composition
+factors — is answered by direct, reproducible search over that table.
+This trades memory for the ability to verify structural claims
+exhaustively; the intended scale is group order up to about 10^5.
 
 Composition convention (see perm.py): ``p * q`` applies p first, then q.
 Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 ``mult(x, s)`` for every row x at once is the fancy index ``s_row[rows]``,
 which is what the cached per-generator index maps are built from.
 
-A direct product keeps its leaf factors, never a partial product, and
-does its index arithmetic in them: member i is the mixed-radix number of
-its factors' indices, so x * s is a_i * s_a in A and b_j * s_b in B.  Its
-maps, inverses and power chains are broadcasts of the factors' own,
-looked up in the factors.  Every group closes subgroups the same way: one
-plain BFS, Group._spread, that starts from the generators' power chains and
-steps each frontier by right multiplication by each generator, through
-the factors' maps in a direct product (_FactorStep, no map of the
-product's order) and through cached maps in any other group.  Cosets,
-the classes of a quotient and conjugacy classes are orbits, each named by
-its least index by squaring whole index maps, with a pointer jump after
-each pass (_least_labels); a direct product's classes are the pairs
-of its factors' classes, read off their tables.  A conjugation map inverts
-only its generator's row; element orders and p-element masks are worked
-out at class representatives and read off per class.  Generating
-sets come from one loop, Group._accumulate, that adjoins each candidate
-not yet in the closure, and conjugation orbits of index sets (subgroups
-with their generators, Sylow centers) from Group._conjugate_sets.  Two
-members commute iff their two products agree on the base below, which is
-how centralizers are computed.
+A direct product keeps its leaf factors, never a partial product, and does
+its index arithmetic in them: member i is the mixed-radix number of its
+factors' indices, so x * s is a_i * s_a in A and b_j * s_b in B.  Its
+classes (pairs of its factors' classes), maps, inverses, power chains and
+element orders are broadcasts of the factors' own, and its elements and
+commuting checks are read in them; only the other readers build its table.
+Every group closes subgroups the same way: one plain BFS, Group._spread,
+that starts from the generators' power chains and steps each frontier by
+right multiplication by each generator, through the factors' maps in a
+direct product (_FactorStep, no map of the product's order) and through
+cached maps in any other group.  Cosets, the classes of a quotient and
+conjugacy classes are orbits, each named by its least index by squaring
+whole index maps, with a pointer jump after each pass (_least_labels).  A
+conjugation map inverts only its generator's row; element orders and
+p-element masks are worked out at class representatives and read off per
+class.  Generating sets come from one loop, Group._accumulate, that adjoins
+each candidate not yet in the closure, and conjugation orbits of index sets
+(subgroups with their generators, Sylow centers) from Group._conjugate_sets.
+Two members commute iff their two products agree on the base below, which
+is how centralizers are computed.
 
 Elements are found through a base (Sims): the points B at which the
 stabilizer chain of 0, 1, 2, ... shrinks, read off the same walk that finds
@@ -269,6 +269,7 @@ class Group:
     a group: lookups of products by base images rely on it.  Rows that
     already come in table order are kept as given, without a sort or a
     copy, so the table is made read-only, and with it the array passed in.
+    A direct product (_Product) is given no rows: it builds its table on first read.
     """
 
     def __init__(self, rows: np.ndarray, gen_rows: list[np.ndarray | Perm], name: str):
@@ -287,7 +288,7 @@ class Group:
             rows = rows[np.lexsort(prefix.T[::-1])]
         self._rows = np.ascontiguousarray(rows)
         self._rows.flags.writeable = False
-        self.degree = int(rows.shape[1])
+        self.order, self.degree = rows.shape
         self.name = name
         ident = np.arange(self.degree, dtype=self._rows.dtype)
         if not np.array_equal(self._rows[0], ident):
@@ -300,7 +301,11 @@ class Group:
         if np.any(self._sorted_keys[1:] <= self._sorted_keys[:-1]):
             raise InvalidPermutation("element table has duplicate rows or is not a group")
         self._gen_idx = [self.index_of(g) for g in gen_rows]
-        # lazy caches
+        self._start(())
+
+    def _start(self, factors: tuple[Group, ...]) -> None:
+        """Set the leaf factors (a direct product's; none otherwise) and empty caches."""
+        self._factors = factors
         self._inv_idx: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._classes: ClassTable | None = None
@@ -312,21 +317,19 @@ class Group:
         self._normals: list[tuple[np.ndarray, list[int]]] | None = None
         self._series: list[tuple[np.ndarray, list[int]]] | None = None
         self._sylows: dict[int, tuple[np.ndarray, list[int]]] = {}
-        # a direct product's leaf factors (direct_product sets them): member
-        # i is the mixed-radix number, in their orders, of its factors' indices
-        self._factors: tuple[Group, ...] = ()
 
     # ----- basic accessors -------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self._rows)
 
     @property
     def generators(self) -> list[Perm]:
         return [self.element(i) for i in self._gen_idx]
 
     def element(self, i: int) -> Perm:
+        if self._factors:  # the factors' rows at i's digits, each shifted past the last
+            images: list[int] = []
+            for f, d in zip(self._factors, self._digits(i)):
+                images += (f._rows[d].astype(np.int64) + len(images)).tolist()
+            return Perm(images)
         return Perm(tuple(int(v) for v in self._rows[i]))
 
     def elements(self) -> Iterator[Perm]:
@@ -431,6 +434,9 @@ class Group:
         when m is a multiple of the length of each base point's cycle.
         Conjugates have the same order, so only class representatives walk.
         """
+        if self._orders is None and self._factors:  # the lcm of the factors' orders
+            parts = np.ix_(*[f.element_orders() for f in self._factors])
+            self._orders = reduce(np.lcm, parts).ravel()
         if self._orders is None:
             ids, reps, _ = self.class_table()
             orders = np.ones(len(reps), dtype=np.int64)
@@ -480,6 +486,9 @@ class Group:
         Both products are members, so x*y = y*x iff they agree on the base;
         all pairs are compared at once.
         """
+        if self._factors:  # iff their digits do in each factor; digit 0, the identity, always does
+            digits = zip(self._factors, *[zip(*map(self._digits, s)) for s in (a, b)])
+            return all(f._commute(x, y) for f, x, y in digits if any(x) and any(y))
         return bool(
             np.array_equal(self._product_images(a, b), self._product_images(b, a).transpose(1, 0, 2))
         )
@@ -604,7 +613,7 @@ class Group:
         """Classes of <gens>, given its member indices, from one label pass over
         the whole table; ids reads 0, the identity's class, off the members."""
         # element_orders reads the classes, so the bounds come from the powers
-        maps = [(self._conj_map(a), len(self._power_images(a))) for a in gens]
+        maps = [(self._conj_map(a), len(self._power_indices(a))) for a in gens]
         least = _least_labels(self.order, maps)
         reps, inverse, sizes = np.unique(least[members], return_inverse=True, return_counts=True)
         least.fill(0)  # the labels are read: their array takes the ids
@@ -1046,6 +1055,65 @@ class _FactorStep:
         return out
 
 
+class _TableOnRead:
+    """A direct product's table attribute, held by the class and by no product:
+    the first read puts the table and what is read off it (_Product._table)
+    in the product's __dict__, which hides this descriptor from then on."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, g, owner=None):
+        vars(g).update(g._table())
+        return vars(g)[self.name]
+
+
+class _Product(Group):
+    """A direct product of leaf factors (see direct_product), whose table is
+    built on the first read of any of the attributes below."""
+
+    _rows = _TableOnRead()
+    _base_rows = _TableOnRead()
+    _key_plan = _TableOnRead()
+    _sorted_keys = _TableOnRead()
+
+    def __init__(self, factors: tuple[Group, ...], name: str):
+        self._start(factors)
+        self.order, self.degree = prod(f.order for f in factors), sum(f.degree for f in factors)
+        self.name = name
+        self._base, self._gen_idx, offset, stride = [], [], 0, self.order
+        # the class of (x_1, ..., x_k) is the tuple of theirs: sizes multiply, and
+        # the least member is the row of the least members, as the table is in this order
+        ids, reps, sizes = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
+        for f in factors:
+            stride //= f.order
+            self._base += [b + offset for b in f._base]
+            self._gen_idx += [i * stride for i in f._gen_idx]
+            offset += f.degree
+            ids_f, reps_f, sizes_f = f.class_table()
+            ids = (ids[:, None] * len(reps_f) + ids_f).ravel()
+            reps = (reps[:, None] * f.order + reps_f).ravel()
+            sizes = (sizes[:, None] * sizes_f).ravel()
+        self._classes = _class_table(ids, reps, sizes)
+
+    def _table(self) -> dict:
+        """The table (row i: the factors' rows at i's digits, side by side), base rows and keys."""
+        dtype = _images_dtype(self.degree)
+        rows = np.empty([f.order for f in self._factors] + [self.degree], dtype=dtype)
+        offset = 0
+        for axis, f in enumerate(self._factors):
+            shape = [1] * len(self._factors) + [f.degree]
+            shape[axis] = f.order
+            # cast first, as the shift may pass the factor's dtype
+            rows[..., offset : offset + f.degree] = (f._rows.astype(dtype) + offset).reshape(shape)
+            offset += f.degree
+        rows = rows.reshape(self.order, self.degree)
+        rows.flags.writeable = False
+        base_rows = rows[:, self._base].astype(np.int64)
+        key_plan, sorted_keys = _key_plan(base_rows, self.degree)
+        return dict(_rows=rows, _base_rows=base_rows, _key_plan=key_plan, _sorted_keys=sorted_keys)
+
+
 class ConjugacyClass:
     """One conjugacy class, stored as sorted member indices."""
 
@@ -1217,9 +1285,9 @@ def direct_product(*groups: Group, cap: int | None = None, name: str | None = No
     union of their point sets.
 
     Row i_1 ... i_k, the mixed-radix number in the groups' orders, is
-    (x_1, ..., x_k): the table is built once, in table order, and no partial
-    product is built.  The product keeps the leaf factors (a product among
-    the groups gives its own leaves), which never point back at it.
+    (x_1, ..., x_k).  The product keeps the leaf factors (a product among
+    the groups gives its own leaves), which never point back at it, and
+    builds its table from them on first read; no partial product is built.
     """
     if len(groups) < 2:
         raise ValueError("a direct product needs at least two groups")
@@ -1240,38 +1308,8 @@ def direct_product(*groups: Group, cap: int | None = None, name: str | None = No
             f"direct product table of {order} x {degree} cells passes the cell "
             f"limit of {_CELL_LIMIT}"
         )
-    dtype = _images_dtype(degree)
-    rows = np.empty([g.order for g in groups] + [degree], dtype=dtype)
-    gen_rows = []
-    offset = 0
-    for axis, g in enumerate(groups):
-        # cast first, as the shift may pass the group's dtype
-        images = g._rows.astype(dtype, copy=False)
-        if offset:
-            images = images + offset
-        shape = [1] * len(groups) + [g.degree]
-        shape[axis] = g.order
-        rows[..., offset : offset + g.degree] = images.reshape(shape)
-        for i in g._gen_idx:
-            row = np.arange(degree, dtype=dtype)
-            row[offset : offset + g.degree] = images[i]
-            gen_rows.append(row)
-        offset += g.degree
     label = name if name is not None else " x ".join(g.name for g in groups)
-    product = Group(rows.reshape(order, degree), gen_rows, label)
-    product._factors = tuple(f for g in groups for f in g._factors or (g,))
-    # the class of (x_1, ..., x_k) is the tuple of theirs: sizes multiply,
-    # and the least member is the row of the least members, as the table is
-    # kept in this order
-    ids = reps = np.zeros(1, dtype=np.int64)
-    sizes = np.ones(1, dtype=np.int64)
-    for g in groups:
-        ids_g, reps_g, sizes_g = g.class_table()
-        ids = (ids[:, None] * len(reps_g) + ids_g).ravel()
-        reps = (reps[:, None] * g.order + reps_g).ravel()
-        sizes = (sizes[:, None] * sizes_g).ravel()
-    product._classes = _class_table(ids, reps, sizes)
-    return product
+    return _Product(tuple(f for g in groups for f in g._factors or (g,)), label)
 
 
 def is_internal_direct_product(g: Group, a: Subgroup, b: Subgroup) -> bool:

@@ -94,6 +94,13 @@ def test_hand_made_spec_is_checked_when_made(args):
     assert time.perf_counter() - start < 1.0  # a huge prime is not trial-divided
 
 
+@pytest.mark.parametrize("spec", ["symmetric:4", None, ("cyclic", (3,))])
+def test_build_refuses_what_is_not_a_spec(spec):
+    # build is public; a spec's text goes through parse_spec first
+    with pytest.raises(TypeError, match="parse_spec"):
+        build(spec)
+
+
 def test_huge_factorial_is_refused_at_once():
     start = time.perf_counter()
     made = [GroupSpec("symmetric", (10**6,)), GroupSpec("alternating", (10**6,))]

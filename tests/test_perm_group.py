@@ -787,11 +787,21 @@ def test_internal_direct_product_raises_when_factors_fail_to_commute(monkeypatch
     g = direct_product(s3, c4)
     normals = g.normal_subgroups()
     b = next(s for s in normals if s.order == 4)
-    a = next(s for s in normals if s.order == 6 and is_internal_direct_product(g, s, b))
-    # every product x_i * x_j reads as x_i, so no two distinct members commute
-    monkeypatch.setattr(
-        g, "_product_images", lambda a, b: g._base_rows[np.asarray(a)][:, None, :].repeat(len(b), 1)
+    # a complement of b whose generators move C4 too, so that the product
+    # asks C4 whether they commute with b's (a factor where one side is the
+    # identity is not asked)
+    a = next(
+        s for s in normals
+        if s.order == 6 and is_internal_direct_product(g, s, b)
+        and any(g._digits(i)[1] for i in s.ensure_gens())
     )
+    # in each factor, every product x_i * x_j reads as x_i, so no two
+    # distinct members commute
+    for f in g._factors:
+        monkeypatch.setattr(
+            f, "_product_images",
+            lambda a, b, f=f: f._base_rows[np.asarray(a)][:, None, :].repeat(len(b), 1),
+        )
     with pytest.raises(NotASubgroup, match="engine invariant broken"):
         is_internal_direct_product(g, a, b)
 

@@ -15,6 +15,7 @@ from conjlab.arith import is_prime, prime_divisors
 from conjlab.corpus import _FAMILIES, build, builtin_corpus, parse_spec
 from conjlab.errors import CapExceeded, InvalidPermutation
 from conjlab.group import Group, _least_labels, group_from_generators
+from conjlab.invariants import class_size_set, classify_p_parts, max_class_p_part
 from conjlab.perm import Perm
 from conjlab.theorem import STATUS_PASS, VERDICT_COUNTEREXAMPLE, verify_main_theorem
 
@@ -27,6 +28,15 @@ _BENCHMARK_SPECS = [
     "direct:symmetric:5+heisenberg:7",
     "frobenius:101,100",
     "dihedral:500",
+]
+
+
+# every builtin product, the two benchmark products and two with a trivial factor
+_PRODUCT_SPECS = [s.name for s in builtin_corpus() if s.kind == "direct"] + [
+    "direct:symmetric:5+heisenberg:7",
+    "direct:alternating:5+heisenberg:7+cyclic:4",
+    "direct:cyclic:1+frobenius:5,4",
+    "direct:symmetric:4+cyclic:1+dihedral:3",
 ]
 
 
@@ -68,18 +78,19 @@ def test_prefix_sort_of_a_shuffled_table():
 
 
 def _kept_table(monkeypatch, make):
-    """The group make() builds, and the table it handed to the Group constructor."""
+    """The group make() builds, and the table it handed to the Group
+    constructor, or None if it handed none."""
     seen = []
 
     class Recording(Group):
         def __init__(self, rows, gen_rows, label):
-            seen.append(rows)
+            seen.append((self, rows))
             super().__init__(rows, gen_rows, label)
 
     with monkeypatch.context() as m:
         m.setattr(group_module, "Group", Recording)
         g = make()
-    return g, seen[-1]
+    return g, next((rows for h, rows in seen if h is g), None)
 
 
 _ORDERED_TABLES = {
@@ -94,12 +105,16 @@ _ORDERED_TABLES = {
 @pytest.mark.parametrize("case", sorted(_ORDERED_TABLES))
 def test_ordered_tables_are_kept_and_made_read_only(monkeypatch, case):
     g, rows = _kept_table(monkeypatch, _ORDERED_TABLES[case])
-    assert np.shares_memory(g._rows, rows)  # neither sorted nor copied
     assert np.array_equal(g._rows, _fully_sorted(g._rows))
     with pytest.raises(ValueError, match="read-only"):
         g._rows[0, 0] = 1
-    with pytest.raises(ValueError, match="read-only"):
-        rows[0, 0] = 1  # the caller's array is the table, so it is read-only too
+    # a product builds its table from its factors when it is first read,
+    # so no caller hands it an array that could be kept or left writable
+    assert (rows is None) == (case == "direct-product")
+    if rows is not None:
+        assert np.shares_memory(g._rows, rows)  # neither sorted nor copied
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1  # the caller's array is the table, so it is read-only too
 
 
 @pytest.mark.parametrize("extra", [0, 5, 17])
@@ -289,31 +304,19 @@ def test_bytes_enumeration_matches_the_row_loop(monkeypatch, name):
         assert str(fast.value) == str(slow.value)
 
 
-def _stacked_product(a, b):
-    """The repeat/tile/hstack table that direct_product used to build."""
-    dtype = group_module._images_dtype(a.degree + b.degree)
-    left = np.repeat(a._rows.astype(dtype), b.order, axis=0)
-    right = np.tile(b._rows.astype(dtype) + a.degree, (a.order, 1))
-    return np.hstack([left, right])
-
-
-def _recorded_product(monkeypatch, a, b):
-    """direct_product(a, b) and the table it hands to the Group constructor."""
-    seen = []
-    real = Group.__init__
-
-    def recording(self, rows, gen_rows, label):
-        seen.append(np.array(rows))
-        real(self, rows, gen_rows, label)
-
-    with monkeypatch.context() as m:
-        m.setattr(Group, "__init__", recording)
-        g = group_module.direct_product(a, b, cap=a.order * b.order)
-    return g, seen[0]
+def _stacked_product(*groups):
+    """The repeat/tile/hstack table that direct_product used to build, pair by pair."""
+    dtype = group_module._images_dtype(sum(g.degree for g in groups))
+    rows = np.zeros((1, 0), dtype=dtype)
+    for g in groups:
+        left = np.repeat(rows, g.order, axis=0)
+        right = np.tile(g._rows.astype(dtype) + rows.shape[1], (len(rows), 1))
+        rows = np.hstack([left, right])
+    return rows
 
 
 @pytest.mark.parametrize("spec", BUILTIN + _BENCHMARK_SPECS)
-def test_direct_product_matches_the_stacked_table(monkeypatch, spec):
+def test_direct_product_matches_the_stacked_table(spec):
     # a direct: spec is checked on its own parts, any other spec times C2
     parsed = parse_spec(spec)
     parts = parsed.parts if parsed.kind == "direct" else (parsed, parse_spec("cyclic:2"))
@@ -321,10 +324,10 @@ def test_direct_product_matches_the_stacked_table(monkeypatch, spec):
     for part in parts[1:]:
         h = build(part)
         ref = _stacked_product(g, h)
-        g, rows = _recorded_product(monkeypatch, g, h)
-        assert rows.dtype == ref.dtype
-        assert np.array_equal(rows, ref)
-        assert np.array_equal(g._rows, _fully_sorted(ref))
+        g = group_module.direct_product(g, h, cap=g.order * h.order)
+        assert g._rows.dtype == ref.dtype
+        assert np.array_equal(g._rows, ref)
+        assert np.array_equal(ref, _fully_sorted(ref))
 
 
 def test_a_product_of_three_is_the_nested_product_and_keeps_leaves():
@@ -341,6 +344,101 @@ def test_a_product_of_three_is_the_nested_product_and_keeps_leaves():
         group_module.direct_product(a)
     with pytest.raises(TypeError, match="keyword-only argument cap="):
         group_module.direct_product(a, b, 10**6)  # the cap was once positional
+
+
+def _three_factors():
+    return tuple(build(parse_spec(s)) for s in ("symmetric:3", "cyclic:4", "dihedral:5"))
+
+
+def _nested_three():
+    a, b, c = _three_factors()
+    return group_module.direct_product(group_module.direct_product(a, b), c)
+
+
+# each builtin product (the benchmark's two verify-lemmas products among
+# them), the two larger benchmark products, and a flat and a nested product
+# of three groups
+_LAZY_PRODUCTS = {
+    **{spec: lambda spec=spec: build(parse_spec(spec)) for spec in _PRODUCT_SPECS},
+    "flat S3 x C4 x D5": lambda: group_module.direct_product(*_three_factors()),
+    "nested (S3 x C4) x D5": _nested_three,
+}
+
+
+def _eager_product(g):
+    """The product g of its leaf factors through the eager constructor,
+    given the stacked table and the embedded factor generators."""
+    rows, gen_rows, offset = _stacked_product(*g._factors), [], 0
+    for f in g._factors:
+        for i in f._gen_idx:
+            row = np.arange(rows.shape[1], dtype=rows.dtype)
+            row[offset : offset + f.degree] = f._rows[i].astype(rows.dtype) + offset
+            gen_rows.append(row)
+        offset += f.degree
+    return Group(rows, gen_rows, g.name)
+
+
+@pytest.mark.parametrize("case", sorted(_LAZY_PRODUCTS))
+def test_a_lazy_product_matches_the_eager_constructor(case):
+    g = _LAZY_PRODUCTS[case]()
+    ref = _eager_product(g)
+    rng = np.random.default_rng(11)
+    # read through the factors first, before anything builds the table
+    assert (g._base, g._gen_idx, g.order) == (ref._base, ref._gen_idx, ref.order)
+    assert np.array_equal(g.element_orders(), ref.element_orders())
+    for i in rng.integers(g.order, size=50).tolist():
+        assert g.element(i) == ref.element(i)
+    gens = g._gen_idx
+    assert g._commute(gens, gens) == ref._commute(gens, gens)
+    assert g._commute(gens[:1], gens[1:]) == ref._commute(gens[:1], gens[1:])
+    commuting = 0
+    for i, j in rng.integers(g.order, size=(200, 2)).tolist():
+        assert g._commute([i], [j]) == ref._commute([i], [j])
+        commuting += ref._commute([i], [j])
+    # the sample has both answers, save in an abelian product
+    assert 0 < commuting <= 200 and (commuting < 200) == (not ref.is_abelian())
+    assert "_rows" not in vars(g)
+    for attr in ("_rows", "_base_rows", "_sorted_keys"):
+        assert getattr(g, attr).dtype == getattr(ref, attr).dtype
+        assert np.array_equal(getattr(g, attr), getattr(ref, attr))
+    assert len(g._key_plan) == len(ref._key_plan)
+    for got, want in zip(g._key_plan, ref._key_plan):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Names of the products whose table is built, one entry per build."""
+    built = []
+    table = group_module._Product._table
+
+    def counting(self):
+        built.append(self.name)
+        return table(self)
+
+    monkeypatch.setattr(group_module._Product, "_table", counting)
+    return built
+
+
+def test_class_sizes_and_verify_build_no_product_table(table_builds):
+    for spec in (s for s in builtin_corpus() if s.kind == "direct"):
+        g = build(spec)
+        class_size_set(g)
+        for p in prime_divisors(g.order):
+            classify_p_parts(g, p)
+            max_class_p_part(g, p)
+        g.element_orders()
+        verify_main_theorem(g, lemma_seed=None)
+        assert "_rows" not in vars(g)
+    assert table_builds == []
+
+
+@pytest.mark.parametrize("spec", [s.name for s in builtin_corpus() if s.kind == "direct"])
+def test_a_lemma_suite_builds_a_product_table_at_most_once(table_builds, spec):
+    g = build(parse_spec(spec))
+    report = verify_main_theorem(g, lemma_seed=0, lemma_samples=50)
+    assert {r.status for r in report.lemma_results.values()} == {STATUS_PASS}
+    assert table_builds in ([], [spec])
 
 
 def test_direct_product_past_the_int16_range():
@@ -430,14 +528,6 @@ def test_classes_match_the_per_class_spread(spec):
         assert cls.indices.dtype == np.int64
         assert np.array_equal(cls.indices, idx)
         assert all(g.class_id_of_idx(int(i)) == cid for i in idx)
-
-
-_PRODUCT_SPECS = [s.name for s in builtin_corpus() if s.kind == "direct"] + [
-    "direct:symmetric:5+heisenberg:7",
-    "direct:alternating:5+heisenberg:7+cyclic:4",
-    "direct:cyclic:1+frobenius:5,4",
-    "direct:symmetric:4+cyclic:1+dihedral:3",
-]
 
 
 @pytest.mark.parametrize("spec", _PRODUCT_SPECS)

@@ -535,8 +535,25 @@ def test_a_group_is_freed_without_the_cycle_collector():
     g.normal_subgroups()
     g.composition_series()
     run_lemma_suite(g, sample_budget=50)
+    assert "_rows" in vars(g)  # the lemma checks built the product's table
     alive = [weakref.ref(h) for h in (g, *g._factors)]
     assert len(alive) == 3
+    gc.disable()
+    try:
+        del g
+        assert [ref() for ref in alive] == [None] * 3
+    finally:
+        gc.enable()
+
+
+def test_a_product_whose_table_was_never_built_is_freed_without_the_cycle_collector():
+    # a product's table is built on its first read, by a descriptor that its
+    # class holds and that keeps no product; a product never read goes as well
+    g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
+    g.composition_series()
+    verify_main_theorem(g)
+    assert "_rows" not in vars(g)
+    alive = [weakref.ref(h) for h in (g, *g._factors)]
     gc.disable()
     try:
         del g
