@@ -31,8 +31,9 @@ right multiplication by each generator, through the factors' maps in a
 direct product (_FactorStep, no map of the product's order) and through
 cached maps in any other group.  Cosets, the classes of a quotient and
 conjugacy classes are orbits, each named by its least index by squaring
-whole index maps, with a pointer jump after each pass (_least_labels).  A
-conjugation map inverts only its generator's row; element orders and
+whole index maps until their powers span each map's order bound, with a
+pointer jump after each pass (_least_labels).  A conjugation map inverts
+only its generator's row; element orders (one walk of all base points) and
 p-element masks are worked out at class representatives and read off per
 class.  Generating sets come from one loop, Group._accumulate, that adjoins
 each candidate not yet in the closure, and conjugation orbits of index sets
@@ -45,7 +46,9 @@ stabilizer chain of 0, 1, 2, ... shrinks, read off the same walk that finds
 the sort prefix, so that only the identity fixes all of them.  Two members
 that agree on B are then equal, so a member is named by its base images alone.
 Each row gets an exact int64 key built from its images of B; the sorted
-table is already in key order, and keys are found with ``np.searchsorted``.
+table is already in key order.  A batch of keys is found by binary search,
+and a whole-table map (right multiplication, conjugation, inverse) by one
+argsort of its keys: sorted, they must equal the table's keys.
 A product of members, such as ``s_row[rows[:, B]]`` for a right-multiplication
 map, is found from |B| columns instead of ``degree``.  That shortcut is exact
 only because every table is closed under multiplication, so each such product
@@ -188,17 +191,19 @@ def _least_labels(n: int, maps: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
     """Least index in the orbit of each of 0..n-1 under the index maps.
 
     Each map comes with a bound on its order.  Per map, the least label
-    over i, m(i), m(m(i)), ... is taken by squaring the step, m -> m(m);
-    after each pass over the maps every label jumps to its own label, and
-    the pass repeats until it changes nothing.
+    over i, m(i), m(m(i)), ... is taken by squaring the step, m -> m(m):
+    k minima cover offsets 0..2^k-1, so max((bound-1).bit_length(), 1) of
+    them cover a cycle.  After each pass over the maps every label jumps to
+    its own label, and the pass repeats until it changes nothing.
     """
     least = np.arange(n, dtype=np.int64)
     while True:
         prev = least
         for step, bound in maps:
-            for _ in range(int(bound).bit_length()):
-                least = np.minimum(least, least[step])
+            least = np.minimum(least, least[step])
+            for _ in range(1, (int(bound) - 1).bit_length()):
                 step = step[step]
+                least = np.minimum(least, least[step])
         # least[i] lies in i's orbit, so its own label does too
         least = least[least]
         if np.array_equal(prev, least):
@@ -360,14 +365,19 @@ class Group:
 
     # ----- index-level arithmetic -------------------------------------------
 
-    def _lookup(self, images: np.ndarray) -> np.ndarray:
-        """Index of the member with each row of base images, or -1 if none."""
+    def _keys(self, images: np.ndarray) -> np.ndarray:
+        """Exact key of each row of base images; negative where no member has its prefix."""
         key = np.zeros(len(images), dtype=np.int64)
         for col, prefixes in zip(images.T, self._key_plan):
             if prefixes is not None:
                 rank = np.minimum(np.searchsorted(prefixes, key), len(prefixes) - 1)
                 key = np.where(prefixes[rank] == key, rank, -1)
             key = key * self.degree + col
+        return key
+
+    def _lookup(self, images: np.ndarray) -> np.ndarray:
+        """Index of the member with each row of base images, or -1 if none, by binary search."""
+        key = self._keys(images)
         pos = np.minimum(np.searchsorted(self._sorted_keys, key), self.order - 1)
         return np.where(self._sorted_keys[pos] == key, pos, -1)
 
@@ -377,6 +387,17 @@ class Group:
         if np.any(idx < 0):
             raise ElementNotInGroup("product left the element table (set not closed)")
         return idx
+
+    def _table_map(self, images: np.ndarray) -> np.ndarray:
+        """Indices of order-many products of members, given by their base
+        images, from one sort of their keys; unless the sorted keys equal the
+        table's, a product left the table or repeats a member, and is refused."""
+        keys = self._keys(images)
+        by_key = np.argsort(keys, kind="stable")  # faster on the sorted runs a map's keys hold
+        if not np.array_equal(keys[by_key], self._sorted_keys):
+            raise ElementNotInGroup("product left the element table (set not closed)")
+        keys[by_key] = np.arange(self.order)  # the keys are read: their array takes the indices
+        return keys
 
     def mult_idx(self, i: int, j: int) -> int:
         # x_i then x_j
@@ -406,7 +427,7 @@ class Group:
             for j, (b, col) in enumerate(zip(self._base, self._base_rows.T)):
                 lo, hi = int(col.min()), int(col.max())
                 images[:, j] = np.argmax(self._rows[:, lo : hi + 1] == b, axis=1) + lo
-            self._inv_idx = self._indices_of_images(images)
+            self._inv_idx = self._table_map(images)
         return self._inv_idx
 
     def inv_idx(self, i: int) -> int:
@@ -432,7 +453,7 @@ class Group:
 
         x^m is the identity exactly when it fixes every base point, that is
         when m is a multiple of the length of each base point's cycle.
-        Conjugates have the same order, so only class representatives walk.
+        Conjugates have the same order: class representatives walk, all base points at once.
         """
         if self._orders is None and self._factors:  # the lcm of the factors' orders
             parts = np.ix_(*[f.element_orders() for f in self._factors])
@@ -440,19 +461,23 @@ class Group:
         if self._orders is None:
             ids, reps, _ = self.class_table()
             orders = np.ones(len(reps), dtype=np.int64)
-            # x^m(b) is read off the table flat, at x's row offset plus x^(m-1)(b)
-            flat = self._rows.ravel()
-            for b, col in zip(self._base, self._base_rows[reps].T):
-                alive = np.flatnonzero(col != b)
-                offsets, pts = reps[alive] * self.degree, col[alive]
-                length = 1
-                while alive.size:
-                    length += 1
-                    pts = flat[offsets + pts]
-                    back = pts == b
-                    if back.any():
-                        orders[alive[back]] = np.lcm(orders[alive[back]], length)
-                        alive, offsets, pts = alive[~back], offsets[~back], pts[~back]
+            # a (representative, base point b) pair per b it moves; x^m(b) is
+            # read off the table flat, at x's row offset plus x^(m-1)(b)
+            flat, images = self._rows.ravel(), self._base_rows[reps]
+            base = np.array(self._base, dtype=np.int64)
+            alive, j = np.nonzero(images != base)
+            offsets, pts, targets = reps[alive] * self.degree, images[alive, j], base[j]
+            length = 1
+            while alive.size:
+                length += 1
+                pts = flat[offsets + pts]
+                back = pts == targets
+                if back.any():
+                    # two pairs of one representative that close at this length
+                    # write the same lcm twice
+                    orders[alive[back]] = np.lcm(orders[alive[back]], length)
+                    alive, offsets = alive[~back], offsets[~back]
+                    pts, targets = pts[~back], targets[~back]
             self._orders = orders[ids]
         return self._orders
 
@@ -506,7 +531,7 @@ class Group:
                 parts = [f._rmul_map(d) for f, d in zip(self._factors, self._digits(s))]
                 cached = self._from_factors(parts)
             else:
-                cached = self._indices_of_images(self._rows[s][self._base_rows])
+                cached = self._table_map(self._rows[s][self._base_rows])
             _cache_put(self._rmul_cache, s, cached)
         return cached
 
@@ -519,7 +544,7 @@ class Group:
                 cached = self._from_factors(parts)
             else:
                 ginv_base = np.argsort(self._rows[g])[self._base]
-                cached = self._indices_of_images(self._rows[g][self._rows[:, ginv_base]])
+                cached = self._table_map(self._rows[g][self._rows[:, ginv_base]])
             _cache_put(self._conj_cache, g, cached)
         return cached
 

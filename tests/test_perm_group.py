@@ -270,6 +270,22 @@ def test_non_member_matching_a_member_on_the_base():
         g.index_of(outsider)
 
 
+def test_table_map_refuses_a_repeat_or_a_non_member():
+    g = build(parse_spec("dihedral:7"))
+    x = list(g.element(3).images)
+    u, v = [p for p in range(g.degree) if p not in g._base][:2]
+    x[u], x[v] = x[v], x[u]
+    # the outsider of the test above shares member 3's base images: in row 0 it repeats member 3
+    outsider = g._base_rows.copy()
+    outsider[0] = np.array(x)[g._base]
+    repeat = g._base_rows[np.r_[0 : g.order - 1, 1]]
+    stranger = g._base_rows.copy()
+    stranger[0] = g.degree - 1  # every base point to one point: no member's images
+    for images in (repeat, outsider, stranger):
+        with pytest.raises(ElementNotInGroup):
+            g._table_map(images)
+
+
 def test_as_group_rejects_a_non_closed_set():
     g, _ = build_oracle_pair(oracle.symmetric_gens(4))
     swap = g.index_of(Perm.from_cycles([(0, 1)], 4))

@@ -486,6 +486,25 @@ def _orders_by_walk(g):
     return orders
 
 
+def _whole_table_images(g):
+    """Base images of each generator's right-multiplication and conjugation
+    products over the whole table, and of every member's inverse."""
+    inv_rows = np.empty_like(g._rows)
+    np.put_along_axis(inv_rows, g._rows.astype(np.int64), np.arange(g.degree), axis=1)
+    for s in g._gen_idx:
+        yield g._rows[s][g._base_rows]
+        yield g._rows[s][g._rows[:, inv_rows[s][g._base]]]
+    yield inv_rows[:, g._base]
+
+
+# C2_POWER_16 of test_perm_group.py, whose keys go through prefix ranks
+@pytest.mark.parametrize("spec", BUILTIN + _BENCHMARK_SPECS + ["direct:" + "+".join(["cyclic:2"] * 16)])
+def test_table_map_matches_the_lookup(spec):
+    g = build(parse_spec(spec))
+    for images in _whole_table_images(g):
+        assert np.array_equal(g._table_map(images), g._indices_of_images(images))
+
+
 @pytest.mark.parametrize("spec", BUILTIN + _BENCHMARK_SPECS)
 def test_inverses_conjugation_maps_and_orders_match_the_table_passes(spec):
     g = build(parse_spec(spec))
@@ -578,13 +597,16 @@ def test_least_labels_are_orbit_minima(drawn):
     assert np.array_equal(_least_labels(n, maps), _orbit_minima(n, [m for m, _ in maps]))
 
 
-@pytest.mark.parametrize("bound", [1, 1000])
-def test_least_labels_on_one_long_cycle(bound):
+# a cycle of a power-of-two length, bounded by that length, leaves no squaring to spare
+@pytest.mark.parametrize(
+    "n, bound", [(1000, 1), (1000, 1000), (1024, 1024), (2, 2)], ids=["1", "1000", "1024-1024", "2-2"]
+)
+def test_least_labels_on_one_long_cycle(n, bound):
     # one cycle through every index, in a scrambled order
-    order = np.random.default_rng(4).permutation(1000)
-    step = np.empty(1000, dtype=np.int64)
+    order = np.random.default_rng(4).permutation(n)
+    step = np.empty(n, dtype=np.int64)
     step[order] = np.roll(order, -1)
-    assert np.array_equal(_least_labels(1000, [(step, bound)]), np.zeros(1000, dtype=np.int64))
+    assert np.array_equal(_least_labels(n, [(step, bound)]), np.zeros(n, dtype=np.int64))
 
 
 @pytest.mark.parametrize("spec", _BENCHMARK_SPECS)
