@@ -25,14 +25,18 @@ factors' indices, so x * s is a_i * s_a in A and b_j * s_b in B.  Its
 classes (pairs of its factors' classes), maps, inverses, power chains and
 element orders are broadcasts of the factors' own, and its elements and
 commuting checks are read in them; only the other readers build its table.
-Every group closes subgroups the same way: one plain BFS, Group._spread,
-that starts from the generators' power chains and steps each frontier by
-right multiplication by each generator, through the factors' maps in a
-direct product (_FactorStep, no map of the product's order) and through
-cached maps in any other group.  Cosets, the classes of a quotient and
-conjugacy classes are orbits, each named by its least index by squaring
-whole index maps until their powers span each map's order bound, with a
-pointer jump after each pass (_least_labels).  A conjugation map inverts
+A group closes subgroups by one plain BFS, Group._spread, that starts
+from the generators' power chains and steps each frontier by right
+multiplication by each generator, through cached maps.  A direct product
+whose factors' orders are not pairwise coprime steps through its factors'
+maps instead (_FactorStep, no map of the product's order); one whose
+orders are (a coprime product, _product.py) has every subgroup the
+product of its projections, so it closes subgroups and normal closures
+in the factors and takes their outer product.  Cosets, the classes of a
+quotient and conjugacy classes are orbits, each named by its least index
+by squaring whole index maps until their powers span each map's order
+bound, with a pointer jump after each pass (_least_labels); a group with
+one generator is cyclic, and each class one member.  A conjugation map inverts
 only its generator's row; element orders (one walk of all base points) and
 p-element masks are worked out at class representatives and read off per
 class.  Generating sets come from one loop, Group._accumulate, that adjoins
@@ -106,8 +110,8 @@ CAP_ENV_VAR = "CONJLAB_CAP"
 _CELL_LIMIT = 50_000_000
 
 # cap, in bytes, on each of a group's five caches: right-multiplication maps,
-# conjugation maps, centralizer masks, coset labels and power chains, each
-# bounded separately
+# conjugation maps, centralizer masks, coset labels and power chains, and on
+# a coprime product's factor closures, each bounded separately
 _MAP_CACHE_BYTES = 192_000_000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -550,6 +554,10 @@ class Group:
 
     # ----- closures ----------------------------------------------------------
 
+    def _closure_step(self, s: int) -> np.ndarray:
+        """Right multiplication by s as the closure BFS applies it: its index map."""
+        return self._rmul_map(s)
+
     @staticmethod
     def _spread(maps: Sequence, start, seen: np.ndarray) -> list[np.ndarray]:
         """Mark start, and everything it reaches under the index maps, in seen.
@@ -585,9 +593,9 @@ class Group:
 
         One plain BFS marks it, starting from the generators' power chains,
         so a cyclic group is its chain alone.  Each level steps by right
-        multiplication by each generator: through the factors' maps in a
-        direct product (_FactorStep), building no map of the product's order,
-        and through the cached right-multiplication maps in any other group.
+        multiplication by each generator (_closure_step): through the cached
+        right-multiplication maps here, through the factors' maps in a direct
+        product that is not coprime; a coprime one closes in its factors.
         """
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
@@ -598,8 +606,7 @@ class Group:
             mask[self._power_indices(s)] = True
         if seed_mask is None and len(gens) == 1:
             return mask
-        steps = [_FactorStep(self, s) if self._factors else self._rmul_map(s) for s in gens]
-        self._spread(steps, np.flatnonzero(mask), mask)
+        self._spread([self._closure_step(s) for s in gens], np.flatnonzero(mask), mask)
         return mask
 
     def _accumulate(self, candidates: Iterable[int]) -> tuple[list[int], np.ndarray]:
@@ -629,7 +636,12 @@ class Group:
 
     def class_table(self) -> ClassTable:
         """The conjugacy classes, numbered by (size, least member): computed once
-        by the label pass, or handed to a direct product by its factors."""
+        by the label pass, or handed to a direct product by its factors.  The
+        generators generate the table, so with at most one the group is cyclic
+        and every class is one member, with no label pass."""
+        if self._classes is None and len(self._gen_idx) <= 1:
+            each = np.arange(self.order, dtype=np.int64)
+            self._classes = _class_table(each, each, np.ones(self.order, dtype=np.int64))
         if self._classes is None:
             self._classes = self._class_pass(self._gen_idx)
         return self._classes
@@ -777,7 +789,9 @@ class Group:
         """Mask and generators of the normal closure of one element in <gens_h>.
 
         Grows <gens> and, while some conjugate of a member escapes, adjoins the
-        least escaping conjugate; the generator list stays logarithmic.
+        least escaping conjugate; the generator list stays logarithmic.  A
+        coprime direct product runs this loop in its factors, to the same
+        generators and spends.
         """
         gens = [int(start)]
         mask = self._closed_mask(gens)
@@ -1049,96 +1063,6 @@ class Group:
         return [Subgroup(self, idx, list(gens)) for idx, gens in self._series]
 
 
-class _FactorStep:
-    """Right multiplication by one member s of a direct product, applied to
-    an index array through the factors' right-multiplication maps.
-
-    Only the factors where s is not the identity move a member's digits, so
-    a factor's generator costs one factor-sized shift array and no
-    product-order map.
-    """
-
-    __slots__ = ("moves",)
-
-    def __init__(self, g: Group, s: int):
-        # per factor moved: the stride of its digit, its order unless it
-        # leads (its digit needs no modulus then), and the index shift
-        self.moves = []
-        stride = g.order
-        for f, d in zip(g._factors, g._digits(s)):
-            modulus = f.order if stride < g.order else 0
-            stride //= f.order
-            if d:
-                shift = (f._rmul_map(d) - np.arange(f.order)) * stride
-                self.moves.append((stride, modulus, shift))
-
-    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
-        out = idx
-        for stride, modulus, shift in self.moves:
-            digit = idx // stride if stride > 1 else idx
-            out = out + shift[digit % modulus if modulus else digit]
-        return out
-
-
-class _TableOnRead:
-    """A direct product's table attribute, held by the class and by no product:
-    the first read puts the table and what is read off it (_Product._table)
-    in the product's __dict__, which hides this descriptor from then on."""
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, g, owner=None):
-        vars(g).update(g._table())
-        return vars(g)[self.name]
-
-
-class _Product(Group):
-    """A direct product of leaf factors (see direct_product), whose table is
-    built on the first read of any of the attributes below."""
-
-    _rows = _TableOnRead()
-    _base_rows = _TableOnRead()
-    _key_plan = _TableOnRead()
-    _sorted_keys = _TableOnRead()
-
-    def __init__(self, factors: tuple[Group, ...], name: str):
-        self._start(factors)
-        self.order, self.degree = prod(f.order for f in factors), sum(f.degree for f in factors)
-        self.name = name
-        self._base, self._gen_idx, offset, stride = [], [], 0, self.order
-        # the class of (x_1, ..., x_k) is the tuple of theirs: sizes multiply, and
-        # the least member is the row of the least members, as the table is in this order
-        ids, reps, sizes = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
-        for f in factors:
-            stride //= f.order
-            self._base += [b + offset for b in f._base]
-            self._gen_idx += [i * stride for i in f._gen_idx]
-            offset += f.degree
-            ids_f, reps_f, sizes_f = f.class_table()
-            ids = (ids[:, None] * len(reps_f) + ids_f).ravel()
-            reps = (reps[:, None] * f.order + reps_f).ravel()
-            sizes = (sizes[:, None] * sizes_f).ravel()
-        self._classes = _class_table(ids, reps, sizes)
-
-    def _table(self) -> dict:
-        """The table (row i: the factors' rows at i's digits, side by side), base rows and keys."""
-        dtype = _images_dtype(self.degree)
-        rows = np.empty([f.order for f in self._factors] + [self.degree], dtype=dtype)
-        offset = 0
-        for axis, f in enumerate(self._factors):
-            shape = [1] * len(self._factors) + [f.degree]
-            shape[axis] = f.order
-            # cast first, as the shift may pass the factor's dtype
-            rows[..., offset : offset + f.degree] = (f._rows.astype(dtype) + offset).reshape(shape)
-            offset += f.degree
-        rows = rows.reshape(self.order, self.degree)
-        rows.flags.writeable = False
-        base_rows = rows[:, self._base].astype(np.int64)
-        key_plan, sorted_keys = _key_plan(base_rows, self.degree)
-        return dict(_rows=rows, _base_rows=base_rows, _key_plan=key_plan, _sorted_keys=sorted_keys)
-
-
 class ConjugacyClass:
     """One conjugacy class, stored as sorted member indices."""
 
@@ -1356,3 +1280,7 @@ def is_internal_direct_product(g: Group, a: Subgroup, b: Subgroup) -> bool:
     if not g._commute(a.ensure_gens(), b.ensure_gens()):
         raise NotASubgroup("direct factors fail to commute; engine invariant broken")
     return True
+
+
+# last: _product subclasses Group, and direct_product makes its _Product
+from ._product import _Product  # noqa: E402

@@ -85,7 +85,7 @@ def max_class_p_part(g: Group, p: int) -> int:
     """Largest p-part occurring among the class sizes; divides |G|_p."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    best = max(p_part(size, p) for size in g.class_table().sizes.tolist())
+    best = max(p_part(size, p) for size in set(g.class_table().sizes.tolist()))
     if p_part(g.order, p) % best != 0:
         raise EngineFault("class-size p-part exceeds the group order p-part")
     return best

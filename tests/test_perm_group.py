@@ -516,7 +516,13 @@ def test_closures_match_the_map_bfs(spec, monkeypatch):
     assert got == [want, want]
 
 
-PRODUCTS = [s.name for s in builtin_corpus() if s.kind == "direct"] + ["direct:dihedral:2000+cyclic:3"]
+# every builtin product has factors of coprime orders, and so have the two
+# added here; closures in them run in the factors
+COPRIME_PRODUCTS = [s.name for s in builtin_corpus() if s.kind == "direct"] + [
+    "direct:frobenius:5,4+heisenberg:3+cyclic:7",
+    "direct:cyclic:2+cyclic:3+cyclic:5+cyclic:7",
+]
+PRODUCTS = COPRIME_PRODUCTS + ["direct:dihedral:2000+cyclic:3"]
 
 
 def _factor_path_matches_lookups(g, sample):
@@ -546,6 +552,9 @@ def test_a_product_multiplies_through_its_factors_as_lookups_do(spec):
     lattice = [(s.indices.tolist(), s.ensure_gens()) for s in g.normal_subgroups()]
     assert lattice == [(s.indices.tolist(), s.ensure_gens()) for s in ref.normal_subgroups()]
     assert all(np.array_equal(a, b) for a, b in zip(g.class_table(), ref.class_table()))
+    # the lower levels close under generators that move several factors
+    series = [(s.indices.tolist(), s.ensure_gens()) for s in g.composition_series()]
+    assert series == [(s.indices.tolist(), s.ensure_gens()) for s in ref.composition_series()]
 
 
 def test_a_sample_of_the_largest_product_multiplies_as_lookups_do():
@@ -553,6 +562,51 @@ def test_a_sample_of_the_largest_product_multiplies_as_lookups_do():
     assert [f.name for f in g._factors] == ["alternating:5", "heisenberg:7", "cyclic:4"]
     rng = np.random.default_rng(4)
     _factor_path_matches_lookups(g, list(g._gen_idx) + rng.integers(1, g.order, size=3).tolist())
+
+
+@pytest.mark.parametrize("spec", COPRIME_PRODUCTS)
+def test_a_coprime_product_closes_as_the_map_bfs_does(spec):
+    # with no seed, with the subgroup a prefix of the list generates (its
+    # projections lie in the factors' closures) and with an unrelated
+    # subgroup (they need not: the walk is then seeded in the factor)
+    g = build(parse_spec(spec))
+    assert g._coprime
+    rng = random.Random(spec)
+    for size in (1, 2, 3) * 3:
+        gens = [rng.randrange(g.order) for _ in range(size)]
+        other = g.subgroup_generated([rng.randrange(g.order)]).mask()
+        for seed in (None, g._closed_mask(gens[:1]), other):
+            got = g._closed_mask(gens, seed)
+            assert np.array_equal(got, oracle.map_bfs_closed_mask(g, gens, seed))
+
+
+def test_a_coprime_product_spends_its_budget_as_lookups_do():
+    # every budget the search exhausts stops it at the same node, with the
+    # same progress, as on the table without factors
+    g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
+    ref = _without_factors(g)
+    for budget in range(544):
+        texts = []
+        for h in (g, ref):
+            with pytest.raises(BudgetExceeded) as err:
+                h.normal_subgroups(budget)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+    assert len(g.normal_subgroups(544)) == len(ref.normal_subgroups(544)) == 28
+
+
+def test_the_factor_cache_stays_under_the_byte_cap(monkeypatch):
+    spec = "direct:frobenius:5,4+heisenberg:7"
+    ref = build(parse_spec(spec))
+    want = [(s.indices.tolist(), s.ensure_gens()) for s in ref.normal_subgroups()]
+    cap = 3 * 343  # three closure masks of heisenberg:7
+    assert ref._factor_cache.nbytes > cap
+    monkeypatch.setattr(group_module, "_MAP_CACHE_BYTES", cap)
+    g = build(parse_spec(spec))
+    assert [(s.indices.tolist(), s.ensure_gens()) for s in g.normal_subgroups()] == want
+    cache = g._factor_cache
+    assert sum(v.nbytes for v in cache.values()) == cache.nbytes <= cap
+    assert not any(v.flags.writeable for v in cache.values())
 
 
 @pytest.mark.parametrize("spec", ["direct:dihedral:2000+cyclic:3", "dihedral:1000"])

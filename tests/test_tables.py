@@ -15,6 +15,7 @@ from conjlab.arith import is_prime, prime_divisors
 from conjlab.corpus import _FAMILIES, build, builtin_corpus, parse_spec
 from conjlab.errors import CapExceeded, InvalidPermutation
 from conjlab.group import Group, _least_labels, group_from_generators
+from conjlab.grpio import load_grp
 from conjlab.invariants import class_size_set, classify_p_parts, max_class_p_part
 from conjlab.perm import Perm
 from conjlab.theorem import STATUS_PASS, VERDICT_COUNTEREXAMPLE, verify_main_theorem
@@ -568,6 +569,22 @@ def test_a_built_product_has_its_classes_without_a_conjugation_map(spec):
     g = build(parse_spec(spec))
     assert g._classes is not None
     assert not g._conj_cache
+
+
+def test_a_one_generator_group_has_its_classes_without_a_label_pass(tmp_path):
+    # a group its one generator generates is cyclic, so each class is one
+    # member: the table, read with no conjugation map, is the label pass's
+    path = tmp_path / "c6.grp"
+    path.write_text("degree 5\nname c6\n(0 1 2)(3 4)\n")
+    groups = [build(parse_spec(f"cyclic:{n}")) for n in range(1, 41)] + [load_grp(path)]
+    assert groups[-1].order == 6
+    for g in groups:
+        assert len(g._gen_idx) <= 1
+        got = g.class_table()
+        assert not g._conj_cache
+        for arr, want in zip(got, g._class_pass(g._gen_idx)):
+            assert arr.dtype == want.dtype and np.array_equal(arr, want)
+            assert not arr.flags.writeable
 
 
 def _orbit_minima(n, maps):
