@@ -1,12 +1,21 @@
 """Direct products of leaf factors, kept apart from group.py.
 
-A _Product does its index arithmetic in its leaf factors (see the group
-module docstring).  When the factors' orders are pairwise coprime (a
-coprime product), every subgroup is the product of its projections, so
-<S> = <pi_1 S> x ... x <pi_k S>: closures and normal closures then run in
-the factors, and only their outer product has the product's order.  A
-product that is not coprime closes subgroups by the plain BFS of
-Group._closed_mask, stepping through its factors' maps (_FactorStep).
+A _Product keeps its leaf factors, never a partial product, and does its
+index arithmetic in them: member i is the mixed-radix number of its
+factors' indices (its digits), so x * s is a_i * s_a in A and b_j * s_b in
+B.  Its classes (tuples of its factors' classes), maps, inverses, power
+chains and element orders are broadcasts of the factors' own, and its
+elements and commuting checks are read in them, each by an override of
+the Group method of the same name; only the other readers build its
+table.  Leaves are never products, so each override calls its factors'
+one-table methods.
+
+When the factors' orders are pairwise coprime (a coprime product), every
+subgroup is the product of its projections, so <S> = <pi_1 S> x ... x
+<pi_k S>: closures and normal closures then run in the factors, and only
+their outer product has the product's order.  A product that is not
+coprime closes subgroups by the plain BFS of Group._closed_mask, stepping
+through its factors' maps (_FactorStep, no map of the product's order).
 
 group.py imports this module at its end, so that group._Product resolves.
 """
@@ -29,6 +38,7 @@ from .group import (
     _images_dtype,
     _key_plan,
 )
+from .perm import Perm
 
 
 class _FactorStep:
@@ -85,13 +95,14 @@ class _Product(Group):
     _sorted_keys = _TableOnRead()
 
     def __init__(self, factors: tuple[Group, ...], name: str):
-        self._start(factors)
+        self._start()
+        self._factors = factors
         self.order, self.degree = prod(f.order for f in factors), sum(f.degree for f in factors)
         self.name = name
         self._shape = [f.order for f in factors]
         self._coprime = lcm(*self._shape) == self.order
         # (factor, generator digits) -> closure mask, and (factor, digit,
-        # actor digits) -> the adjoins of its normal closure; read-only
+        # actor digits) -> the adjoins of its normal closure
         self._factor_cache: _Cache = _Cache()
         self._base, self._gen_idx, offset, stride = [], [], 0, self.order
         # the class of (x_1, ..., x_k) is the tuple of theirs: sizes multiply, and
@@ -125,6 +136,71 @@ class _Product(Group):
         key_plan, sorted_keys = _key_plan(base_rows, self.degree)
         return dict(_rows=rows, _base_rows=base_rows, _key_plan=key_plan, _sorted_keys=sorted_keys)
 
+    # ----- arithmetic in the factors -------------------------------------------
+
+    def element(self, i: int) -> Perm:
+        # the factors' rows at i's digits, each shifted past the last
+        images: list[int] = []
+        for f, d in zip(self._factors, self._digits(i)):
+            images += (f._rows[d].astype(np.int64) + len(images)).tolist()
+        return Perm(images)
+
+    def _digits(self, i: int) -> list[int]:
+        """Each leaf factor's index of member i."""
+        digits = []
+        for n in reversed(self._shape):
+            i, d = divmod(i, n)
+            digits.append(d)
+        return digits[::-1]
+
+    def _from_factors(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """Indices of the members whose digits run over parts[0] x parts[1]
+        x ..., in row order: a map from its factors' maps, one per factor."""
+        return np.ravel_multi_index(np.ix_(*parts), self._shape).ravel()
+
+    def inverse_indices(self) -> np.ndarray:
+        if self._inv_idx is None:
+            self._inv_idx = self._from_factors([f.inverse_indices() for f in self._factors])
+        return self._inv_idx
+
+    def element_orders(self) -> np.ndarray:
+        """Order of every element: the lcm of its digits' orders."""
+        if self._orders is None:
+            parts = np.ix_(*[f.element_orders() for f in self._factors])
+            self._orders = reduce(np.lcm, parts).ravel()
+        return self._orders
+
+    def _commute(self, a: Sequence[int], b: Sequence[int]) -> bool:
+        # iff their digits do in each factor; digit 0, the identity, always does
+        digits = zip(self._factors, *[zip(*map(self._digits, s)) for s in (a, b)])
+        return all(f._commute(x, y) for f, x, y in digits if any(x) and any(y))
+
+    def _rmul_map(self, s: int) -> np.ndarray:
+        cached = self._rmul_cache.get(s)
+        if cached is None:
+            parts = [f._rmul_map(d) for f, d in zip(self._factors, self._digits(s))]
+            cached = self._from_factors(parts)
+            _cache_put(self._rmul_cache, s, cached)
+        return cached
+
+    def _conj_map(self, g: int) -> np.ndarray:
+        cached = self._conj_cache.get(g)
+        if cached is None:
+            parts = [f._conj_map(d) for f, d in zip(self._factors, self._digits(g))]
+            cached = self._from_factors(parts)
+            _cache_put(self._conj_cache, g, cached)
+        return cached
+
+    def _power_indices(self, i: int) -> np.ndarray:
+        """Power chain of x_i read off its digits' chains, as (a, b)^e = (a^e, b^e)."""
+        chain = self._chain_cache.get(i)
+        if chain is None:
+            parts = [f._power_indices(d) for f, d in zip(self._factors, self._digits(i))]
+            k = np.arange(reduce(np.lcm, [len(c) for c in parts]))
+            chain = np.ravel_multi_index([c[k % len(c)] for c in parts], self._shape)
+            _cache_put(self._chain_cache, i, chain)
+        return chain
+
     # ----- closures ----------------------------------------------------------
 
     def _closure_step(self, s: int) -> _FactorStep:
@@ -157,7 +233,6 @@ class _Product(Group):
         cached = self._factor_cache.get(key)
         if cached is None:
             cached = self._factors[j]._closed_mask(key[1]) if mask is None else mask
-            cached.flags.writeable = False
             _cache_put(self._factor_cache, key, cached)
         return cached
 
@@ -197,7 +272,6 @@ class _Product(Group):
             f = self._factors[j]
             mask, gens = f._normal_closure_data(d, _Budget(_INT64_MAX, f.name), key[2])
             adjoins = np.array(gens[1:], dtype=np.int64)
-            adjoins.flags.writeable = False
             _cache_put(self._factor_cache, key, adjoins)
             self._factor_closure(j, gens, mask)
         return adjoins.tolist()

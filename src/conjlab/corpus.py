@@ -208,19 +208,18 @@ def _permutation_table(n: int, even: bool) -> np.ndarray:
     return rows
 
 
-def _heisenberg_gens(p: int) -> tuple[int, list[Perm]]:
+def _heisenberg_gens(p: int) -> tuple[int, list[np.ndarray]]:
     # elements are triples (a, b, c) mod p at index a*p^2 + b*p + c, with
     # (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2); generators act by
-    # right multiplication on the element list (the regular representation)
+    # right multiplication on the element list (the regular representation),
+    # each given as its image row
     n = p**3
     i = np.arange(n)
     a, rem = np.divmod(i, p * p)
     b, c = np.divmod(rem, p)
 
-    def right_mult(ga: int, gb: int, gc: int) -> Perm:
-        return Perm(
-            ((a + ga) % p) * p * p + ((b + gb) % p) * p + (c + gc + a * gb) % p
-        )
+    def right_mult(ga: int, gb: int, gc: int) -> np.ndarray:
+        return ((a + ga) % p) * p * p + ((b + gb) % p) * p + (c + gc + a * gb) % p
 
     return n, [right_mult(1, 0, 0), right_mult(0, 1, 0)]
 
@@ -291,7 +290,7 @@ class _Family(NamedTuple):
 
     arity: int
     order: Callable[..., int]
-    gens: Callable[..., tuple[int, list[Perm]]]
+    gens: Callable[..., tuple[int, list[Perm | np.ndarray]]]
     table: Callable[..., np.ndarray]
     valid: Callable[..., bool] = lambda *params: True
     needs: str = ""

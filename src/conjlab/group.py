@@ -19,20 +19,11 @@ Conjugation of x by g is ``g^-1 * x * g`` in that order.  On the table,
 ``mult(x, s)`` for every row x at once is the fancy index ``s_row[rows]``,
 which is what the cached per-generator index maps are built from.
 
-A direct product keeps its leaf factors, never a partial product, and does
-its index arithmetic in them: member i is the mixed-radix number of its
-factors' indices, so x * s is a_i * s_a in A and b_j * s_b in B.  Its
-classes (pairs of its factors' classes), maps, inverses, power chains and
-element orders are broadcasts of the factors' own, and its elements and
-commuting checks are read in them; only the other readers build its table.
-A group closes subgroups by one plain BFS, Group._spread, that starts
-from the generators' power chains and steps each frontier by right
-multiplication by each generator, through cached maps.  A direct product
-whose factors' orders are not pairwise coprime steps through its factors'
-maps instead (_FactorStep, no map of the product's order); one whose
-orders are (a coprime product, _product.py) has every subgroup the
-product of its projections, so it closes subgroups and normal closures
-in the factors and takes their outer product.  Cosets, the classes of a
+A direct product is a _Product (_product.py), which does its arithmetic
+in its leaf factors; the methods here are those of one table.  A group
+closes subgroups by one plain BFS, Group._spread, that starts from the
+generators' power chains and steps each frontier by right multiplication
+by each generator, through cached maps.  Cosets, the classes of a
 quotient and conjugacy classes are orbits, each named by its least index
 by squaring whole index maps until their powers span each map's order
 bound, with a pointer jump after each pass (_least_labels); a group with
@@ -62,10 +53,10 @@ its element set first.  Rows that come from outside (index_of, membership
 tests, the constructor's generators) are found by base images and then
 compared in full.
 
-Every class reader goes through one ClassTable of arrays.  A Group caches
-arrays and index lists only, and a product its factors too, which keep
-nothing of it: nothing a Group holds points back at it, so its last
-reference frees it at once; Subgroups and ConjugacyClasses are views, made
+Classes are read from one ClassTable of arrays.  A Group caches arrays
+and index lists only, each cached array read-only, and a product its
+factors too, which keep nothing of it: nothing a Group holds points back
+at it, so its last reference frees it at once; Subgroups are views, made
 anew on each call that returns them.
 
 Normal subgroups are unions of conjugacy classes, so normal_subgroups keys
@@ -84,7 +75,6 @@ lower level of the series in these tables, given its classes and generators.
 from __future__ import annotations
 
 import os
-from functools import reduce
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -245,7 +235,9 @@ class _Cache(dict):
 
 
 def _cache_put(cache: _Cache, key, value) -> None:
-    """Store a value, evicting the oldest entries to stay within _MAP_CACHE_BYTES."""
+    """Make a value read-only and store it, evicting the oldest entries to
+    stay within _MAP_CACHE_BYTES."""
+    value.flags.writeable = False
     while cache and cache.nbytes + value.nbytes > _MAP_CACHE_BYTES:
         cache.nbytes -= cache.pop(next(iter(cache))).nbytes
     if value.nbytes <= _MAP_CACHE_BYTES:
@@ -281,6 +273,8 @@ class Group:
     A direct product (_Product) is given no rows: it builds its table on first read.
     """
 
+    _factors: tuple = ()  # a direct product's leaf factors (_Product); none here
+
     def __init__(self, rows: np.ndarray, gen_rows: list[np.ndarray | Perm], name: str):
         # walk the stabilizer chain of 0, 1, 2, ...: distinct members differ
         # within the first k points once only the identity fixes 0..k-1, so a
@@ -310,11 +304,10 @@ class Group:
         if np.any(self._sorted_keys[1:] <= self._sorted_keys[:-1]):
             raise InvalidPermutation("element table has duplicate rows or is not a group")
         self._gen_idx = [self.index_of(g) for g in gen_rows]
-        self._start(())
+        self._start()
 
-    def _start(self, factors: tuple[Group, ...]) -> None:
-        """Set the leaf factors (a direct product's; none otherwise) and empty caches."""
-        self._factors = factors
+    def _start(self) -> None:
+        """Empty the caches."""
         self._inv_idx: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._classes: ClassTable | None = None
@@ -334,11 +327,6 @@ class Group:
         return [self.element(i) for i in self._gen_idx]
 
     def element(self, i: int) -> Perm:
-        if self._factors:  # the factors' rows at i's digits, each shifted past the last
-            images: list[int] = []
-            for f, d in zip(self._factors, self._digits(i)):
-                images += (f._rows[d].astype(np.int64) + len(images)).tolist()
-            return Perm(images)
         return Perm(tuple(int(v) for v in self._rows[i]))
 
     def elements(self) -> Iterator[Perm]:
@@ -408,23 +396,7 @@ class Group:
         images = self._rows[j][self._base_rows[i]]
         return int(self._indices_of_images(images[None, :])[0])
 
-    def _digits(self, i: int) -> list[int]:
-        """Each leaf factor's index of member i of a direct product."""
-        digits = []
-        for f in reversed(self._factors):
-            i, d = divmod(i, f.order)
-            digits.append(d)
-        return digits[::-1]
-
-    def _from_factors(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        """Indices of the members whose factor indices run over parts[0] x
-        parts[1] x ..., in row order: a direct product's map from its
-        factors' maps, one per factor."""
-        return np.ravel_multi_index(np.ix_(*parts), [f.order for f in self._factors]).ravel()
-
     def inverse_indices(self) -> np.ndarray:
-        if self._inv_idx is None and self._factors:
-            self._inv_idx = self._from_factors([f.inverse_indices() for f in self._factors])
         if self._inv_idx is None:
             # x^-1 sends b to the point x sends to b, one of column b's values
             images = np.empty_like(self._base_rows)
@@ -459,9 +431,6 @@ class Group:
         when m is a multiple of the length of each base point's cycle.
         Conjugates have the same order: class representatives walk, all base points at once.
         """
-        if self._orders is None and self._factors:  # the lcm of the factors' orders
-            parts = np.ix_(*[f.element_orders() for f in self._factors])
-            self._orders = reduce(np.lcm, parts).ravel()
         if self._orders is None:
             ids, reps, _ = self.class_table()
             orders = np.ones(len(reps), dtype=np.int64)
@@ -515,9 +484,6 @@ class Group:
         Both products are members, so x*y = y*x iff they agree on the base;
         all pairs are compared at once.
         """
-        if self._factors:  # iff their digits do in each factor; digit 0, the identity, always does
-            digits = zip(self._factors, *[zip(*map(self._digits, s)) for s in (a, b)])
-            return all(f._commute(x, y) for f, x, y in digits if any(x) and any(y))
         return bool(
             np.array_equal(self._product_images(a, b), self._product_images(b, a).transpose(1, 0, 2))
         )
@@ -531,11 +497,7 @@ class Group:
         """Map i -> index of (x_i * s), for all i at once."""
         cached = self._rmul_cache.get(s)
         if cached is None:
-            if self._factors:
-                parts = [f._rmul_map(d) for f, d in zip(self._factors, self._digits(s))]
-                cached = self._from_factors(parts)
-            else:
-                cached = self._table_map(self._rows[s][self._base_rows])
+            cached = self._table_map(self._rows[s][self._base_rows])
             _cache_put(self._rmul_cache, s, cached)
         return cached
 
@@ -543,12 +505,8 @@ class Group:
         """Map i -> index of g^-1 * x_i * g, for all i at once."""
         cached = self._conj_cache.get(g)
         if cached is None:
-            if self._factors:
-                parts = [f._conj_map(d) for f, d in zip(self._factors, self._digits(g))]
-                cached = self._from_factors(parts)
-            else:
-                ginv_base = np.argsort(self._rows[g])[self._base]
-                cached = self._table_map(self._rows[g][self._rows[:, ginv_base]])
+            ginv_base = np.argsort(self._rows[g])[self._base]
+            cached = self._table_map(self._rows[g][self._rows[:, ginv_base]])
             _cache_put(self._conj_cache, g, cached)
         return cached
 
@@ -657,12 +615,6 @@ class Group:
         least[members] = inverse
         return _class_table(least, reps, sizes)
 
-    def conjugacy_classes(self) -> list["ConjugacyClass"]:
-        """Classes in class_table order, as views made on each call."""
-        ids, _, sizes = self.class_table()
-        members = np.argsort(ids, kind="stable")  # by class, ascending within
-        return [ConjugacyClass(self, m) for m in np.split(members, np.cumsum(sizes)[:-1])]
-
     def class_id_of_idx(self, i: int) -> int:
         return int(self.class_table().ids[i])
 
@@ -678,7 +630,6 @@ class Group:
             mask = np.ones(self.order, dtype=bool)
             for b, col in zip(self._base, self._base_rows.T):
                 mask &= x[col] == self._rows[:, x[b]]
-            mask.flags.writeable = False
             _cache_put(self._centralizer_cache, i, mask)
         return mask
 
@@ -812,23 +763,12 @@ class Group:
             mask = self._closed_mask(gens, seed_mask=mask)
 
     def _power_indices(self, i: int) -> np.ndarray:
-        """Indices of x^0, ..., x^(n-1), n = |x| for x = x_i, kept in
-        _chain_cache: closures and rational classes ask for the same chains
-        again and again.
-
-        A direct product reads them off its factors' chains, as (a, b)^e =
-        (a^e, b^e); any other group looks up _power_images.
-        """
+        """Indices of x^0, ..., x^(n-1), n = |x| for x = x_i, looked up from
+        _power_images and kept in _chain_cache: closures and rational classes
+        ask for the same chains again and again."""
         chain = self._chain_cache.get(i)
         if chain is None:
-            if self._factors:
-                parts = [f._power_indices(d) for f, d in zip(self._factors, self._digits(i))]
-                k = np.arange(reduce(np.lcm, [len(c) for c in parts]))
-                chain = np.ravel_multi_index(
-                    [c[k % len(c)] for c in parts], [f.order for f in self._factors]
-                )
-            else:
-                chain = self._indices_of_images(self._power_images(i))
+            chain = self._indices_of_images(self._power_images(i))
             _cache_put(self._chain_cache, i, chain)
         return chain
 
@@ -992,7 +932,6 @@ class Group:
             maps = [(self._rmul_map(s), orders[s]) for s in k.ensure_gens()]
             maps += [(self._conj_map(a), orders[a]) for a in actors]
             least = _least_labels(self.order, maps)
-            least.flags.writeable = False
             _cache_put(self._quotient_cache, key, least)
         return least
 
@@ -1061,31 +1000,6 @@ class Group:
                     normals = self._normal_search(budget, self._class_pass(gens, idx), gens, name)
             self._series = series[::-1]
         return [Subgroup(self, idx, list(gens)) for idx, gens in self._series]
-
-
-class ConjugacyClass:
-    """One conjugacy class, stored as sorted member indices."""
-
-    __slots__ = ("parent", "indices")
-
-    def __init__(self, parent: Group, indices: np.ndarray):
-        self.parent = parent
-        self.indices = indices
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    @property
-    def representative(self) -> Perm:
-        return self.parent.element(int(self.indices[0]))
-
-    def members(self) -> Iterator[Perm]:
-        for i in self.indices:
-            yield self.parent.element(int(i))
-
-    def __repr__(self) -> str:
-        return f"ConjugacyClass(size={self.size}, rep={self.representative.cycle_string()})"
 
 
 class Subgroup:

@@ -6,7 +6,8 @@ sizes obtained by counting centralizer orders directly.  No imports from
 the package under test.  Two functions take a Group, as references that
 its own methods are held to: the plain map BFS, map_bfs_closed_mask, which
 gathers through its index maps, and composition_series_by_recursion, which
-rebuilds each level of the series as a Group.
+rebuilds each level of the series as a Group.  A third, class_members,
+reads a Group's classes out of its class table for the tests.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ def composition_series_by_recursion(g, budget: int) -> tuple[list, list]:
         for y in gens
     )
     return series + [top], factors + [(g.order // m.order, abelian)]
+
+
+def class_members(g) -> list[np.ndarray]:
+    """Member indices of each class of Group g, in class_table order, ascending within."""
+    ids, _, sizes = g.class_table()
+    return np.split(np.argsort(ids, kind="stable"), np.cumsum(sizes)[:-1])
 
 
 def centralizer_order(elements: list[tuple], x: tuple) -> int:

@@ -243,8 +243,8 @@ def test_c11_orbit_stabilizer_identity(corpus):
         if g.order > 2000:
             continue
         size_of = np.zeros(g.order, dtype=np.int64)
-        for cls in g.conjugacy_classes():
-            size_of[cls.indices] = cls.size
+        for idx in oracle.class_members(g):
+            size_of[idx] = len(idx)
         for i in range(g.order):
             stab = int(g.centralizer_mask_idx(i).sum())
             assert stab * int(size_of[i]) == g.order, (spec, i)

@@ -1,6 +1,7 @@
 """Permutation primitives and the group engine, cross-checked by the oracle."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_cap_enforced():
 def test_trivial_group():
     t = group_from_generators(3, [])
     assert t.order == 1 and t.is_abelian()
-    assert t.conjugacy_classes()[0].size == 1
+    assert t.class_table().sizes.tolist() == [1]
 
 
 # ----- arithmetic against the oracle ----------------------------------------------
@@ -166,7 +167,7 @@ def test_element_orders_match_oracle(spec):
 def test_conjugacy_classes_match_oracle():
     for gens in [oracle.symmetric_gens(4), oracle.dihedral_gens(5), oracle.frobenius_gens(7, 3)]:
         g, elements = build_oracle_pair(gens)
-        got = sorted(c.size for c in g.conjugacy_classes())
+        got = sorted(len(c) for c in oracle.class_members(g))
         want = sorted(len(c) for c in oracle.conjugacy_classes(elements))
         assert got == want
         total = sum(got)
@@ -175,9 +176,9 @@ def test_conjugacy_classes_match_oracle():
 
 def test_class_members_are_actual_classes():
     g, elements = build_oracle_pair(oracle.symmetric_gens(4))
-    for cls in g.conjugacy_classes():
-        members = {p.images for p in cls.members()}
-        rep = cls.representative.images
+    for idx in oracle.class_members(g):
+        members = {g.element(int(i)).images for i in idx}
+        rep = g.element(int(idx[0])).images
         want = {
             oracle.compose(oracle.compose(oracle.inverse(h), rep), h) for h in elements
         }
@@ -352,7 +353,9 @@ def test_map_caches_stay_under_the_byte_cap(monkeypatch, fill, room, kept):
         for cache in caches:
             assert sum(m.nbytes for m in cache.values()) == cache.nbytes <= cap
     assert all(len(cache) == kept for cache in caches)
-    assert [c.size for c in g.conjugacy_classes()] == [c.size for c in ref.conjugacy_classes()]
+    assert [c.tolist() for c in oracle.class_members(g)] == [
+        c.tolist() for c in oracle.class_members(ref)
+    ]
     got = [s.indices.tolist() for s in g.normal_subgroups()]
     assert got == [s.indices.tolist() for s in ref.normal_subgroups()]
 
@@ -372,10 +375,10 @@ def test_subgroup_generated_and_validation():
 
 
 def test_numpy_integer_indices_are_indices():
-    # Subgroup, ConjugacyClass and class-table indices are np.int64; each
+    # Subgroup, class-member and class-table indices are np.int64; each
     # must name the member that the same int names
     g = build(parse_spec("symmetric:4"))
-    x, y = g.conjugacy_classes()[2].indices[0], g.class_table().reps[3]
+    x, y = oracle.class_members(g)[2][0], g.class_table().reps[3]
     assert isinstance(x, np.int64) and isinstance(y, np.int64)
     assert g.centralizer(x) == g.centralizer(int(x)) and g.centralizer(x).order == 4
     assert g.subgroup_generated([x, y]) == g.subgroup_generated([int(x), int(y)])
@@ -522,17 +525,29 @@ COPRIME_PRODUCTS = [s.name for s in builtin_corpus() if s.kind == "direct"] + [
     "direct:frobenius:5,4+heisenberg:3+cyclic:7",
     "direct:cyclic:2+cyclic:3+cyclic:5+cyclic:7",
 ]
-PRODUCTS = COPRIME_PRODUCTS + ["direct:dihedral:2000+cyclic:3"]
+# the last two are not coprime: their closures step through the factors' maps
+PRODUCTS = COPRIME_PRODUCTS + [
+    "direct:dihedral:2000+cyclic:3",
+    "direct:dihedral:60+dihedral:15",
+    "direct:symmetric:3+cyclic:3",
+]
 
 
 def _factor_path_matches_lookups(g, sample):
+    # each _Product override against the one-table method it replaces
     ref = _without_factors(g)
     assert g._factors and not ref._factors
     assert np.array_equal(g.inverse_indices(), ref.inverse_indices())
+    assert np.array_equal(g.element_orders(), ref.element_orders())
     for x in sample:
+        assert g.element(x) == ref.element(x)
         assert np.array_equal(g._rmul_map(x), ref._rmul_map(x))
         assert np.array_equal(g._conj_map(x), ref._conj_map(x))
         assert np.array_equal(g._power_indices(x), ref._power_indices(x))
+    for x, y in itertools.combinations(sample, 2):
+        assert g._commute([x], [y]) == ref._commute([x], [y])
+    assert g._commute(sample[:3], sample[3:]) == ref._commute(sample[:3], sample[3:])
+    assert g._commute(g._gen_idx, g._gen_idx) == ref._commute(g._gen_idx, g._gen_idx)
     rng = random.Random(g.order)
     for size in (1, 2, 3):
         seed = [rng.choice(sample) for _ in range(size)]
@@ -646,8 +661,8 @@ def test_join_phase_spends_its_budget_as_recorded(spec, budget, progress):
 @pytest.mark.parametrize("spec", ["symmetric:5", "cyclic:60", "direct:frobenius:5,4+heisenberg:3"])
 def test_rational_class_ids_match_power_chain(spec):
     g = build(parse_spec(spec))
-    for cls in g.conjugacy_classes()[1:]:
-        x = int(cls.indices[0])
+    for idx in oracle.class_members(g)[1:]:
+        x = int(idx[0])
         n, power, want = g.order_of_idx(x), x, set()
         for k in range(1, n):
             if np.gcd(k, n) == 1:
@@ -683,7 +698,7 @@ def test_quotient_s4_by_klein():
     v4 = next(s for s in g.normal_subgroups() if s.order == 4)
     q, qmap = g.quotient(v4)
     assert q.order == 6
-    assert sorted(c.size for c in q.conjugacy_classes()) == [1, 2, 3]
+    assert sorted(q.class_table().sizes.tolist()) == [1, 2, 3]
     # projection is a homomorphism
     for i in range(0, g.order, 5):
         for j in range(0, g.order, 7):
@@ -879,6 +894,5 @@ def test_internal_direct_product_raises_when_factors_fail_to_commute(monkeypatch
 def test_orbit_stabilizer_small():
     for gens in [oracle.symmetric_gens(4), oracle.dihedral_gens(7)]:
         g, _ = build_oracle_pair(gens)
-        for cls in g.conjugacy_classes():
-            i = int(cls.indices[0])
-            assert g.centralizer(i).order * cls.size == g.order
+        for idx in oracle.class_members(g):
+            assert g.centralizer(int(idx[0])).order * len(idx) == g.order

@@ -526,12 +526,29 @@ def test_lemma_suite_labels_each_kernel_once(monkeypatch):
     assert len(kernels) > len(g.normal_subgroups()) // 2  # the lemmas did label kernels
 
 
+_CACHES = ["_rmul_cache", "_conj_cache", "_chain_cache", "_centralizer_cache", "_quotient_cache"]
+
+
+@pytest.mark.parametrize("spec", ["symmetric:5", ORDER_540])
+def test_every_cached_array_is_read_only(spec):
+    # the one cache writer marks what it stores read-only, so no caller can
+    # write into a cached map, power chain, mask or label array; a coprime
+    # product's factor cache and its factors' caches are held to it too
+    g = build(parse_spec(spec))
+    run_lemma_suite(g, seed=0)
+    names = _CACHES + ["_factor_cache"] * bool(g._factors)
+    assert all(getattr(g, name) for name in names)  # the suite filled each
+    for h in (g, *g._factors):
+        for name in names if h is g else _CACHES:
+            assert not any(v.flags.writeable for v in getattr(h, name).values()), (h.name, name)
+
+
 def test_a_group_is_freed_without_the_cycle_collector():
     # a Group caches arrays only, never an object that points back at it, so
     # its last reference frees it and its table at once; a product keeps its
     # factors, which keep nothing of it, so they go with it
     g = build(parse_spec("direct:frobenius:5,4+heisenberg:3"))
-    g.conjugacy_classes()
+    g.class_table()
     g.normal_subgroups()
     g.composition_series()
     run_lemma_suite(g, sample_budget=50)
