@@ -23,11 +23,11 @@ A direct product is a _Product (_product.py), which does its arithmetic
 in its leaf factors; the methods here are those of one table.  A group
 closes subgroups by one plain BFS, Group._spread, that starts from the
 generators' power chains and steps each frontier by right multiplication
-by each generator, through cached maps.  Cosets, the classes of a
-quotient and conjugacy classes are orbits, each named by its least index
-by squaring whole index maps until their powers span each map's order
-bound, with a pointer jump after each pass (_least_labels); a group with
-one generator is cyclic, and each class one member.  A conjugation map inverts
+by each generator, through cached maps.  Cosets and conjugacy classes are
+orbits, each named by its least index by squaring whole index maps until
+their powers span each map's order bound, with a pointer jump after each
+pass (_least_labels); a group with one generator is cyclic, and each class
+one member.  A conjugation map inverts
 only its generator's row; element orders (one walk of all base points) and
 p-element masks are worked out at class representatives and read off per
 class.  Generating sets come from one loop, Group._accumulate, that adjoins
@@ -314,7 +314,7 @@ class Group:
         self._rmul_cache: _Cache = _Cache()
         self._conj_cache: _Cache = _Cache()
         self._centralizer_cache: _Cache = _Cache()
-        self._quotient_cache: _Cache = _Cache()  # (kernel index bytes, actors) -> coset labels
+        self._quotient_cache: _Cache = _Cache()  # kernel index bytes -> coset labels
         self._chain_cache: _Cache = _Cache()  # member index -> its power chain
         self._normals: list[tuple[np.ndarray, list[int]]] | None = None
         self._series: list[tuple[np.ndarray, list[int]]] | None = None
@@ -913,24 +913,18 @@ class Group:
 
     # ----- cosets and quotients ---------------------------------------------
 
-    def coset_labels(self, k: "Subgroup", actors: Sequence[int] = ()) -> np.ndarray:
-        """Least member of each member's orbit under x -> x*s, s a generator
-        of k, and x -> a^-1 * x * a, a an actor.
-
-        With no actors, two members share a label iff they share a coset xK.
-        With actors that generate a group H normalizing k, the orbit of x is
-        the union of the cosets in the class of xK in H/K, so the count of a
-        label over |K| is that class size.  The labels are computed once per
-        kernel and actor list.  The array is read-only.
+    def coset_labels(self, k: "Subgroup") -> np.ndarray:
+        """Least member of each member's coset xK, its orbit under x -> x*s,
+        s a generator of k: two members share a label iff they share a coset.
+        The labels are computed once per kernel.  The array is read-only.
         """
         if k.parent is not self:
             raise NotASubgroup("subgroup belongs to a different group")
-        key = (k.indices.tobytes(), tuple(int(a) for a in actors))
+        key = k.indices.tobytes()
         least = self._quotient_cache.get(key)
         if least is None:
             orders = self.element_orders()
             maps = [(self._rmul_map(s), orders[s]) for s in k.ensure_gens()]
-            maps += [(self._conj_map(a), orders[a]) for a in actors]
             least = _least_labels(self.order, maps)
             _cache_put(self._quotient_cache, key, least)
         return least

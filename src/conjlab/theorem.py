@@ -27,20 +27,21 @@ quantifies over group actions rather than a single group.
 Each centralizer mask and coset labelling is computed once while it stays
 in its bounded cache, and each composition series once per group: Group
 memoises centralizer_mask_idx per element, coset_labels per kernel and
-actor list, and composition_series.  Class ids, representatives and sizes
-come from Group.class_table.  No lemma builds a quotient group.  G/K is
-read through Group.coset_labels: with no actors the labels name the cosets
-xK, and with G's generators as actors a label's count over |K| is the class
-size of xK in G/K, kept per kernel by the lemma that reads it, for one run.
-These memos sit below the functions a test may patch to break a fact, and
-never in a lemma body.  The mask memo is inside Group.centralizer_mask_idx,
-so a patch that wraps that method sees every call.  _misses_a_class reads
-its masks at class representatives inside the function itself, so a patch
-of _misses_a_class replaces the whole predicate.  class_size_divisibility
-reads |x^K| and the class size of xK from (kernel, class) tables
-(_ClassDivisors), which hold because both are class functions of x, and
-series_class_divisibility reads the factor class size at each position of a
-series step from one labelling per step, with the step's top as actors.
+composition_series.  Class ids, representatives and sizes come from
+Group.class_table.  No lemma builds a quotient group.  G/K is read through
+Group.coset_labels, whose labels name the cosets xK; the class of xK in
+H/K is the set of cosets that x^H meets, so _class_sizes_over counts it
+from the labels and a class table of H.  These memos sit below the
+functions a test may patch to break a fact, and never in a lemma body.
+The mask memo is inside Group.centralizer_mask_idx, so a patch that wraps
+that method sees every call.  _misses_a_class reads its masks at class
+representatives inside the function itself, so a patch of _misses_a_class
+replaces the whole predicate.  class_size_divisibility reads |x^K| and the
+class size of xK from (kernel, class) tables (_ClassDivisors), which hold
+because both are class functions of x, series_class_divisibility reads the
+factor class sizes of a series step from the labels of its bottom and the
+classes of its top, and coprime_centralizer_product reads its partner
+count, a class function, at x's class representative.
 The two quotient-centralizer lemmas get no such table, though their
 predicates are class functions as well.  They read the mask of the element
 in each case, not of its class representative, so they also check
@@ -71,6 +72,7 @@ from .errors import (
 )
 from .group import (
     DEFAULT_NODE_BUDGET,
+    ClassTable,
     Group,
     Subgroup,
     _distinct,
@@ -431,10 +433,13 @@ def _degenerate(g: Group, normals: Sequence[Subgroup], cases: np.ndarray) -> np.
     return (korders == 1) | (korders == g.order) | (cases[:, 1] == 0)
 
 
-def _class_sizes_over(g: Group, k: Subgroup, actors: Sequence[int]) -> np.ndarray:
-    """Per member x: the class size of xK in H/K, H = <actors>, K = k normal in H."""
-    labels = g.coset_labels(k, actors)
-    return np.bincount(labels, minlength=g.order)[labels] // k.order
+def _class_sizes_over(g: Group, k: Subgroup, classes: ClassTable, members=slice(None)) -> np.ndarray:
+    """Per member x of H: the class size of xK in H/K, K = k normal in H,
+    from H's classes: the class of xK is the set of cosets that x^H meets,
+    so it counts the distinct (class, coset label) pairs of x's class."""
+    ids = classes.ids[members]
+    pairs = _distinct(ids * g.order + g.coset_labels(k)[members])
+    return np.bincount(pairs // g.order, minlength=len(classes.reps))[ids]
 
 
 class _ClassDivisors:
@@ -444,8 +449,6 @@ class _ClassDivisors:
     class) tables, filled for the pairs the cases reach and 0 elsewhere:
     in_kernel holds |K| / |C_K(rep)| at each class representative, and
     in_quotient, filled a kernel at a time, the class size of rep K in G/K.
-    A kernel's row is filled only once one of its cases passes the |x^K|
-    test, in the order such cases come.
     """
 
     def __init__(self, g: Group, normals: Sequence[Subgroup]):
@@ -467,14 +470,9 @@ class _ClassDivisors:
         for pair in _distinct(unread).tolist():
             kk, cc = divmod(pair, n)
             self.in_kernel[kk, cc] = centralizer_index(g, self.normals[kk], int(self.reps[cc]))
-        ok = sizes[x] % self.in_kernel[k, c] == 0
-        passed = k[ok]
-        _, first = np.unique(passed, return_index=True)
-        for kk in passed[np.sort(first)].tolist():
-            if self.in_quotient[kk, 0] == 0:
-                self.in_quotient[kk] = _class_sizes_over(g, self.normals[kk], g._gen_idx)[self.reps]
-        ok[ok] = sizes[x[ok]] % self.in_quotient[passed, c[ok]] == 0
-        out[live] = ok
+        for kk in _distinct(k[self.in_quotient[k, 0] == 0]).tolist():
+            self.in_quotient[kk] = _class_sizes_over(g, self.normals[kk], g.class_table())[self.reps]
+        out[live] = (sizes[x] % self.in_kernel[k, c] == 0) & (sizes[x] % self.in_quotient[k, c] == 0)
         return out
 
 
@@ -494,12 +492,13 @@ def _lemma_class_size_divisibility(g, rng, samples, nbudget) -> LemmaResult:
 
 
 def _factor_class_sizes(g: Group, series: Sequence[Subgroup]) -> list[np.ndarray]:
-    """Per step low < high of the series: the class size in high/low of each
-    member's image, by position in high."""
-    return [
-        _class_sizes_over(g, low, high.ensure_gens())[high.indices]
-        for low, high in zip(series, series[1:])
-    ]
+    """Per step L < H of the series: the class size in H/L of each member's
+    image, by position in H, from the classes of H."""
+    out = []
+    for low, h in zip(series, series[1:]):
+        classes = g.class_table() if h.order == g.order else g._class_pass(h.ensure_gens(), h.indices)
+        out.append(_class_sizes_over(g, low, classes, h.indices))
+    return out
 
 
 def _lemma_series_class_divisibility(g, rng, samples, nbudget) -> LemmaResult:
@@ -535,26 +534,32 @@ def _lemma_series_class_divisibility(g, rng, samples, nbudget) -> LemmaResult:
 def _lemma_coprime_centralizer_product(g, rng, samples, nbudget) -> LemmaResult:
     # commuting elements of coprime order: C(xy) = C(x) & C(y)
     orders = g.element_orders()
-    _, reps, sizes = g.class_table()
+    ids, reps, sizes = g.class_table()
 
     @functools.cache
     def coprime_to(order: int) -> np.ndarray:
         return np.gcd(orders, order) == 1
 
     def coprime_partners(x: int) -> np.ndarray:
-        # members of C(x) of order prime to x's; the identity is always one
+        # members of C(x) of order prime to x's, ascending: the identity first
         return np.flatnonzero(g.centralizer_mask_idx(x) & coprime_to(int(orders[x])))
 
+    @functools.cache
+    def class_partners(c: int) -> np.ndarray:
+        return coprime_partners(int(reps[c]))
+
     def draw():
-        # draw y from C(x) so every draw yields a commuting pair
+        # y from C(x), so every pair commutes; the partner count is a class
+        # function, read at x's class rep, and an identity first there is x's too
         x = rng.randrange(g.order)
-        coprime = coprime_partners(x)
-        return x, int(coprime[rng.randrange(coprime.size)])
+        at_rep = class_partners(int(ids[x]))
+        pick = rng.randrange(at_rep.size)
+        return x, 0 if pick == 0 and at_rep[0] == 0 else int(coprime_partners(x)[pick])
 
     return _drive(
         int((g.order // sizes).sum()),
         samples,
-        (_with(x, coprime_partners(x)) for x in reps.tolist()),
+        (_with(rep, class_partners(c)) for c, rep in enumerate(reps.tolist())),
         draw,
         _centralizers_of_products_split(g),
         "x#{},y#{}",
@@ -594,7 +599,7 @@ def _quotient_centralizers(
                 out[owner[labels[g._indices_of_images(images)] != labels[x]]] = False
                 if not subset_only:
                     if k not in in_quotient:
-                        in_quotient[k] = _class_sizes_over(g, normals[k], g._gen_idx)
+                        in_quotient[k] = _class_sizes_over(g, normals[k], g.class_table())
                     sizes = in_quotient[k][cases[chunk, 1]]
                     out[chunk] &= counts * sizes * normals[k].order == g.order
         return out

@@ -9,6 +9,7 @@ import pytest
 
 import oracle
 from conjlab import group as group_module
+from conjlab import theorem
 from conjlab.arith import prime_divisors
 from conjlab.corpus import build, builtin_corpus, parse_spec
 from conjlab.errors import (
@@ -322,17 +323,16 @@ def _fill_coset_labels(g, ref):
 
 
 def test_coset_labels_name_cosets_and_quotient_classes():
-    # against the quotient group: labels are least coset members, and with
-    # the generators as actors a label's count over |K| is a class size of G/K
+    # against the quotient group: labels are least coset members, and the
+    # cosets that each class of G meets are the classes of G/K
     g = build(parse_spec("direct:symmetric:3+cyclic:3"))
     for k in g.normal_subgroups():
         q, qmap = g.quotient(k)
         labels = g.coset_labels(k)
         assert np.array_equal(labels, qmap.coset_reps[qmap.coset_id])
-        classes = g.coset_labels(k, g._gen_idx)
-        sizes = np.bincount(classes, minlength=g.order)[classes] // k.order
+        assert not labels.flags.writeable
+        sizes = theorem._class_sizes_over(g, k, g.class_table())
         assert sizes.tolist() == [q.class_size_of_idx(qmap.image_idx(i)) for i in range(g.order)]
-        assert not classes.flags.writeable
 
 
 @pytest.mark.parametrize(

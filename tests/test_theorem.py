@@ -377,10 +377,10 @@ def _drop_own_bit(original):
 
 def _label_by_next_coset(original):
     # each coset's label names a member of the coset y*s, s the first generator,
-    # not of yK itself; the class labels, with actors, stay right
-    def patched(self, k, actors=()):
-        labels = original(self, k, actors)
-        return labels if actors else self._rmul_map(self._gen_idx[0])[labels]
+    # not of yK itself; distinct cosets keep distinct labels, so the class
+    # sizes of G/K counted from them stay right
+    def patched(self, k):
+        return self._rmul_map(self._gen_idx[0])[original(self, k)]
 
     return patched
 
@@ -498,21 +498,21 @@ def test_lemma_suite_builds_no_quotient_and_each_mask_once(monkeypatch):
 
 
 def test_lemma_suite_labels_each_kernel_once(monkeypatch):
-    # class_size_divisibility and coprime_quotient_centralizer both read the
-    # classes of G/K from labels with G's generators as actors; the labels are
-    # kept per (kernel, actors), so no such labelling runs twice
+    # class_size_divisibility and both quotient-centralizer lemmas read G/K
+    # through the coset labels of K; the labels are kept per kernel, so no
+    # kernel is labelled twice
     asked, labelled = [], []
     coset_labels, least_labels = Group.coset_labels, group_module._least_labels
 
-    def noting(self, k, actors=()):
-        asked.append((k.indices.tobytes(), tuple(actors)))
+    def noting(self, k):
+        asked.append(k.indices.tobytes())
         try:
-            return coset_labels(self, k, actors)
+            return coset_labels(self, k)
         finally:
             asked.pop()
 
     def counting(n, maps):
-        if asked and asked[-1][1]:
+        if asked:
             labelled.append(asked[-1])
         return least_labels(n, maps)
 
@@ -522,8 +522,61 @@ def test_lemma_suite_labels_each_kernel_once(monkeypatch):
     results = run_lemma_suite(g, seed=0, sample_budget=10000)
     assert all(r.status == "pass" for r in results.values())
     assert len(labelled) == len(set(labelled))
-    kernels = [k for k, actors in labelled if list(actors) == g._gen_idx]
-    assert len(kernels) > len(g.normal_subgroups()) // 2  # the lemmas did label kernels
+    assert len(labelled) > len(g.normal_subgroups()) // 2  # the lemmas did label kernels
+
+
+ORDER_6860 = "direct:frobenius:5,4+heisenberg:7"
+
+
+def _draws_per_element(g, rng, samples):
+    # coprime_centralizer_product's draw rule when it read x's own partners
+    # at every draw: the coprime members of C(x), from x's own mask
+    orders = g.element_orders()
+    cases = []
+    for _ in range(samples):
+        x = rng.randrange(g.order)
+        partners = np.flatnonzero(g.centralizer_mask_idx(x) & (np.gcd(orders, orders[x]) == 1))
+        cases.append((x, int(partners[rng.randrange(partners.size)])))
+    return cases
+
+
+# in symmetric:5 the partners differ within a class: those of (0 1) are the
+# identity and the 3-cycles on 2, 3, 4; in the two products the members of
+# a class share one partner list
+COPRIME_DRAWS = [(ORDER_6860, 10000), ("direct:symmetric:3+cyclic:3", 20), ("symmetric:5", 100)]
+
+
+@pytest.mark.parametrize("spec,budget", COPRIME_DRAWS)
+def test_coprime_partner_draws_match_the_per_element_rule(monkeypatch, masks_patched, spec, budget):
+    # the partner count is read at x's class representative, and a pick of 0
+    # there is the identity; every drawn case must be the one that drawing
+    # from x's own partners gives, also with x dropped from its own mask
+    drawn, split = [], theorem._centralizers_of_products_split
+
+    def recording(g):
+        holds = split(g)
+
+        def noting(cases):
+            drawn.extend(map(tuple, cases.tolist()))
+            return holds(cases)
+
+        return noting
+
+    monkeypatch.setattr(theorem, "_centralizers_of_products_split", recording)
+    g = build(parse_spec(spec))
+    name = "coprime_centralizer_product"
+    result = run_lemma_suite(g, seed=0, sample_budget=budget, names=[name])
+    assert result[name].mode == "sampled"
+    assert drawn == _draws_per_element(g, random.Random(f"0:{name}"), budget)
+
+
+def test_coprime_centralizer_product_reads_few_masks():
+    # most draws on this group pick the identity as the partner, which needs
+    # no mask; drawing from each x's own partners built 5227 masks here
+    g = build(parse_spec(ORDER_6860))
+    results = run_lemma_suite(g, seed=0, names=["coprime_centralizer_product"])
+    assert results["coprime_centralizer_product"].status == "pass"
+    assert len(g._centralizer_cache) <= 600
 
 
 _CACHES = ["_rmul_cache", "_conj_cache", "_chain_cache", "_centralizer_cache", "_quotient_cache"]
